@@ -17,7 +17,6 @@ from .engine import (
     closure,
     naive_closure,
     percolates,
-    percolates_fast_2d,
 )
 from .estimator import (
     SUPERCRITICAL,

@@ -172,11 +172,7 @@ def cmd_theta(args) -> int:
     rec.update(est.to_json_dict())
     _emit_json(rec, args.out)
     if args.csv:
-        # per-trial outcomes, recomputed deterministically per trial seed
-        rows = []
-        for i in range(args.trials):
-            codes = sample_codes(spec, p, TrialSeed(args.seed, i))
-            rows.append([i, int(percolation_run(spec, codes).percolated)])
+        rows = [[i, int(ok)] for i, ok in enumerate(est.outcomes)]
         _emit_csv(["trial", "percolates"], rows, args.csv)
     return 0
 

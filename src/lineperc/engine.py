@@ -49,13 +49,6 @@ class Trace:
     round_axis_counts: list[tuple[int, ...]] = field(default_factory=list)
 
     @property
-    def events(self) -> list[tuple[LineId, int, int]]:
-        return [
-            (decode_line(self.spec, lid), s, g)
-            for lid, s, g in zip(self.line_ids, self.steps, self.round_of)
-        ]
-
-    @property
     def num_rounds(self) -> int:
         return len(self.round_axis_counts)
 
@@ -113,10 +106,6 @@ class InfectionState:
         self._early_proof = False
 
     # -- queries ------------------------------------------------------------
-
-    @property
-    def initial(self) -> set[Point]:
-        return {decode_point(self.spec, c) for c in self._initial_codes}
 
     @property
     def explicit_infected(self) -> set[Point]:
@@ -320,6 +309,9 @@ class InfectionState:
             if sorted(order) != list(range(t.L)):
                 raise InputError("order must be a permutation of all line ids")
             self._run_sequential_order(order, sink)
+        if self.trace.line_ids:
+            # the whole scan is one round: every saturation so far, per axis
+            self.trace.round_axis_counts.append(tuple(self._sat_per_axis))
         self.percolated = self.infected_total == t.N
         return self
 
@@ -344,11 +336,6 @@ class InfectionState:
                 pos = 0
                 if not ready(0).size:
                     break
-        if self.trace.line_ids:
-            per_round = [0] * t.d
-            for lid in self.trace.line_ids:
-                per_round[lid // t.lines_per_axis] += 1
-            self.trace.round_axis_counts.append(tuple(per_round))
 
     def _run_sequential_order(self, order, sink):
         t = self._t
@@ -366,11 +353,6 @@ class InfectionState:
             pos += 1
             if pos == t.L:
                 pos = 0
-        if self.trace.line_ids:
-            per_round = [0] * t.d
-            for lid in self.trace.line_ids:
-                per_round[lid // t.lines_per_axis] += 1
-            self.trace.round_axis_counts.append(tuple(per_round))
 
     def run_half_steps(self, *, stop_rule: bool = True, start_axis: int = 0):
         """Alternating single-axis generations (d=2 only).
@@ -440,14 +422,6 @@ def percolates(spec: GridSpec, initial: Iterable[Sequence[int]]) -> bool:
     """Whether [A] is the whole grid."""
     state = InfectionState(spec, initial).run_fifo(stop_on_percolation=True)
     return bool(state.percolated)
-
-
-def percolates_fast_2d(spec: GridSpec, initial: Iterable[Sequence[int]]) -> bool:
-    """2D percolation check that halts once one axis holds enough parallel
-    saturated lines (the perpendicular threshold); agrees with ``percolates``."""
-    if spec.d != 2:
-        raise InputError("percolates_fast_2d requires d = 2")
-    return percolates(spec, initial)
 
 
 def naive_closure(spec: GridSpec, initial: Iterable[Sequence[int]]) -> set[Point]:

@@ -12,9 +12,10 @@ yields the whole curve.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import binom as _binom
@@ -22,13 +23,7 @@ from scipy.stats import binom as _binom
 from .engine import percolation_run
 from .grid import GridSpec, InputError
 from .processes import LineCountClass, classify_line_count, run_alternating_2d
-from .sampling import (
-    PcSample,
-    TrialSeed,
-    critical_p_of_sample,
-    realize_coupled,
-    sample_codes,
-)
+from .sampling import TrialSeed, critical_p_of_sample, sample_codes
 from .theory import SUPERCRITICAL, regime_of  # re-exported; formulas live in theory
 
 __all__ = [
@@ -76,6 +71,7 @@ class ThetaEstimate:
     ci_low: float
     ci_high: float
     wall_seconds: float
+    outcomes: tuple[bool, ...] = field(repr=False)  # per trial, in trial order
 
     def to_json_dict(self) -> dict:
         # wall_seconds deliberately excluded: outputs must be byte-stable
@@ -160,21 +156,19 @@ def _pc_chunk(args) -> list[tuple[float, bool]]:
     spec, master_seed, lo, hi, checks = args
     out = []
     for i in range(lo, hi):
-        seed = TrialSeed(master_seed, i)
-        pc = critical_p_of_sample(spec, seed)
+        pc = critical_p_of_sample(spec, TrialSeed(master_seed, i))
         if checks and not pc.degenerate and spec.d == 2 and spec.is_uniform:
-            for sample in realize_coupled(spec, seed):
-                if sample.cap >= pc.p_star or sample.cap >= 1.0:
-                    codes = sample.prefix_codes(pc.p_star)
-                    state = percolation_run(spec, codes)
-                    assert state.percolated
-                    check_2d_process_properties(spec, codes, state)
-                    break
+            state = pc.witness
+            assert state.percolated
+            check_2d_process_properties(spec, state._initial_codes, state)
         out.append((pc.p_star, pc.degenerate))
     return out
 
 
 def _run_chunks(fn, payloads, workers: int):
+    # a pool forks all its workers at the first submit, so never ask for
+    # more than there are cores or chunks to run
+    workers = min(workers, os.cpu_count() or 1, len(payloads))
     if workers <= 1:
         results = [fn(p) for p in payloads]
     else:
@@ -262,6 +256,7 @@ def estimate_theta(
         ci_low=lo,
         ci_high=hi,
         wall_seconds=time.perf_counter() - t0,
+        outcomes=tuple(flags),
     )
 
 
@@ -308,15 +303,6 @@ def estimate_pc(
         n_degenerate=sum(1 for _, dg in rows if dg),
         wall_seconds=time.perf_counter() - t0,
     )
-
-
-def critical_p_samples(
-    spec: GridSpec, trials: int, master_seed: int
-) -> list[PcSample]:
-    """The raw per-trial PcSamples in trial order (no aggregation)."""
-    return [
-        critical_p_of_sample(spec, TrialSeed(master_seed, i)) for i in range(trials)
-    ]
 
 
 def fit_exponent(estimates: list[tuple[float, float]]) -> SlopeFit:

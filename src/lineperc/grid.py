@@ -22,6 +22,10 @@ class InputError(ValueError):
 
 Point = tuple[int, ...]
 
+# every line gets a few counters and flags, so the line count bounds the
+# memory a grid needs; 2^24 lines is about 300 MB of per-line arrays
+MAX_LINES = 1 << 24
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -48,6 +52,11 @@ class GridSpec:
             )
         if any(t < 1 for t in self.thresholds):
             raise InputError(f"thresholds must be >= 1, got {self.thresholds}")
+        if self.num_lines > MAX_LINES:
+            raise InputError(
+                f"[{self.n}]^{self.d} has {self.num_lines} lines, "
+                f"more than the supported {MAX_LINES}"
+            )
 
     @classmethod
     def uniform(cls, n: int, d: int, r: int) -> "GridSpec":
@@ -182,10 +191,6 @@ def encode_points(spec: GridSpec, points: Iterable[Sequence[int]]) -> np.ndarray
     """Sorted array of distinct point codes (validates every point)."""
     codes = [encode_point(spec, p) for p in points]
     return np.unique(np.asarray(codes, dtype=np.int64))
-
-
-def decode_points(spec: GridSpec, codes: Iterable[int]) -> set[Point]:
-    return {decode_point(spec, int(c)) for c in codes}
 
 
 def encode_line(spec: GridSpec, line: LineId) -> int:

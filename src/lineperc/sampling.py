@@ -15,7 +15,7 @@ field exactly without touching all n^d sites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -54,20 +54,6 @@ class CoupledSample:
     codes: np.ndarray  # int64, sorted by weight
     weights: np.ndarray  # float64, ascending
 
-    @property
-    def weighted_points(self) -> list[tuple[Point, float]]:
-        return [
-            (decode_point(self.spec, int(c)), float(w))
-            for c, w in zip(self.codes, self.weights)
-        ]
-
-    def prefix_codes(self, p: float) -> np.ndarray:
-        """Codes of A_p = sites with weight <= p (requires p <= cap)."""
-        if p > self.cap:
-            raise InputError(f"p={p} exceeds realized cap {self.cap}")
-        k = int(np.searchsorted(self.weights, p, side="right"))
-        return self.codes[:k]
-
 
 @dataclass(frozen=True)
 class PcSample:
@@ -78,6 +64,8 @@ class PcSample:
     trial: TrialSeed
     n_realized: int
     n_probes: int
+    # the early-stopped cascade on A_{p*}; None for a degenerate sample
+    witness: InfectionState | None = field(default=None, compare=False, repr=False)
 
 
 def _draw_distinct_codes(
@@ -174,6 +162,8 @@ def critical_p_of_sample(
     percolates, then bisecting the flip index along the weight order.  The
     invariant lo=non-percolating / hi=percolating of the bisection certifies
     percolates(A_{p*}) and not percolates(A_{p*-eps}) for every sample.
+    The early-stopped cascade that proved percolates(A_{p*}) is returned as
+    ``witness``, so callers that inspect A_{p*} need not realize it again.
 
     When n is below the largest threshold no line can ever saturate, and the
     conventional result is p* = 1 with ``degenerate`` set (the full grid is
@@ -186,36 +176,21 @@ def critical_p_of_sample(
     for sample in realize_coupled(spec, seed, cap0=cap0):
         total = sample.codes.size
         probes += 1
-        if not _prefix_percolates(spec, sample, total):
+        # the empty prefix never percolates, so it needs no cascade
+        witness = percolation_run(spec, sample.codes) if total else None
+        if witness is None or not witness.percolated:
             lo = total
             continue
         hi = total
         while hi - lo > 1:
             mid = (lo + hi) // 2
             probes += 1
-            if _prefix_percolates(spec, sample, mid):
-                hi = mid
+            state = percolation_run(spec, sample.codes[:mid])
+            if state.percolated:
+                hi, witness = mid, state
             else:
                 lo = mid
         return PcSample(
-            float(sample.weights[hi - 1]), False, seed, int(total), probes
+            float(sample.weights[hi - 1]), False, seed, int(total), probes, witness
         )
     raise AssertionError("the full grid always percolates at cap 1.0")
-
-
-def _prefix_percolates(spec: GridSpec, sample: CoupledSample, k: int) -> bool:
-    if k == 0:
-        return spec.num_sites == 0
-    return bool(percolation_run(spec, sample.codes[:k]).percolated)
-
-
-def percolation_state_at_pstar(
-    spec: GridSpec, seed: TrialSeed, pc: PcSample
-) -> InfectionState:
-    """Re-run the early-stopped cascade on A_{p*} (for process checks)."""
-    if pc.degenerate:
-        raise InputError("no percolating prefix exists for a degenerate sample")
-    for sample in realize_coupled(spec, seed):
-        if sample.cap >= pc.p_star or sample.cap >= 1.0:
-            return percolation_run(spec, sample.prefix_codes(pc.p_star))
-    raise AssertionError("unreachable")

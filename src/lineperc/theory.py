@@ -127,10 +127,15 @@ def log_binom_pmf(N: int, p: float, k) -> np.ndarray:
         gammaln(N + 1)
         - gammaln(k + 1)
         - gammaln(N - k + 1)
-        + np.where(k > 0, k * log_p, 0.0)
-        + np.where(N - k > 0, (N - k) * log_q, 0.0)
+        + _times_log(k, log_p)
+        + _times_log(N - k, log_q)
     )
     return out
+
+
+def _times_log(k: np.ndarray, log_x: float) -> np.ndarray:
+    """k * log_x, and 0 where k = 0: 0 * log(0) is never evaluated."""
+    return np.multiply(k, log_x, out=np.zeros(k.shape), where=k > 0)
 
 
 def _logsumexp(values: np.ndarray) -> float:

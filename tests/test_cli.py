@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from lineperc import InputError
+from lineperc import InputError, grid
 from lineperc.cli import dispatch, parse_p_expression
 
 
@@ -160,6 +160,18 @@ def test_exit_codes():
     assert proc.returncode == 1
     proc = run_cli(["--bogus-flag"])
     assert proc.returncode == 1
+
+
+def test_oversized_grid_exit_code(monkeypatch, capsys):
+    # refused by GridSpec before any per-line table is built
+    def no_tables(spec):
+        raise AssertionError("per-line tables built for an oversized grid")
+
+    monkeypatch.setattr(grid, "_SpecTables", no_tables)
+    argv = ["theta", "--n", "1000000", "--d", "3", "--r", "2", "--p", "0.1",
+            "--trials", "1", "--seed", "0", "--threads", "1"]
+    assert dispatch(argv) == 1
+    assert "lines" in capsys.readouterr().err
 
 
 def test_search_space_refusal_exit_code():

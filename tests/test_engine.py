@@ -9,7 +9,6 @@ from lineperc import (
     closure,
     naive_closure,
     percolates,
-    percolates_fast_2d,
 )
 from lineperc.engine import InfectionState, closure_from_codes, percolation_run
 from lineperc.grid import decode_point, encode_point
@@ -95,16 +94,15 @@ def test_percolates_mixed_threshold_block():
     }
 
 
-def test_percolates_fast_2d():
+def test_percolates_2d_early_stop():
+    # in 2D the run halts once one axis holds threshold-many saturated lines
     spec = GridSpec.uniform(8, 2, 3)
-    assert percolates_fast_2d(spec, block(3, 2))
+    assert percolates(spec, block(3, 2))
     state = percolation_run(
         spec, np.array([encode_point(spec, p) for p in block(3, 2)])
     )
     assert len(state.trace.line_ids) <= 6
-    assert not percolates_fast_2d(GridSpec.uniform(8, 2, 3), [(1, 1), (5, 5)])
-    with pytest.raises(InputError):
-        percolates_fast_2d(GridSpec.uniform(3, 3, 2), [])
+    assert not percolates(spec, [(1, 1), (5, 5)])
 
 
 def test_oracle_equivalence_randomized():

@@ -13,7 +13,15 @@ from lineperc import (
     regime_of,
     wilson_interval,
 )
+from lineperc import estimator
+from lineperc.engine import percolation_run
 from lineperc.estimator import median_order_statistic_ci
+from lineperc.sampling import (
+    TrialSeed,
+    critical_p_of_sample,
+    realize_coupled,
+    sample_codes,
+)
 
 
 def test_theta_extremes():
@@ -76,6 +84,86 @@ def test_estimate_pc_determinism_across_workers():
     ta = estimate_theta(spec, 0.01, 200, 9, workers=1)
     tb = estimate_theta(spec, 0.01, 200, 9, workers=3)
     assert ta.successes == tb.successes
+
+
+def test_checked_pc_trial_opens_its_stream_once(monkeypatch):
+    # the process checks reuse the search's cascade on A_{p*}
+    opened = []
+    generator = TrialSeed.generator
+
+    def counted(self):
+        opened.append(self.trial_index)
+        return generator(self)
+
+    monkeypatch.setattr(TrialSeed, "generator", counted)
+    estimate_pc(GridSpec.uniform(24, 2, 2), 20, 5, workers=1, process_checks=True)
+    assert sorted(opened) == list(range(20))
+
+
+def test_process_checks_see_the_flip_prefix(monkeypatch):
+    spec = GridSpec.uniform(12, 2, 2)
+    seen = []
+    check = estimator.check_2d_process_properties
+
+    def recording(spec_, codes, state):
+        seen.append(np.sort(codes))
+        check(spec_, codes, state)
+
+    monkeypatch.setattr(estimator, "check_2d_process_properties", recording)
+    estimate_pc(spec, 25, 123, workers=1)
+    assert len(seen) == 25
+    for idx, codes in enumerate(seen):
+        seed = TrialSeed(123, idx)
+        pc = critical_p_of_sample(spec, seed)
+        for sample in realize_coupled(spec, seed):
+            if sample.cap >= pc.p_star or sample.cap >= 1.0:
+                k = int(np.searchsorted(sample.weights, pc.p_star, side="right"))
+                assert np.array_equal(codes, np.sort(sample.codes[:k]))
+                break
+
+
+@pytest.mark.parametrize("thresholds", [(2, 2), (2, 3)])
+def test_theta_outcomes_match_per_trial_oracle(thresholds):
+    spec = GridSpec(10, 2, thresholds)
+    est = estimate_theta(spec, 0.1, 60, 3)
+    oracle = tuple(
+        bool(percolation_run(spec, sample_codes(spec, 0.1, TrialSeed(3, i))).percolated)
+        for i in range(60)
+    )
+    assert 0 < est.successes < 60
+    assert est.outcomes == oracle
+    assert sum(est.outcomes) == est.successes
+
+
+@pytest.mark.parametrize(
+    "requested, cores, pool_size",
+    [(1000, 3, 3), (1000, 64, 8), (2, 64, 2), (4, 1, None), (1, 8, None)],
+)
+def test_workers_clamped_to_cores_and_chunks(monkeypatch, requested, cores, pool_size):
+    # 8 trials make 8 chunks; a clamp to 1 worker runs serially, with no pool
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(estimator, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: cores)
+    spec = GridSpec.uniform(10, 2, 2)
+    est = estimate_theta(spec, 0.1, 8, 3, workers=requested)
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert est.outcomes == estimate_theta(spec, 0.1, 8, 3, workers=1).outcomes
 
 
 def test_ecdf_matches_independent_theta():

@@ -18,6 +18,7 @@ from lineperc import (
     parse_point,
     points_on,
 )
+from lineperc.grid import MAX_LINES
 
 
 def test_spec_validation():
@@ -33,6 +34,14 @@ def test_spec_validation():
     assert GridSpec.uniform(5, 3, 2).thresholds == (2, 2, 2)
     with pytest.raises(InputError):
         GridSpec(3, 2, (1, 2)).r  # noqa: B018
+
+
+def test_spec_line_budget():
+    assert GridSpec(MAX_LINES // 2, 2, (2, 2)).num_lines == MAX_LINES
+    with pytest.raises(InputError):
+        GridSpec(MAX_LINES // 2 + 1, 2, (2, 2))
+    with pytest.raises(InputError):
+        GridSpec(10**6, 3, (2, 2, 2))
 
 
 def test_lines_through_2d():

@@ -62,6 +62,11 @@ def test_pstar_flip_and_monotone_coupling():
                 assert sample.weights[k - 1] == pc.p_star
                 assert percolation_run(spec, sample.codes[:k]).percolated
                 assert not percolation_run(spec, sample.codes[: k - 1]).percolated
+                # the search hands back its cascade on exactly that prefix
+                assert pc.witness.percolated
+                assert np.array_equal(
+                    pc.witness._initial_codes, np.sort(sample.codes[:k])
+                )
                 # monotonicity: percolation is preserved above the flip
                 assert percolation_run(spec, sample.codes).percolated
                 break
@@ -109,3 +114,4 @@ def test_pstar_degenerate():
     spec = GridSpec.uniform(2, 2, 3)  # n < r: cascade can never fire
     pc = critical_p_of_sample(spec, TrialSeed(0, 0))
     assert pc.degenerate and pc.p_star == 1.0
+    assert pc.witness is None

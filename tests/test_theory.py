@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +109,18 @@ def test_log_binom_pmf_exact_small():
     for k in range(11):
         exact = F(comb(10, k), 2**10)
         assert abs(float(log_binom_pmf(10, 0.5, k)) - math.log(exact)) < 1e-12
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_log_binom_pmf_degenerate_p_is_exact_and_silent(p):
+    # the point mass at k = N p, computed without evaluating 0 * log(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = log_binom_pmf(10, p, range(11))
+        check_binomial_bounds(10, p, 10)
+    expected = np.full(11, -np.inf)
+    expected[int(10 * p)] = 0.0
+    assert np.array_equal(out, expected)
 
 
 def test_binomial_bounds_examples():
