@@ -2,7 +2,8 @@
 
 Each trial assigns every site an i.i.d. uniform weight; the sample's
 critical density p* is the smallest weight whose sublevel set percolates,
-found by bisection along the weight order (one coupled cascade pipeline
+found in one pass along the weight order: sites join a single growing
+cascade, lightest first, until it percolates (one coupled cascade pipeline
 yields the entire theta curve).  Medians of p* scale like n^(-1-1/r) in 2D
 and n^(-1-1/(r-gamma)) in 3D; a log-log fit over a handful of sizes already
 lands on the predicted exponents.

@@ -100,7 +100,12 @@ def _resolve_threads(args) -> int:
     t = getattr(args, "threads", None)
     if t is None:
         env = os.environ.get("LINEPERC_THREADS")
-        t = int(env) if env else 0
+        try:
+            t = int(env) if env else 0
+        except ValueError:
+            raise InputError(
+                f"LINEPERC_THREADS must be an integer, got {env!r}"
+            ) from None
     t = int(t)
     if t <= 0:
         t = os.cpu_count() or 1

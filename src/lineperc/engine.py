@@ -2,10 +2,14 @@
 
 The cascade never materializes the infected point set.  A point is infected
 iff it is an initial point or lies on a saturated line, so the state is just
-per-line counters, per-line saturation flags, and the seed array.  Saturating
+per-line counters, per-line saturation flags, and the seeds.  Saturating
 a line touches its n points with strided numpy slices: the ids of the
 crossing lines along any other axis form an arithmetic progression in the
 varying coordinate.
+
+The closure is monotone in the seed set, so a state can also be grown one
+seed at a time (``InfectionState.grow``); every line then saturates at most
+once over the whole growth.
 
 ``naive_closure`` is the deliberately simple fixed-point oracle (full rescan
 of every line each pass) used to cross-check the cascade.
@@ -62,8 +66,9 @@ class InfectionState:
     """One cascade run on a grid: counters, flags, and the event trace.
 
     Construction seeds the counters from the initial set; one of the ``run_*``
-    methods then advances the cascade.  A single state is single-threaded;
-    distinct states are independent.
+    methods then advances the cascade.  Alternatively a state built from no
+    seeds takes them one at a time through ``grow``.  A single state is
+    single-threaded; distinct states are independent.
     """
 
     def __init__(self, spec: GridSpec, initial, _codes: np.ndarray | None = None):
@@ -76,8 +81,12 @@ class InfectionState:
             codes = np.unique(np.asarray(_codes, dtype=np.int64))
             if codes.size and (codes[0] < 0 or codes[-1] >= t.N):
                 raise InputError("point code out of range")
-        self._initial_codes = codes
+        self._codes = codes
+        self._grown: list[int] = []
         self._initial_set = set(codes.tolist())
+        # line id -> varying-axis digits of the seeds on that line; built on
+        # first use, so a run that saturates nothing never pays for it
+        self._seeds_on: dict[int, list[int]] | None = None
         self.line_count = np.zeros(t.L, dtype=np.int64)
         self.saturated = np.zeros(t.L, dtype=bool)
         self._enqueued = np.zeros(t.L, dtype=bool)
@@ -108,13 +117,18 @@ class InfectionState:
     # -- queries ------------------------------------------------------------
 
     @property
+    def _initial_codes(self) -> np.ndarray:
+        """Sorted codes of every seed, grown ones included."""
+        if self._grown:
+            return np.sort(np.asarray(self._grown, dtype=np.int64))
+        return self._codes
+
+    @property
     def explicit_infected(self) -> set[Point]:
         """Initial points that do not lie on any saturated line."""
-        out = set()
-        for row, code in enumerate(self._initial_codes):
-            if not self.saturated[self._seed_lids[row]].any():
-                out.add(decode_point(self.spec, int(code)))
-        return out
+        codes = self._initial_codes
+        alone = ~self.saturated[self._t.lids_of(codes)].any(axis=1)
+        return {decode_point(self.spec, int(c)) for c in codes[alone]}
 
     @property
     def pending(self) -> list[LineId]:
@@ -156,16 +170,24 @@ class InfectionState:
 
     # -- cascade core ---------------------------------------------------------
 
+    def _seed_index(self) -> dict[int, list[int]]:
+        if self._seeds_on is None:
+            index: dict[int, list[int]] = {}
+            for lids, digits in zip(self._seed_lids.tolist(), self._seed_digits.tolist()):
+                for lid, digit in zip(lids, digits):
+                    index.setdefault(lid, []).append(digit)
+            self._seeds_on = index
+        return self._seeds_on
+
     def _saturate(self, lid: int, round_idx: int, step: int, sink) -> None:
         """Saturate one line: infect its new points, bump crossing counters."""
         t = self._t
         n = t.n
         axis, g = t.line_digits(lid)
         mask = np.zeros(n, dtype=bool)
-        if self._seed_lids.shape[0]:
-            rows = np.flatnonzero(self._seed_lids[:, axis] == lid)
-            if rows.size:
-                mask[self._seed_digits[rows, axis]] = True
+        seeds = self._seed_index().get(lid)
+        if seeds:
+            mask[seeds] = True
         garr = np.asarray(g, dtype=np.int64)
         bases = t.off + t.W @ garr  # bases[b]: crossing-line id at digit 0
         for b in range(t.d):
@@ -225,6 +247,39 @@ class InfectionState:
 
     # -- schedules -----------------------------------------------------------
 
+    def _drain(self, queue: deque, stop_on_percolation: bool, lifo: bool = False) -> bool:
+        """Saturate queued lines until the queue is empty or, with
+        ``stop_on_percolation``, percolation is proved (then True).
+
+        Rounds and steps continue the numbering already in the trace, so a
+        grown state's trace is the concatenation of its cascades.
+        """
+        t = self._t
+        tr = self.trace
+        round_idx = tr.num_rounds + 1
+        step = len(tr.line_ids)
+        in_round = len(queue)
+        per_round = [0] * t.d
+        while queue:
+            lid = queue.pop() if lifo else queue.popleft()
+            axis = lid // t.lines_per_axis
+            self._saturate(lid, round_idx, step, queue)
+            per_round[axis] += 1
+            step += 1
+            if stop_on_percolation and self._percolation_proved(axis):
+                tr.round_axis_counts.append(tuple(per_round))
+                return True
+            if not lifo:
+                in_round -= 1
+                if in_round == 0:
+                    tr.round_axis_counts.append(tuple(per_round))
+                    per_round = [0] * t.d
+                    round_idx += 1
+                    in_round = len(queue)
+        if lifo and step:
+            tr.round_axis_counts.append(tuple(per_round))
+        return False
+
     def run_fifo(self, *, stop_on_percolation: bool = False, lifo: bool = False):
         """Queue-driven cascade to the fixed point (or a sound early stop).
 
@@ -233,37 +288,58 @@ class InfectionState:
         """
         assert not self._ran
         self._ran = True
-        t = self._t
-        if stop_on_percolation and self.infected_total == t.N:
+        if stop_on_percolation and self.infected_total == self._t.N:
             self.percolated = True
-            return self
-        queue = deque(self._ready0.tolist())
-        round_idx = 1
-        in_round = len(queue)
-        step = 0
-        per_round = [0] * t.d
-        while queue:
-            lid = queue.pop() if lifo else queue.popleft()
-            self._saturate(lid, round_idx, step, queue)
-            per_round[lid // t.lines_per_axis] += 1
-            step += 1
-            if stop_on_percolation and self._percolation_proved(
-                lid // t.lines_per_axis
-            ):
-                self.percolated = True
-                self.trace.round_axis_counts.append(tuple(per_round))
-                return self
-            if not lifo:
-                in_round -= 1
-                if in_round == 0:
-                    self.trace.round_axis_counts.append(tuple(per_round))
-                    per_round = [0] * t.d
-                    round_idx += 1
-                    in_round = len(queue)
-        if lifo and step:
-            self.trace.round_axis_counts.append(tuple(per_round))
-        self.percolated = self.infected_total == t.N
+        else:
+            queue = deque(self._ready0.tolist())
+            proved = self._drain(queue, stop_on_percolation, lifo)
+            self.percolated = proved or self.infected_total == self._t.N
         return self
+
+    def grow(self, code: int) -> bool:
+        """Add the seed with point code ``code`` and continue the FIFO
+        cascade, stopping early once percolation is proved.
+
+        Only for a state built from no seeds and advanced by ``grow`` alone.
+        Between calls the state is at the fixed point of the seeds so far,
+        so every line saturates at most once over the whole growth and
+        ``percolated`` is exact after each call.  Returns ``percolated``;
+        once it is True the state takes no more seeds.
+        """
+        assert self._codes.size == 0 and not self.percolated
+        assert self._grown or not self._ran
+        t = self._t
+        if not 0 <= code < t.N:
+            raise InputError(f"point code {code} out of range [0, {t.N})")
+        self._ran = True
+        if code in self._initial_set:
+            return False
+        self._initial_set.add(code)
+        self._grown.append(code)
+        digits = [code // s % t.n for s in t.pstride_list]
+        lids = [
+            off + sum(g * w for g, w in zip(digits, row))
+            for off, row in zip(t.off_list, t.W_list)
+        ]
+        sat = self.saturated
+        if any(sat[lid] for lid in lids):
+            # already infected (never by the first seed, so ``percolated``
+            # is already False): its lines counted it when it was infected
+            return False
+        self.infected_total += 1
+        seeds_on = self._seed_index()
+        lc = self.line_count
+        thr = self.spec.thresholds
+        queue: deque = deque()
+        for axis, lid in enumerate(lids):
+            seeds_on.setdefault(lid, []).append(digits[axis])
+            lc[lid] += 1
+            if lc[lid] >= thr[axis] and not self._enqueued[lid]:
+                self._enqueued[lid] = True
+                queue.append(lid)
+        proved = self.infected_total == t.N or self._drain(queue, True)
+        self.percolated = proved
+        return proved
 
     def run_rounds(self):
         """Synchronous generations: every thresholded line saturates together.

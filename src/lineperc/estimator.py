@@ -158,9 +158,11 @@ def _pc_chunk(args) -> list[tuple[float, bool]]:
     for i in range(lo, hi):
         pc = critical_p_of_sample(spec, TrialSeed(master_seed, i))
         if checks and not pc.degenerate and spec.d == 2 and spec.is_uniform:
-            state = pc.witness
+            # the checks read FIFO generations, which a grown state lacks
+            codes = pc.witness._initial_codes
+            state = percolation_run(spec, codes)
             assert state.percolated
-            check_2d_process_properties(spec, state._initial_codes, state)
+            check_2d_process_properties(spec, codes, state)
         out.append((pc.p_star, pc.degenerate))
     return out
 

@@ -136,6 +136,11 @@ class _SpecTables:
         self.thr_line = np.repeat(
             np.array(spec.thresholds, dtype=np.int64), self.lines_per_axis
         )
+        # plain-int copies for per-point scalar arithmetic, where numpy's
+        # per-call overhead would dominate
+        self.pstride_list = self.pstride.tolist()
+        self.off_list = self.off.tolist()
+        self.W_list = W.tolist()
 
     def digits_of(self, codes: np.ndarray) -> np.ndarray:
         """0-based digit matrix, shape (len(codes), d)."""

@@ -11,6 +11,12 @@ Sites are only ever materialized below a growing cap: the count of new sites
 in (cap_prev, cap] is Binomial(remaining, (cap-cap_prev)/(1-cap_prev)) and
 their weights are uniform on that interval, which reproduces the Bernoulli
 field exactly without touching all n^d sites.
+
+p* is found in one pass in weight order (the add-one-site sweep of Newman &
+Ziff, PRL 85, 4104 (2000)): the realized sites are fed, lightest first, into a
+single growing cascade, which stops at the first site after which
+percolation is proved.  Because the closure is monotone in the seed set, each
+line saturates at most once per trial.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from . import theory
-from .engine import InfectionState, percolation_run
+from .engine import InfectionState
 from .grid import GridSpec, InputError, Point, decode_point
 
 _MASK64 = (1 << 64) - 1
@@ -62,9 +68,10 @@ class PcSample:
     p_star: float
     degenerate: bool
     trial: TrialSeed
-    n_realized: int
-    n_probes: int
-    # the early-stopped cascade on A_{p*}; None for a degenerate sample
+    n_realized: int  # sites realized up to the cap that holds p*
+    n_probes: int  # caps visited, i.e. coupled samples drawn
+    # the cascade grown on A_{p*}, stopped at the proof that it percolates;
+    # None for a degenerate sample
     witness: InfectionState | None = field(default=None, compare=False, repr=False)
 
 
@@ -158,12 +165,14 @@ def critical_p_of_sample(
 ) -> PcSample:
     """p* = the smallest realized weight w with A_w percolating.
 
-    Found by doubling the realization cap until the full realized prefix
-    percolates, then bisecting the flip index along the weight order.  The
-    invariant lo=non-percolating / hi=percolating of the bisection certifies
-    percolates(A_{p*}) and not percolates(A_{p*-eps}) for every sample.
-    The early-stopped cascade that proved percolates(A_{p*}) is returned as
-    ``witness``, so callers that inspect A_{p*} need not realize it again.
+    Found in one pass in weight order: the caps of ``realize_coupled`` are
+    visited in turn, and each cap's new sites, all heavier than the sites
+    before them, are grown one by one into a single ``InfectionState``.  p*
+    is the weight of the first site after which the grown cascade proves
+    percolation; the state was at a non-percolating fixed point just before
+    it, which certifies percolates(A_{p*}) and not percolates(A_{p*-eps}).
+    The grown state is returned as ``witness`` (its seeds are exactly
+    A_{p*}), and ``n_probes`` counts the caps visited.
 
     When n is below the largest threshold no line can ever saturate, and the
     conventional result is p* = 1 with ``degenerate`` set (the full grid is
@@ -171,26 +180,16 @@ def critical_p_of_sample(
     """
     if spec.n < max(spec.thresholds):
         return PcSample(1.0, True, seed, 0, 0)
-    probes = 0
-    lo = 0  # prefix size known not to percolate
+    state = InfectionState(spec, ())
+    fed = 0
+    caps = 0
     for sample in realize_coupled(spec, seed, cap0=cap0):
-        total = sample.codes.size
-        probes += 1
-        # the empty prefix never percolates, so it needs no cascade
-        witness = percolation_run(spec, sample.codes) if total else None
-        if witness is None or not witness.percolated:
-            lo = total
-            continue
-        hi = total
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            probes += 1
-            state = percolation_run(spec, sample.codes[:mid])
-            if state.percolated:
-                hi, witness = mid, state
-            else:
-                lo = mid
-        return PcSample(
-            float(sample.weights[hi - 1]), False, seed, int(total), probes, witness
-        )
+        caps += 1
+        for k, code in enumerate(sample.codes[fed:].tolist(), start=fed + 1):
+            if state.grow(code):
+                return PcSample(
+                    float(sample.weights[k - 1]), False, seed,
+                    int(sample.codes.size), caps, state,
+                )
+        fed = sample.codes.size
     raise AssertionError("the full grid always percolates at cap 1.0")

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from lineperc import InputError, grid
+from lineperc import InputError, estimator, grid
 from lineperc.cli import dispatch, parse_p_expression
 
 
@@ -172,6 +172,18 @@ def test_oversized_grid_exit_code(monkeypatch, capsys):
             "--trials", "1", "--seed", "0", "--threads", "1"]
     assert dispatch(argv) == 1
     assert "lines" in capsys.readouterr().err
+
+
+def test_bad_threads_env_exit_code(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(estimator, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("LINEPERC_THREADS", "abc")
+    argv = ["pc", "--n", "16", "--d", "2", "--r", "2", "--trials", "10", "--seed", "1"]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert "LINEPERC_THREADS" in err and "Traceback" not in err
 
 
 def test_search_space_refusal_exit_code():

@@ -192,6 +192,48 @@ def test_membership_and_explicit():
     assert frozen.explicit_infected == {(1, 1), (2, 2)}
 
 
+def test_grown_state_matches_fresh_cascade():
+    # below the flip, a state grown seed by seed sits at the fixed point of
+    # its prefix: every query agrees with a cascade built from that prefix
+    rng = np.random.default_rng(29)
+    flips = 0
+    for _ in range(40):
+        spec, codes = random_instance(rng, n_hi=6)
+        state = InfectionState(spec, ())
+        for k, code in enumerate(codes.tolist(), start=1):
+            proved = state.grow(code)
+            assert state.percolated == proved
+            state.trace.check()
+            if proved:
+                flips += 1
+                assert percolation_run(spec, codes[:k]).percolated
+                assert not percolation_run(spec, codes[: k - 1]).percolated
+                assert np.array_equal(state._initial_codes, np.sort(codes[:k]))
+                break
+            fresh = closure_from_codes(spec, codes[:k])
+            assert not fresh.percolated and state.pending == []
+            assert np.array_equal(state.saturated, fresh.saturated)
+            assert np.array_equal(state.line_count, fresh.line_count)
+            assert state.infected_total == fresh.infected_total
+            assert np.array_equal(state.infected_mask(), fresh.infected_mask())
+            assert state.explicit_infected == fresh.explicit_infected
+            assert np.array_equal(state._initial_codes, fresh._initial_codes)
+            pts = {decode_point(spec, int(c)) for c in codes[:k]}
+            assert state.infected_points() == naive_closure(spec, pts)
+            assert all(state.is_infected(p) for p in pts)
+    assert flips >= 10
+
+
+def test_grow_rejects_bad_codes_and_ignores_repeats():
+    spec = GridSpec.uniform(4, 2, 2)
+    state = InfectionState(spec, ())
+    with pytest.raises(InputError):
+        state.grow(16)
+    assert state.grow(0) is False
+    assert state.grow(0) is False
+    assert state.infected_total == 1 and state._initial_codes.tolist() == [0]
+
+
 def test_initial_out_of_range():
     spec = GridSpec.uniform(3, 2, 2)
     with pytest.raises(InputError):

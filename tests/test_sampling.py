@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import beta
 
 from lineperc import GridSpec, InputError, TrialSeed, critical_p_of_sample, sample_initial
@@ -70,6 +72,51 @@ def test_pstar_flip_and_monotone_coupling():
                 # monotonicity: percolation is preserved above the flip
                 assert percolation_run(spec, sample.codes).percolated
                 break
+
+
+@st.composite
+def small_specs(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, {1: 30, 2: 9, 3: 5}[d]))
+    if draw(st.booleans()):
+        thresholds = (draw(st.integers(1, 4)),) * d
+    else:
+        thresholds = tuple(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+    return GridSpec(n, d, thresholds)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    spec=small_specs(),
+    master_seed=st.integers(0, 2**64 - 1),
+    trial_index=st.integers(0, 2**32),
+)
+def test_pstar_matches_linear_scan_oracle(spec, master_seed, trial_index):
+    # oracle: a fresh cascade on every prefix of the weight order, in turn
+    seed = TrialSeed(master_seed, trial_index)
+    pc = critical_p_of_sample(spec, seed)
+    if spec.n < max(spec.thresholds):
+        assert pc.degenerate and pc.p_star == 1.0
+        return
+    scanned = 0
+    for sample in realize_coupled(spec, seed):
+        flip = next(
+            (
+                k
+                for k in range(scanned + 1, sample.codes.size + 1)
+                if percolation_run(spec, sample.codes[:k]).percolated
+            ),
+            None,
+        )
+        if flip is not None:
+            break
+        scanned = sample.codes.size
+    assert not pc.degenerate
+    assert pc.p_star == sample.weights[flip - 1]
+    assert pc.n_realized == sample.codes.size
+    assert np.array_equal(pc.witness._initial_codes, np.sort(sample.codes[:flip]))
+    assert pc.witness.percolated
+    pc.witness.trace.check()
 
 
 def test_pstar_single_flip_along_weight_order():
