@@ -81,14 +81,31 @@ def parse_p_expression(text: str, n: int) -> float:
             coeff = float(m.group(1)) if m.group(1) else 1.0
             return coeff * float(n) ** float(m.group(2))
         return float(text)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"cannot parse p expression {text!r} "
                          "(use <float>, n^<a>, or <c>*n^<a>)") from exc
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{what} must be an integer, got {text!r}") from None
+
+
+def _int_list(text: str, what: str) -> list[int]:
+    """Comma-separated integers, e.g. ``2,3``."""
+    try:
+        return [int(x) for x in str(text).split(",")]
+    except ValueError:
+        raise InputError(
+            f"{what} must be comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _spec_from_args(args) -> GridSpec:
     if getattr(args, "thresholds", None):
-        thr = tuple(int(x) for x in args.thresholds.split(","))
+        thr = tuple(_int_list(args.thresholds, "--thresholds"))
     elif getattr(args, "r", None) is not None:
         thr = (int(args.r),) * args.d
     else:
@@ -252,27 +269,31 @@ def _read_config(path: str) -> dict:
 def _sweep_config(args) -> SweepConfig:
     cfg = _read_config(args.config) if args.config else {}
 
-    def pick(flag, key, conv=lambda x: x):
-        return flag if flag is not None else (conv(cfg[key]) if key in cfg else None)
+    def pick(flag, key, conv=None):
+        if flag is not None:
+            return flag
+        if key not in cfg:
+            return None
+        return conv(cfg[key], f"config {key}") if conv else cfg[key]
 
-    d = pick(args.d, "d", int)
-    r = pick(args.r, "r", int)
+    d = pick(args.d, "d", _int)
+    r = pick(args.r, "r", _int)
     thresholds = pick(args.thresholds, "thresholds")
     n_list = pick(args.n_list, "n_list")
-    trials = pick(args.trials, "trials", int)
-    seed = pick(args.seed, "seed", int)
+    trials = pick(args.trials, "trials", _int)
+    seed = pick(args.seed, "seed", _int)
     if d is None or n_list is None or trials is None or seed is None:
         raise InputError("sweep needs --d, --n-list, --trials, --seed")
     if thresholds is not None:
-        thr = tuple(int(x) for x in str(thresholds).split(","))
+        thr = tuple(_int_list(thresholds, "thresholds"))
     elif r is not None:
-        thr = (int(r),) * d
+        thr = (r,) * d
     else:
         raise InputError("sweep needs --r or --thresholds")
     return SweepConfig(
         d=d,
         thresholds=thr,
-        n_list=[int(x) for x in str(n_list).split(",")],
+        n_list=_int_list(n_list, "n list"),
         trials=trials,
         master_seed=seed,
         p_rule=pick(args.p_rule, "p_rule"),
@@ -423,6 +444,10 @@ def cmd_minset(args) -> int:
         _emit_json(rec, args.out)
         return 0
     # verify
+    if args.samples < 0:
+        raise InputError(f"--samples must be >= 0, got {args.samples}")
+    if not 0 <= args.seed < 2**64:
+        raise InputError(f"--seed must lie in [0, 2^64), got {args.seed}")
     spec = GridSpec.uniform(args.n, args.d, args.r)
     block = [
         tuple(c + 1 for c in digits)

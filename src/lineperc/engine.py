@@ -7,6 +7,16 @@ a line touches its n points with strided numpy slices: the ids of the
 crossing lines along any other axis form an arithmetic progression in the
 varying coordinate.
 
+Two kernels share that layout.  The queue (``run_fifo``, ``grow``) and the
+sequential scan saturate one line at a time and learn which lines became
+ready from the crossing counters: a counter rises by exactly one per newly
+infected point, so a line is ready at the moment its counter equals its
+threshold, and at no other time.  The generation schedules (``run_rounds``,
+``run_half_steps``) saturate all the ready lines of one axis as one batch of
+array operations; parallel lines share no point, so a batch equals its lines
+saturated one by one in id order.  They find the next lines by scanning for
+unsaturated lines at or above threshold.
+
 The closure is monotone in the seed set, so a state can also be grown one
 seed at a time (``InfectionState.grow``); every line then saturates at most
 once over the whole growth.
@@ -89,7 +99,6 @@ class InfectionState:
         self._seeds_on: dict[int, list[int]] | None = None
         self.line_count = np.zeros(t.L, dtype=np.int64)
         self.saturated = np.zeros(t.L, dtype=bool)
-        self._enqueued = np.zeros(t.L, dtype=bool)
         self.infected_total = int(codes.size)
         self.trace = Trace(spec)
         self._sat_per_axis = [0] * spec.d
@@ -102,9 +111,6 @@ class InfectionState:
         else:
             self._seed_digits = np.zeros((0, spec.d), dtype=np.int64)
             self._seed_lids = np.zeros((0, spec.d), dtype=np.int64)
-        ready = np.flatnonzero(self.line_count >= t.thr_line)
-        self._enqueued[ready] = True
-        self._ready0 = ready
         if spec.d == 3:
             # plane bookkeeping: parallel saturated lines per (normal, offset,
             # line axis), boosted points per plane, and the early-stop flags
@@ -134,8 +140,7 @@ class InfectionState:
     def pending(self) -> list[LineId]:
         """Lines at or above threshold that have not saturated (empty at a
         fixed point)."""
-        mask = (self.line_count >= self._t.thr_line) & ~self.saturated
-        return [decode_line(self.spec, int(i)) for i in np.flatnonzero(mask)]
+        return [decode_line(self.spec, int(i)) for i in self._ready_lines()]
 
     def saturated_lines(self) -> list[LineId]:
         return [decode_line(self.spec, int(i)) for i in np.flatnonzero(self.saturated)]
@@ -179,8 +184,18 @@ class InfectionState:
             self._seeds_on = index
         return self._seeds_on
 
+    def _ready_lines(self) -> np.ndarray:
+        """Ids of the unsaturated lines at or above threshold, ascending."""
+        return np.flatnonzero((self.line_count >= self._t.thr_line) & ~self.saturated)
+
     def _saturate(self, lid: int, round_idx: int, step: int, sink) -> None:
-        """Saturate one line: infect its new points, bump crossing counters."""
+        """Saturate one line: infect its new points, bump crossing counters,
+        and append to ``sink`` every crossing line that reaches its threshold.
+
+        A counter rises by exactly one per newly infected point, so it equals
+        the threshold only at the moment it crosses: a line is sunk at most
+        once, and never if it started at or above threshold.
+        """
         t = self._t
         n = t.n
         axis, g = t.line_digits(lid)
@@ -188,48 +203,97 @@ class InfectionState:
         seeds = self._seed_index().get(lid)
         if seeds:
             mask[seeds] = True
-        garr = np.asarray(g, dtype=np.int64)
-        bases = t.off + t.W @ garr  # bases[b]: crossing-line id at digit 0
-        for b in range(t.d):
-            if b == axis:
-                continue
-            s = int(t.W[b, axis])
-            base = int(bases[b])
-            mask |= self.saturated[base : base + s * n : s]
-        ts = np.flatnonzero(~mask)
-        self.saturated[lid] = True
-        self.line_count[lid] = n
-        self.infected_total += int(ts.size)
+        sat = self.saturated
+        cross = []  # (axis b, id of the crossing line at digit 0, id stride)
+        for b, (off, row) in enumerate(zip(t.off_list, t.W_list)):
+            if b != axis:
+                base = off + sum(gi * w for gi, w in zip(g, row))
+                s = row[axis]
+                np.logical_or(mask, sat[base : base + s * n : s], out=mask)
+                cross.append((b, base, s))
+        new = ~mask
+        sat[lid] = True
+        lc = self.line_count
+        lc[lid] = n
+        self.infected_total += n - int(np.count_nonzero(mask))
         self._sat_per_axis[axis] += 1
         tr = self.trace
         tr.line_ids.append(int(lid))
         tr.steps.append(step)
         tr.round_of.append(round_idx)
+        thr = self.spec.thresholds
+        for b, base, s in cross:
+            view = lc[base : base + s * n : s]
+            view += new
+            hit = ((view == thr[b]) & new).nonzero()[0]
+            if hit.size:
+                sink.extend((base + s * hit).tolist())
+        if t.d == 3:
+            self._boosted[axis] += new
+            self._tally_planes(axis, g)
+
+    def _saturate_parallel(
+        self, axis: int, lids: np.ndarray, round_idx: int, step: int
+    ) -> None:
+        """Saturate a batch of axis-``axis`` lines (ids ascending) with one
+        set of array operations.
+
+        Parallel lines share no point, so the result is that of ``_saturate``
+        on each line in id order; the generation schedules find the next
+        lines by scanning, so there is no sink.  Lines in one batch can cross
+        the same line of another axis, hence the ``np.add.at`` bump.
+        """
+        t = self._t
+        n, k = t.n, int(lids.size)
+        g = np.zeros((k, t.d), dtype=np.int64)  # digit vectors, 0 at ``axis``
+        rem = lids - t.off_list[axis]
+        for i in reversed(range(t.d)):
+            if i != axis:
+                rem, g[:, i] = np.divmod(rem, n)
+        mask = np.zeros((k, n), dtype=bool)
+        index = self._seed_index()
+        for row, lid in enumerate(lids.tolist()):
+            seeds = index.get(lid)
+            if seeds:
+                mask[row, seeds] = True
+        digit = np.arange(n, dtype=np.int64)
+        cross = []  # (k, n) ids of the crossing lines along each other axis
         for b in range(t.d):
+            if b != axis:
+                base = g @ t.W[b] + t.off_list[b]
+                ids = base[:, None] + t.W_list[b][axis] * digit
+                mask |= self.saturated[ids]
+                cross.append(ids)
+        new = ~mask
+        for ids in cross:
+            np.add.at(self.line_count, ids[new], 1)
+        self.saturated[lids] = True
+        self.line_count[lids] = n
+        self.infected_total += k * n - int(np.count_nonzero(mask))
+        self._sat_per_axis[axis] += k
+        tr = self.trace
+        tr.line_ids.extend(lids.tolist())
+        tr.steps.extend(range(step, step + k))
+        tr.round_of.extend([round_idx] * k)
+        if t.d == 3:
+            self._boosted[axis] += new.sum(axis=0)
+            for gl in g.tolist():
+                self._tally_planes(axis, gl)
+
+    def _tally_planes(self, axis: int, g: list[int]) -> None:
+        """3D plane bookkeeping for one saturated line with digit vector g."""
+        thr = self.spec.thresholds
+        for b in range(3):
             if b == axis:
                 continue
-            ids = bases[b] + t.W[b, axis] * ts
-            lc = self.line_count
-            lc[ids] += 1
-            sel = (lc[ids] >= self.spec.thresholds[b]) & ~self._enqueued[ids]
-            hit = ids[sel]
-            if hit.size:
-                self._enqueued[hit] = True
-                sink.extend(hit.tolist())
-        if t.d == 3:
-            self._boosted[axis, ts] += 1
-            thr = self.spec.thresholds
-            for b in range(3):
-                if b == axis:
-                    continue
-                c = 3 - axis - b
-                z = g[b]
-                self._paral[b, z, axis] += 1
-                if not self._plane_full[b, z] and self._paral[b, z, axis] >= thr[c]:
-                    self._plane_full[b, z] = True
-                    self._full_planes[b] += 1
-                    if self._full_planes[b] >= thr[b]:
-                        self._early_proof = True
+            c = 3 - axis - b
+            z = g[b]
+            self._paral[b, z, axis] += 1
+            if not self._plane_full[b, z] and self._paral[b, z, axis] >= thr[c]:
+                self._plane_full[b, z] = True
+                self._full_planes[b] += 1
+                if self._full_planes[b] >= thr[b]:
+                    self._early_proof = True
 
     def _percolation_proved(self, axis: int) -> bool:
         """Sound sufficient conditions; the fixed point is always the fallback."""
@@ -291,7 +355,7 @@ class InfectionState:
         if stop_on_percolation and self.infected_total == self._t.N:
             self.percolated = True
         else:
-            queue = deque(self._ready0.tolist())
+            queue = deque(self._ready_lines().tolist())
             proved = self._drain(queue, stop_on_percolation, lifo)
             self.percolated = proved or self.infected_total == self._t.N
         return self
@@ -334,8 +398,7 @@ class InfectionState:
         for axis, lid in enumerate(lids):
             seeds_on.setdefault(lid, []).append(digits[axis])
             lc[lid] += 1
-            if lc[lid] >= thr[axis] and not self._enqueued[lid]:
-                self._enqueued[lid] = True
+            if lc[lid] == thr[axis]:
                 queue.append(lid)
         proved = self.infected_total == t.N or self._drain(queue, True)
         self.percolated = proved
@@ -344,25 +407,29 @@ class InfectionState:
     def run_rounds(self):
         """Synchronous generations: every thresholded line saturates together.
 
-        Lines within a round are processed in canonical id order, which fixes
-        the attribution of points lying on two simultaneously saturating lines.
+        A round saturates its lines one axis at a time, in axis order, each
+        axis as one batch of parallel lines.  That is canonical id order, which
+        fixes the attribution of points lying on two simultaneously
+        saturating lines.  The next round is every unsaturated line then at
+        or above threshold.
         """
         assert not self._ran
         self._ran = True
         t = self._t
-        pending: list[int] = sorted(self._ready0.tolist())
-        round_idx = 1
+        tr = self.trace
         step = 0
-        while pending:
-            batch = sorted(set(pending))
-            pending = []
+        ready = self._ready_lines()
+        while ready.size:
+            round_idx = tr.num_rounds + 1
             per_round = [0] * t.d
-            for lid in batch:
-                self._saturate(lid, round_idx, step, pending)
-                per_round[lid // t.lines_per_axis] += 1
-                step += 1
-            self.trace.round_axis_counts.append(tuple(per_round))
-            round_idx += 1
+            cuts = np.searchsorted(ready, t.off_list[1:])
+            for axis, lids in enumerate(np.split(ready, cuts)):
+                if lids.size:
+                    self._saturate_parallel(axis, lids, round_idx, step)
+                    per_round[axis] = int(lids.size)
+                    step += int(lids.size)
+            tr.round_axis_counts.append(tuple(per_round))
+            ready = self._ready_lines()
         self.percolated = self.infected_total == t.N
         return self
 
@@ -376,8 +443,7 @@ class InfectionState:
         assert not self._ran
         self._ran = True
         t = self._t
-        self._enqueued[:] = True  # queue bookkeeping is meaningless here
-        sink: list[int] = []
+        sink: list[int] = []  # the scan finds ready lines itself
         if order is None:
             self._run_sequential_canonical(sink)
         else:
@@ -434,9 +500,10 @@ class InfectionState:
         """Alternating single-axis generations (d=2 only).
 
         Saturates, per half-step, every line of the current axis already at
-        threshold.  With ``stop_rule`` the run halts as soon as one axis holds
-        enough parallel saturated lines to force full percolation.  Returns
-        the per-half-step counts in execution order as [(axis, count), ...].
+        threshold, as one batch of parallel lines.  With ``stop_rule`` the
+        run halts as soon as one axis holds enough parallel saturated lines
+        to force full percolation.  Returns the per-half-step counts in
+        execution order as [(axis, count), ...].
         """
         assert not self._ran
         self._ran = True
@@ -455,10 +522,9 @@ class InfectionState:
                 (self.line_count[lo:hi] >= self.spec.thresholds[axis])
                 & ~self.saturated[lo:hi]
             )
-            sink: list[int] = []
-            for lid in (ready + lo).tolist():
-                self._saturate(lid, half, step, sink)
-                step += 1
+            if ready.size:
+                self._saturate_parallel(axis, ready + lo, half, step)
+                step += int(ready.size)
             per_round = [0] * t.d
             per_round[axis] = int(ready.size)
             self.trace.round_axis_counts.append(tuple(per_round))

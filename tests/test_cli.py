@@ -1,8 +1,12 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lineperc import InputError, estimator, grid
 from lineperc.cli import dispatch, parse_p_expression
@@ -190,3 +194,129 @@ def test_search_space_refusal_exit_code():
     proc = run_cli(["minset", "search", "--n", "10", "--d", "3", "--r", "4"])
     assert proc.returncode == 1
     assert "search space" in proc.stderr
+
+
+def test_bad_list_values_exit_code(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("1,1\n")
+    cases = [
+        ["pc", "--n", "16", "--d", "2", "--thresholds", "2,x", "--trials", "10",
+         "--seed", "1", "--threads", "1"],
+        ["theta", "--n", "16", "--d", "2", "--thresholds", ",", "--p", "0.1",
+         "--trials", "10", "--seed", "1", "--threads", "1"],
+        ["closure", "--n", "3", "--d", "2", "--thresholds", "2,x", "--points", str(pts)],
+        ["minset", "search", "--n", "3", "--d", "2", "--thresholds", "2,2.5"],
+        ["sweep", "--d", "2", "--r", "2", "--n-list", "64,abc", "--trials", "10",
+         "--seed", "1", "--threads", "1"],
+        ["sweep", "--d", "2", "--thresholds", "2,x", "--n-list", "8,12,16",
+         "--trials", "10", "--seed", "1", "--threads", "1"],
+        ["theta", "--n", "16", "--d", "2", "--r", "2", "--p", "n^400",
+         "--trials", "10", "--seed", "1", "--threads", "1"],
+        ["minset", "verify", "--n", "4", "--d", "2", "--r", "2", "--seed", "-1"],
+        ["minset", "verify", "--n", "4", "--d", "2", "--r", "2", "--seed", str(2**64)],
+        ["minset", "verify", "--n", "4", "--d", "2", "--r", "2", "--samples", "-3"],
+    ]
+    for argv in cases:
+        assert dispatch(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["d = x", "r = 2.0", "trials = ten", "seed = 0x10", "thresholds = 2,x",
+     "n_list = 8,abc"],
+)
+def test_bad_config_values_exit_code(tmp_path, capsys, line):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"d = 2\nr = 2\nn_list = 8,12,16\ntrials = 10\nseed = 1\n{line}\n")
+    assert dispatch(["sweep", "--config", str(cfg), "--threads", "1"]) == 1
+    key = line.split(" =")[0].replace("_", " ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+# A valid small argv, then up to two of its flags replaced by hostile values
+# (ints just outside the valid range, junk text, magnitudes no grid takes) or
+# dropped.  Every valid draw finishes well within a second on one thread.
+_valid_p = st.sampled_from(["0", "1", "0.3", "1e-300", "n^-1", "0.5*n^-1.5"])
+_junk = st.sampled_from(["x", "", "1.5", "1e3", "2,x", ",", "0x10"])
+_HOSTILE = {
+    "--n": st.one_of(st.integers(-2, 0).map(str), _junk),
+    "--d": st.one_of(st.sampled_from(["-1", "0", "64"]), _junk),
+    "--r": st.one_of(st.sampled_from(["-1", "0", "1000"]), _junk),
+    "--thresholds": st.one_of(
+        st.lists(st.integers(-1, 4), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+        _junk,
+    ),
+    "--n-list": st.one_of(
+        st.lists(st.integers(-2, 16), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+        _junk,
+    ),
+    "--trials": st.one_of(st.integers(-2, 9).map(str), _junk),
+    "--seed": _junk,
+    "--p": st.sampled_from(
+        ["-0.1", "2", "nan", "inf", "-inf", "1e309", "n^400", "n^", "*n^2", "x", ""]
+    ),
+}
+_HOSTILE["--p-rule"] = _HOSTILE["--p"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_hostile_flag_values_exit_cleanly(data):
+    cmd = data.draw(st.sampled_from(["pc", "theta", "sweep", "closure"]))
+    d = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 16))
+    flags = {"--d": str(d), "--r": str(data.draw(st.integers(1, 4)))}
+    if data.draw(st.booleans()):
+        thr = data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+        flags["--thresholds"] = ",".join(map(str, thr))
+    if cmd == "sweep":
+        ns = data.draw(st.lists(st.integers(1, 16), min_size=1, max_size=4, unique=True))
+        flags["--n-list"] = ",".join(map(str, sorted(ns)))
+        if data.draw(st.booleans()):
+            flags["--p-rule"] = data.draw(_valid_p)
+    else:
+        flags["--n"] = str(n)
+    if cmd != "closure":
+        flags["--trials"] = str(data.draw(st.integers(10, 30)))
+        flags["--seed"] = str(data.draw(st.integers(-(2**65), 2**65)))
+    if cmd == "theta":
+        flags["--p"] = data.draw(_valid_p)
+    bad = data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True))
+    for name in bad:
+        hostile = _HOSTILE[name]
+        if name == "--n" and d >= 2 and "--d" not in bad:
+            # too many lines at d >= 2, so refused before a site is drawn
+            hostile = st.one_of(hostile, st.just(str(2**24 + 1)))
+        value = data.draw(st.one_of(st.none(), hostile), label=name)
+        if value is None:
+            del flags[name]
+        else:
+            flags[name] = value
+    argv = [cmd] + [x for kv in flags.items() for x in kv]
+    argv += ["--fit"] if cmd == "sweep" and data.draw(st.booleans()) else []
+    argv += ["--threads", "1"] if cmd != "closure" else []
+    pool = estimator.ProcessPoolExecutor
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    estimator.ProcessPoolExecutor = no_pool
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            if cmd == "closure":
+                point = st.lists(st.integers(1, n), min_size=d, max_size=d)
+                pts = data.draw(st.lists(point, max_size=2 * n))
+                path = Path(tmp) / "pts.txt"
+                path.write_text("".join(",".join(map(str, p)) + "\n" for p in pts))
+                argv += ["--points", str(path)]
+            try:
+                code = dispatch(argv)
+            except SystemExit as exc:  # argparse's own exit
+                assert exc.code == 2, argv
+                return
+    finally:
+        estimator.ProcessPoolExecutor = pool
+    assert code in (0, 1), argv

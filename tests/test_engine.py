@@ -11,7 +11,8 @@ from lineperc import (
     percolates,
 )
 from lineperc.engine import InfectionState, closure_from_codes, percolation_run
-from lineperc.grid import decode_point, encode_point
+from lineperc.grid import _tables, decode_point, encode_point
+from lineperc.processes import run_alternating_2d, run_sequential, run_synchronous
 
 
 def block(r, d):
@@ -155,21 +156,31 @@ def test_work_bound_counter():
 
 
 def test_line_count_invariants():
+    # every schedule's counters count infected points exactly: the FIFO
+    # queue's ``== threshold`` readiness, the batched generations and the
+    # sequential scan alike
     rng = np.random.default_rng(23)
     for _ in range(30):
         spec, codes = random_instance(rng)
-        state = closure_from_codes(spec, codes)
-        mask = state.infected_mask()
-        from lineperc.grid import _tables
-
+        states = [
+            closure_from_codes(spec, codes),
+            run_synchronous(spec, None, _codes=codes)[0],
+            run_sequential(spec, None, _codes=codes)[0],
+        ]
+        if spec.d == 2:
+            alt, _ = run_alternating_2d(spec, None, stop_rule=False, _codes=codes)
+            states.append(alt)
         t = _tables(spec)
-        counts = np.bincount(
-            t.lids_of(np.flatnonzero(mask)).ravel(), minlength=t.L
-        )
-        assert np.array_equal(counts, state.line_count)
-        assert np.all(counts[state.saturated] == spec.n)
-        # fixed point: no unsaturated line at or above threshold
-        assert not np.any((counts >= t.thr_line) & ~state.saturated)
+        for state in states:
+            mask = state.infected_mask()
+            counts = np.bincount(
+                t.lids_of(np.flatnonzero(mask)).ravel(), minlength=t.L
+            )
+            assert np.array_equal(counts, state.line_count)
+            assert np.all(counts[state.saturated] == spec.n)
+            # fixed point: no unsaturated line at or above threshold
+            assert not np.any((counts >= t.thr_line) & ~state.saturated)
+            assert state.infected_total == int(mask.sum())
 
 
 def test_degenerate_small_n():

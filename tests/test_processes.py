@@ -17,7 +17,8 @@ from lineperc import (
     run_sequential,
     run_synchronous,
 )
-from lineperc.engine import closure_from_codes
+from lineperc import processes
+from lineperc.engine import InfectionState, closure_from_codes
 from lineperc.processes import plane_statistics_recount, preface_text
 
 
@@ -159,6 +160,70 @@ def test_stopped_runs_classify_uniquely():
     assert percolating > 10
 
 
+class _OneLineAtATime(InfectionState):
+    """Reference: saturates each batch of parallel lines line by line through
+    ``_saturate``, and records what the per-line sink collects."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sunk: dict[int, list[int]] = {}  # round index -> sunk line ids
+
+    def _saturate_parallel(self, axis, lids, round_idx, step):
+        sink = self.sunk.setdefault(round_idx, [])
+        for i, lid in enumerate(lids.tolist()):
+            assert lid // self.spec.lines_per_axis == axis
+            self._saturate(lid, round_idx, step + i, sink)
+
+
+def _same_run(batched, reference):
+    for name in ("line_ids", "steps", "round_of", "round_axis_counts"):
+        assert getattr(batched.trace, name) == getattr(reference.trace, name), name
+    assert np.array_equal(batched.line_count, reference.line_count)
+    assert np.array_equal(batched.saturated, reference.saturated)
+    assert batched.infected_total == reference.infected_total
+    assert batched.percolated == reference.percolated
+    if batched.spec.d == 3:
+        assert np.array_equal(batched._paral, reference._paral)
+        assert np.array_equal(batched._boosted, reference._boosted)
+
+
+def test_batched_generations_match_one_line_at_a_time(monkeypatch):
+    rng = np.random.default_rng(47)
+    multi_line_batches = 0
+    for _ in range(150):
+        d = int(rng.integers(1, 4))
+        n = int(rng.integers(2, {1: 30, 2: 16, 3: 8}[d]))
+        spec = GridSpec(n, d, tuple(int(x) for x in rng.integers(1, 5, size=d)))
+        k = int(rng.binomial(spec.num_sites, rng.uniform(0.05, 0.5)))
+        codes = rng.choice(spec.num_sites, size=k, replace=False).astype(np.int64)
+
+        batched, _ = run_synchronous(spec, None, _codes=codes)
+        ref = _OneLineAtATime(spec, None, _codes=codes).run_rounds()
+        _same_run(batched, ref)
+        # the next round is exactly what the per-line sinks collected
+        rounds = {}
+        for lid, g in zip(ref.trace.line_ids, ref.trace.round_of):
+            rounds.setdefault(g, []).append(lid)
+        for g, lids in rounds.items():
+            if g > 1:
+                assert sorted(ref.sunk[g - 1]) == lids
+        assert not ref.sunk.get(len(rounds))
+        multi_line_batches += sum(c > 1 for row in batched.trace.round_axis_counts for c in row)
+
+        if d == 2:
+            for stop_rule in (True, False):
+                for start_axis in (0, 1):
+                    kw = dict(stop_rule=stop_rule, start_axis=start_axis, _codes=codes)
+                    batched, lc = run_alternating_2d(spec, None, **kw)
+                    with monkeypatch.context() as m:
+                        m.setattr(processes, "InfectionState", _OneLineAtATime)
+                        ref, ref_lc = run_alternating_2d(spec, None, **kw)
+                    assert isinstance(ref, _OneLineAtATime)
+                    _same_run(batched, ref)
+                    assert lc == ref_lc
+    assert multi_line_batches > 100
+
+
 def test_sequential_equivalence():
     rng = np.random.default_rng(13)
     for _ in range(100):
@@ -241,14 +306,19 @@ def test_plane_stats_monotone_and_bounded():
 
 
 def test_plane_stats_recount_matches_incremental():
+    # the queue saturates one line at a time, the generations a batch of
+    # parallel lines at once; both must tally the planes the same way
     rng = np.random.default_rng(43)
     for _ in range(40):
         spec, codes = random_instance(rng, dims=(3, 3))
-        state = closure_from_codes(spec, codes)
-        fast = plane_statistics(spec, state)
-        slow = plane_statistics_recount(spec, state)
-        assert np.array_equal(fast.max_parallel, slow.max_parallel)
-        assert np.array_equal(fast.boosted, slow.boosted)
+        for state in (
+            closure_from_codes(spec, codes),
+            run_synchronous(spec, None, _codes=codes)[0],
+        ):
+            fast = plane_statistics(spec, state)
+            slow = plane_statistics_recount(spec, state)
+            assert np.array_equal(fast.max_parallel, slow.max_parallel)
+            assert np.array_equal(fast.boosted, slow.boosted)
 
 
 def test_plane_stats_requires_3d():
