@@ -13,9 +13,10 @@ ready from the crossing counters: a counter rises by exactly one per newly
 infected point, so a line is ready at the moment its counter equals its
 threshold, and at no other time.  The generation schedules (``run_rounds``,
 ``run_half_steps``) saturate all the ready lines of one axis as one batch of
-array operations; parallel lines share no point, so a batch equals its lines
-saturated one by one in id order.  They find the next lines by scanning for
-unsaturated lines at or above threshold.
+array operations, cut into slices of at most ``BATCH_ELEMS`` points to bound
+memory; parallel lines share no point, so a batch equals its lines saturated
+one by one in id order.  They find the next lines by scanning for unsaturated
+lines at or above threshold.
 
 The closure is monotone in the seed set, so a state can also be grown one
 seed at a time (``InfectionState.grow``); every line then saturates at most
@@ -44,6 +45,9 @@ from .grid import (
     encode_points,
     validate_point,
 )
+
+# points per batch of parallel lines, which bounds the (lines, n) temporaries
+BATCH_ELEMS = 1 << 20
 
 
 @dataclass
@@ -184,9 +188,12 @@ class InfectionState:
             self._seeds_on = index
         return self._seeds_on
 
-    def _ready_lines(self) -> np.ndarray:
-        """Ids of the unsaturated lines at or above threshold, ascending."""
-        return np.flatnonzero((self.line_count >= self._t.thr_line) & ~self.saturated)
+    def _ready_lines(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Ids in [lo, hi) of the unsaturated lines at or above threshold,
+        ascending."""
+        sl = slice(lo, hi)
+        ready = (self.line_count[sl] >= self._t.thr_line[sl]) & ~self.saturated[sl]
+        return lo + np.flatnonzero(ready)
 
     def _saturate(self, lid: int, round_idx: int, step: int, sink) -> None:
         """Saturate one line: infect its new points, bump crossing counters,
@@ -236,13 +243,23 @@ class InfectionState:
         self, axis: int, lids: np.ndarray, round_idx: int, step: int
     ) -> None:
         """Saturate a batch of axis-``axis`` lines (ids ascending) with one
-        set of array operations.
+        set of array operations per slice of at most ``BATCH_ELEMS`` points.
 
         Parallel lines share no point, so the result is that of ``_saturate``
         on each line in id order; the generation schedules find the next
         lines by scanning, so there is no sink.  Lines in one batch can cross
-        the same line of another axis, hence the ``np.add.at`` bump.
+        the same line of another axis, hence the ``np.add.at`` bump.  A slice
+        changes no other axis's ``saturated`` flag, so slicing changes nothing
+        but the size of the temporaries (about 19 bytes per point in 2D, 27
+        in 3D).
         """
+        rows = max(1, BATCH_ELEMS // self._t.n)
+        for lo in range(0, int(lids.size), rows):
+            self._saturate_slice(axis, lids[lo : lo + rows], round_idx, step + lo)
+
+    def _saturate_slice(
+        self, axis: int, lids: np.ndarray, round_idx: int, step: int
+    ) -> None:
         t = self._t
         n, k = t.n, int(lids.size)
         g = np.zeros((k, t.d), dtype=np.int64)  # digit vectors, 0 at ``axis``
@@ -443,7 +460,9 @@ class InfectionState:
         assert not self._ran
         self._ran = True
         t = self._t
-        sink: list[int] = []  # the scan finds ready lines itself
+        # the scan finds ready lines itself: what ``_saturate`` sinks is
+        # discarded (one list append per line crossing its threshold)
+        sink: list[int] = []
         if order is None:
             self._run_sequential_canonical(sink)
         else:
@@ -459,15 +478,12 @@ class InfectionState:
 
     def _run_sequential_canonical(self, sink):
         t = self._t
-        ready = lambda lo: np.flatnonzero(
-            (self.line_count[lo:] >= t.thr_line[lo:]) & ~self.saturated[lo:]
-        )
         pos = 0
         inspections = 0
         while True:
-            cand = ready(pos)
+            cand = self._ready_lines(pos)
             if cand.size:
-                j = pos + int(cand[0])
+                j = int(cand[0])
                 inspections += j - pos + 1
                 self._saturate(j, (inspections - 1) // t.L, inspections - 1, sink)
                 pos = j + 1
@@ -476,7 +492,7 @@ class InfectionState:
             else:
                 inspections += t.L - pos
                 pos = 0
-                if not ready(0).size:
+                if not self._ready_lines().size:
                     break
 
     def _run_sequential_order(self, order, sink):
@@ -517,13 +533,9 @@ class InfectionState:
         half = 0
         while True:
             lo = axis * t.lines_per_axis
-            hi = lo + t.lines_per_axis
-            ready = np.flatnonzero(
-                (self.line_count[lo:hi] >= self.spec.thresholds[axis])
-                & ~self.saturated[lo:hi]
-            )
+            ready = self._ready_lines(lo, lo + t.lines_per_axis)
             if ready.size:
-                self._saturate_parallel(axis, ready + lo, half, step)
+                self._saturate_parallel(axis, ready, half, step)
                 step += int(ready.size)
             per_round = [0] * t.d
             per_round[axis] = int(ready.size)

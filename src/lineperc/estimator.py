@@ -202,9 +202,13 @@ def check_2d_process_properties(spec: GridSpec, codes, state) -> None:
     the early-stopped run), every perpendicular line saturates by round g+1
     and the rest by round g+2.  If the cheap bound is inconclusive the exact
     synchronous run decides.  The stopped alternating run must classify as
-    exactly one of horizontal/vertical line-count.
+    exactly one of horizontal/vertical line-count.  A seed set that is the
+    whole grid percolates with no line saturated when r > n, and the process
+    statements are about the other sets, so it is not checked.
     """
     r = spec.r
+    if len(codes) == spec.num_sites:
+        return
     if state.trace.round_of:
         rounds_bound = state.trace.round_of[-1] + 2
         if rounds_bound > 2 * r + 1:

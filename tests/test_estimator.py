@@ -32,6 +32,14 @@ def test_theta_extremes():
         estimate_theta(spec, 0.5, 0, 0)
 
 
+def test_theta_whole_grid_below_threshold():
+    # r > n: no line can saturate, yet p = 1 infects the whole grid, which
+    # percolates; the 2D process checks must not call that a failure
+    for n in (1, 2):
+        spec = GridSpec.uniform(n, 2, 3)
+        assert estimate_theta(spec, 1.0, 5, 0).point_estimate == 1.0
+
+
 def test_theta_matches_level_formula_small():
     # r=2 at p = alpha n^{-3/2}: theta ~ 1 - exp(-alpha^2); n=512 is close
     spec = GridSpec.uniform(512, 2, 2)

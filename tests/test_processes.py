@@ -17,8 +17,9 @@ from lineperc import (
     run_sequential,
     run_synchronous,
 )
-from lineperc import processes
+from lineperc import engine, processes
 from lineperc.engine import InfectionState, closure_from_codes
+from lineperc.grid import encode_points
 from lineperc.processes import plane_statistics_recount, preface_text
 
 
@@ -222,6 +223,38 @@ def test_batched_generations_match_one_line_at_a_time(monkeypatch):
                     _same_run(batched, ref)
                     assert lc == ref_lc
     assert multi_line_batches > 100
+
+
+def test_sliced_batches_match_whole_batches(monkeypatch):
+    # a batch split into slices of one or two lines must leave the state,
+    # the trace and the plane tallies exactly as the whole batch does
+    rng = np.random.default_rng(53)
+    instances = []
+    for n, d in ((12, 2), (5, 3)):  # a 2 x .. x 2 block: batches of 9 to 12 lines
+        spec = GridSpec.uniform(n, d, 2)
+        instances.append((spec, encode_points(spec, block(2, d))))
+    instances += [random_instance(rng) for _ in range(60)]
+    split = 0
+    for spec, codes in instances:
+        rows = int(rng.integers(1, 3))
+        runs = [lambda: run_synchronous(spec, None, _codes=codes)]
+        if spec.d == 2:
+            runs += [
+                lambda stop_rule=stop_rule: run_alternating_2d(
+                    spec, None, stop_rule=stop_rule, _codes=codes
+                )
+                for stop_rule in (True, False)
+            ]
+        for run in runs:
+            whole, whole_extra = run()
+            with monkeypatch.context() as m:
+                m.setattr(engine, "BATCH_ELEMS", rows * spec.n)
+                sliced, sliced_extra = run()
+            _same_run(sliced, whole)
+            if spec.d == 2:
+                assert sliced_extra == whole_extra
+            split += any(c > rows for row in whole.trace.round_axis_counts for c in row)
+    assert split > 20
 
 
 def test_sequential_equivalence():
