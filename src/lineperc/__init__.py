@@ -12,6 +12,7 @@ minimal percolating sets.
 __version__ = "0.1.0"
 
 from .engine import (
+    Cascade2D,
     InfectionState,
     Trace,
     closure,

@@ -353,6 +353,8 @@ def cmd_theory(args) -> int:
 
 
 def cmd_preface_stats(args) -> int:
+    if args.trials < 1:
+        raise InputError(f"--trials must be >= 1, got {args.trials}")
     spec = GridSpec.uniform(args.n, 2, args.r)
     p = parse_p_expression(args.p, spec.n)
     s = s_of_r(args.r) if args.r >= 2 else 0
@@ -380,6 +382,8 @@ def cmd_preface_stats(args) -> int:
 
 
 def cmd_plane_stats(args) -> int:
+    if args.trials < 1:
+        raise InputError(f"--trials must be >= 1, got {args.trials}")
     spec = GridSpec.uniform(args.n, 3, args.r)
     p = parse_p_expression(args.p, spec.n)
     g = float(gamma_of_r(args.r))

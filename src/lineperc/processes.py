@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .engine import InfectionState, Trace
+from .engine import Cascade2D, InfectionState, Trace, new_state
 from .grid import GridSpec, InputError, _tables
 
 
@@ -93,9 +93,9 @@ class PlaneStats:
 
 def run_synchronous(
     spec: GridSpec, initial: Iterable[Sequence[int]], *, _codes=None
-) -> tuple[InfectionState, Trace]:
+) -> tuple[Cascade2D | InfectionState, Trace]:
     """Synchronous generations A^(m): all thresholded lines saturate together."""
-    state = InfectionState(spec, initial, _codes=_codes).run_rounds()
+    state = new_state(spec, initial, _codes=_codes).run_rounds()
     return state, state.trace
 
 
@@ -106,7 +106,7 @@ def run_alternating_2d(
     stop_rule: bool = True,
     start_axis: int = 0,
     _codes=None,
-) -> tuple[InfectionState, LineCount2D]:
+) -> tuple[Cascade2D, LineCount2D]:
     """Alternating one-axis generations (d=2), horizontal first by default.
 
     With ``stop_rule`` the process halts as soon as one direction has
@@ -118,7 +118,7 @@ def run_alternating_2d(
         raise InputError("run_alternating_2d requires d = 2")
     if start_axis not in (0, 1):
         raise InputError(f"start_axis must be 0 or 1, got {start_axis}")
-    state = InfectionState(spec, initial, _codes=_codes)
+    state = new_state(spec, initial, _codes=_codes)
     halves = state.run_half_steps(stop_rule=stop_rule, start_axis=start_axis)
     counts = [c for _, c in halves]
     while len(counts) > 1 and counts[-1] == 0:
@@ -138,12 +138,12 @@ def run_sequential(
     order: Sequence[int] | None = None,
     *,
     _codes=None,
-) -> tuple[InfectionState, Trace]:
+) -> tuple[Cascade2D | InfectionState, Trace]:
     """Cyclic one-line-at-a-time scan; terminates after a full idle cycle.
 
     ``order`` is an optional permutation of all canonical line ids.
     """
-    state = InfectionState(spec, initial, _codes=_codes).run_sequential(order)
+    state = new_state(spec, initial, _codes=_codes).run_sequential(order)
     return state, state.trace
 
 

@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from . import theory
-from .engine import InfectionState
+from .engine import Cascade2D, InfectionState, new_state
 from .grid import GridSpec, InputError, Point, decode_point
 
 _MASK64 = (1 << 64) - 1
@@ -72,7 +72,9 @@ class PcSample:
     n_probes: int  # caps visited, i.e. coupled samples drawn
     # the cascade grown on A_{p*}, stopped at the proof that it percolates;
     # None for a degenerate sample
-    witness: InfectionState | None = field(default=None, compare=False, repr=False)
+    witness: Cascade2D | InfectionState | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def _draw_distinct_codes(
@@ -167,7 +169,7 @@ def critical_p_of_sample(
 
     Found in one pass in weight order: the caps of ``realize_coupled`` are
     visited in turn, and each cap's new sites, all heavier than the sites
-    before them, are grown one by one into a single ``InfectionState``.  p*
+    before them, are grown one by one into a single cascade state.  p*
     is the weight of the first site after which the grown cascade proves
     percolation; the state was at a non-percolating fixed point just before
     it, which certifies percolates(A_{p*}) and not percolates(A_{p*-eps}).
@@ -180,7 +182,7 @@ def critical_p_of_sample(
     """
     if spec.n < max(spec.thresholds):
         return PcSample(1.0, True, seed, 0, 0)
-    state = InfectionState(spec, ())
+    state = new_state(spec, ())
     fed = 0
     caps = 0
     for sample in realize_coupled(spec, seed, cap0=cap0):

@@ -222,6 +222,21 @@ def test_bad_list_values_exit_code(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
+def test_nonpositive_trials_exit_code(capsys):
+    cases = [
+        ["plane-stats", "--n", "8", "--r", "2", "--p", "0.1", "--trials", "0",
+         "--seed", "1"],
+        ["preface-stats", "--n", "8", "--r", "2", "--p", "0.1", "--trials", "-2",
+         "--seed", "1"],
+        ["preface-stats", "--n", "8", "--r", "2", "--p", "0.1", "--trials", "0",
+         "--seed", "1"],
+    ]
+    for argv in cases:
+        assert dispatch(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trials" in err, argv
+
+
 @pytest.mark.parametrize(
     "line",
     ["d = x", "r = 2.0", "trials = ten", "seed = 0x10", "thresholds = 2,x",

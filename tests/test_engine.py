@@ -10,7 +10,12 @@ from lineperc import (
     naive_closure,
     percolates,
 )
-from lineperc.engine import InfectionState, closure_from_codes, percolation_run
+from lineperc.engine import (
+    InfectionState,
+    closure_from_codes,
+    new_state,
+    percolation_run,
+)
 from lineperc.grid import _tables, decode_point, encode_point
 from lineperc.processes import run_alternating_2d, run_sequential, run_synchronous
 
@@ -137,13 +142,18 @@ def test_idempotence():
         assert infected_set(once) == infected_set(twice)
 
 
-def test_fifo_lifo_agreement():
+def test_sequential_order_agreement():
+    # the closure does not depend on the order lines saturate in: the
+    # sequential scan in random orders, on both kernels, ends where FIFO does
     rng = np.random.default_rng(17)
     for _ in range(60):
         spec, codes = random_instance(rng)
-        fifo = InfectionState(spec, None, _codes=codes).run_fifo()
-        lifo = InfectionState(spec, None, _codes=codes).run_fifo(lifo=True)
-        assert infected_set(fifo) == infected_set(lifo)
+        fifo = infected_set(closure_from_codes(spec, codes))
+        for kernel in (new_state, InfectionState):
+            for _ in range(3):
+                order = rng.permutation(spec.num_lines).tolist()
+                seq = kernel(spec, None, _codes=codes).run_sequential(order)
+                assert infected_set(seq) == fifo
 
 
 def test_work_bound_counter():

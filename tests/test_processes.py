@@ -198,9 +198,10 @@ def test_batched_generations_match_one_line_at_a_time(monkeypatch):
         k = int(rng.binomial(spec.num_sites, rng.uniform(0.05, 0.5)))
         codes = rng.choice(spec.num_sites, size=k, replace=False).astype(np.int64)
 
-        batched, _ = run_synchronous(spec, None, _codes=codes)
+        batched = InfectionState(spec, None, _codes=codes).run_rounds()
         ref = _OneLineAtATime(spec, None, _codes=codes).run_rounds()
         _same_run(batched, ref)
+        _same_run(run_synchronous(spec, None, _codes=codes)[0], ref)
         # the next round is exactly what the per-line sinks collected
         rounds = {}
         for lid, g in zip(ref.trace.line_ids, ref.trace.round_of):
@@ -212,15 +213,22 @@ def test_batched_generations_match_one_line_at_a_time(monkeypatch):
         multi_line_batches += sum(c > 1 for row in batched.trace.round_axis_counts for c in row)
 
         if d == 2:
+            # the dense batches, and the 2D count kernel behind
+            # ``run_alternating_2d``, against the one-line reference
             for stop_rule in (True, False):
                 for start_axis in (0, 1):
-                    kw = dict(stop_rule=stop_rule, start_axis=start_axis, _codes=codes)
-                    batched, lc = run_alternating_2d(spec, None, **kw)
-                    with monkeypatch.context() as m:
-                        m.setattr(processes, "InfectionState", _OneLineAtATime)
-                        ref, ref_lc = run_alternating_2d(spec, None, **kw)
-                    assert isinstance(ref, _OneLineAtATime)
+                    kw = dict(stop_rule=stop_rule, start_axis=start_axis)
+                    batched = InfectionState(spec, None, _codes=codes)
+                    halves = batched.run_half_steps(**kw)
+                    ref = _OneLineAtATime(spec, None, _codes=codes)
+                    assert ref.run_half_steps(**kw) == halves
                     _same_run(batched, ref)
+                    counted, lc = run_alternating_2d(spec, None, _codes=codes, **kw)
+                    with monkeypatch.context() as m:
+                        m.setattr(processes, "new_state", _OneLineAtATime)
+                        ref, ref_lc = run_alternating_2d(spec, None, _codes=codes, **kw)
+                    assert isinstance(ref, _OneLineAtATime)
+                    _same_run(counted, ref)
                     assert lc == ref_lc
     assert multi_line_batches > 100
 
@@ -237,22 +245,25 @@ def test_sliced_batches_match_whole_batches(monkeypatch):
     split = 0
     for spec, codes in instances:
         rows = int(rng.integers(1, 3))
-        runs = [lambda: run_synchronous(spec, None, _codes=codes)]
+
+        # the dense kernel for every d: the 2D count kernel has no batches
+        def rounds():
+            return InfectionState(spec, None, _codes=codes).run_rounds(), None
+
+        def half_steps(stop_rule):
+            state = InfectionState(spec, None, _codes=codes)
+            return state, state.run_half_steps(stop_rule=stop_rule)
+
+        runs = [rounds]
         if spec.d == 2:
-            runs += [
-                lambda stop_rule=stop_rule: run_alternating_2d(
-                    spec, None, stop_rule=stop_rule, _codes=codes
-                )
-                for stop_rule in (True, False)
-            ]
+            runs += [lambda: half_steps(True), lambda: half_steps(False)]
         for run in runs:
             whole, whole_extra = run()
             with monkeypatch.context() as m:
                 m.setattr(engine, "BATCH_ELEMS", rows * spec.n)
                 sliced, sliced_extra = run()
             _same_run(sliced, whole)
-            if spec.d == 2:
-                assert sliced_extra == whole_extra
+            assert sliced_extra == whole_extra
             split += any(c > rows for row in whole.trace.round_axis_counts for c in row)
     assert split > 20
 
