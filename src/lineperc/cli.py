@@ -37,6 +37,7 @@ from .grid import (
     format_line,
     format_point,
     parse_point,
+    require_small_grid,
 )
 from .minset import certify_non_percolation, min_percolating_size
 from .processes import (
@@ -453,6 +454,8 @@ def cmd_minset(args) -> int:
     if not 0 <= args.seed < 2**64:
         raise InputError(f"--seed must lie in [0, 2^64), got {args.seed}")
     spec = GridSpec.uniform(args.n, args.d, args.r)
+    # each sample permutes all n^d sites and certifies its closure
+    require_small_grid(spec, "minset verify")
     block = [
         tuple(c + 1 for c in digits)
         for digits in itertools.product(range(args.r), repeat=args.d)

@@ -5,18 +5,24 @@ iff it is an initial point or lies on a saturated line, so a state needs only
 the seeds, which lines are saturated, and enough counts to tell when a line
 reaches its threshold.  Two kernels keep those counts.
 
+The schedules live once, on the base ``_Cascade``: ``run_fifo``,
+``run_rounds``, ``run_half_steps``, ``run_sequential`` and ``grow``.  The
+closure is monotone in the seed set, so ``grow`` adds seeds one at a time and
+every line saturates at most once over the whole growth.  A kernel supplies
+its counts and ``_ready_lines``, ``_is_ready``, ``_saturate`` (one line) and
+``_add_seed`` (one grown seed); it may batch ``_saturate_parallel``, which by
+default saturates one line at a time.
+
 ``InfectionState``, the dense kernel, serves every d.  It keeps a counter and
 a saturation flag per line, and saturating a line touches its n points with
 strided numpy slices: the ids of the crossing lines along any other axis form
-an arithmetic progression in the varying coordinate.  The queue
-(``run_fifo``, ``grow``) and the sequential scan saturate one line at a time
-and learn which lines became ready from the crossing counters: a counter rises
-by exactly one per newly infected point, so a line is ready at the moment its
-counter equals its threshold, and at no other time.  The generation schedules
-(``run_rounds``, ``run_half_steps``) saturate all the ready lines of one axis
-as one batch of array operations, cut into slices of at most ``BATCH_ELEMS``
-points to bound memory; parallel lines share no point, so a batch equals its
-lines saturated one by one in id order.
+an arithmetic progression in the varying coordinate.  A line learns it is
+ready from the crossing counters: a counter rises by exactly one per newly
+infected point, so a line is ready at the moment its counter equals its
+threshold, and at no other time.  Its ``_saturate_parallel`` saturates all the
+ready lines of one axis as one batch of array operations, cut into slices of
+at most ``BATCH_ELEMS`` points to bound memory; parallel lines share no point,
+so a batch equals its lines saturated one by one in id order.
 
 ``Cascade2D``, the count kernel, serves d = 2 and keeps no per-point or
 per-line array.  A point of an axis-a line is infected iff it is a seed or
@@ -30,10 +36,6 @@ the lines that become ready are read from buckets of lines keyed by s.
 ``InfectionState`` otherwise.  Both kernels give the same trace, counters and
 queries on every schedule, and the dense kernel stays the 2D oracle next to
 ``naive_closure``.
-
-The closure is monotone in the seed set, so a state can also be grown one
-seed at a time (``grow``); every line then saturates at most once over the
-whole growth.
 
 ``naive_closure`` is the deliberately simple fixed-point oracle (full rescan
 of every line each pass) used to cross-check the cascades.
@@ -56,6 +58,7 @@ from .grid import (
     decode_line,
     decode_point,
     encode_points,
+    require_small_grid,
     validate_point,
 )
 
@@ -93,10 +96,11 @@ class _Cascade:
     """One cascade run on a grid: what both kernels share.
 
     That is the seeds, the event trace, the read-only queries and the
-    schedules.  A kernel supplies the counts: ``saturated`` and
-    ``line_count`` (arrays over line ids), ``infected_total``,
-    ``_sat_per_axis``, ``_ready_lines``, ``_next_ready``, ``_is_ready``,
-    ``_saturate``, ``_saturate_parallel`` and ``grow``.
+    schedules, ``grow`` among them.  A kernel supplies the counts:
+    ``saturated`` and ``line_count`` (arrays over line ids),
+    ``infected_total`` and ``_sat_per_axis``; and the operations
+    ``_ready_lines``, ``_is_ready``, ``_saturate`` and ``_add_seed``.  It may
+    override ``_saturate_parallel`` with a batched equivalent.
 
     Construction seeds the state from the initial set; one of the ``run_*``
     methods then advances the cascade.  Alternatively a state built from no
@@ -176,31 +180,15 @@ class _Cascade:
 
     # -- schedules -----------------------------------------------------------
 
-    def _add_grown(self, code: int) -> bool:
-        """Record ``code`` as the next seed of ``grow``; False for a repeat."""
-        assert self._codes.size == 0 and not self.percolated
-        assert self._grown or not self._ran
-        t = self._t
-        if not 0 <= code < t.N:
-            raise InputError(f"point code {code} out of range [0, {t.N})")
-        self._ran = True
-        if code in self._initial_set:
-            return False
-        self._initial_set.add(code)
-        self._grown.append(code)
-        return True
-
-    def _percolation_proved(self, axis: int) -> bool:
-        """Sound sufficient conditions; the fixed point is always the fallback."""
+    def _percolation_proved(self) -> bool:
+        """Sound sufficient conditions; the fixed point is always the fallback.
+        ``_drain`` decides the 2D early stop before the line saturates."""
         t = self._t
         if self.infected_total == t.N:
             return True
-        d = t.d
-        if d == 1:
+        if t.d == 1:
             return self._sat_per_axis[0] > 0
-        if d == 2:
-            return self._sat_per_axis[axis] >= self.spec.thresholds[1 - axis]
-        if d == 3:
+        if t.d == 3:
             return self._early_proof
         return False
 
@@ -230,7 +218,7 @@ class _Cascade:
             self._saturate(lid, round_idx, step, None if proves else queue)
             per_round[axis] += 1
             step += 1
-            if stop_on_percolation and (proves or self._percolation_proved(axis)):
+            if stop_on_percolation and (proves or self._percolation_proved()):
                 tr.round_axis_counts.append(tuple(per_round))
                 return True
             in_round -= 1
@@ -298,38 +286,11 @@ class _Cascade:
         self._ran = True
         t = self._t
         if order is None:
-            self._run_sequential_canonical()
+            order = range(t.L)
         else:
             order = [int(x) for x in order]
             if sorted(order) != list(range(t.L)):
                 raise InputError("order must be a permutation of all line ids")
-            self._run_sequential_order(order)
-        if self.trace.line_ids:
-            # the whole scan is one round: every saturation so far, per axis
-            self.trace.round_axis_counts.append(tuple(self._sat_per_axis))
-        self.percolated = self.infected_total == t.N
-        return self
-
-    def _run_sequential_canonical(self):
-        t = self._t
-        pos = 0
-        inspections = 0
-        while True:
-            j = self._next_ready(pos)
-            if j is not None:
-                inspections += j - pos + 1
-                self._saturate(j, (inspections - 1) // t.L, inspections - 1, None)
-                pos = j + 1
-                if pos == t.L:
-                    pos = 0
-            else:
-                inspections += t.L - pos
-                pos = 0
-                if self._next_ready(0) is None:
-                    break
-
-    def _run_sequential_order(self, order):
-        t = self._t
         idle = 0
         inspections = 0
         pos = 0
@@ -344,6 +305,48 @@ class _Cascade:
             pos += 1
             if pos == t.L:
                 pos = 0
+        if self.trace.line_ids:
+            # the whole scan is one round: every saturation so far, per axis
+            self.trace.round_axis_counts.append(tuple(self._sat_per_axis))
+        self.percolated = self.infected_total == t.N
+        return self
+
+    def _saturate_parallel(
+        self, axis: int, lids: np.ndarray, round_idx: int, step: int
+    ) -> None:
+        """Saturate ascending axis-``axis`` lines one by one; the generation
+        schedules find the next lines by scanning, so there is no sink."""
+        for i, lid in enumerate(lids.tolist()):
+            self._saturate(lid, round_idx, step + i, None)
+
+    def grow(self, code: int) -> bool:
+        """Add the seed with point code ``code`` and continue the FIFO
+        cascade, stopping early once percolation is proved.
+
+        Only for a state built from no seeds and advanced by ``grow`` alone.
+        Between calls the state is at the fixed point of the seeds so far,
+        so every line saturates at most once over the whole growth and
+        ``percolated`` is exact after each call.  Returns ``percolated``;
+        once it is True the state takes no more seeds.
+        """
+        assert self._codes.size == 0 and not self.percolated
+        assert self._grown or not self._ran
+        t = self._t
+        if not 0 <= code < t.N:
+            raise InputError(f"point code {code} out of range [0, {t.N})")
+        self._ran = True
+        if code in self._initial_set:
+            return False
+        self._initial_set.add(code)
+        self._grown.append(code)
+        ready = self._add_seed(code)
+        if ready is None:
+            # already infected (never by the first seed, so ``percolated``
+            # is already False): its lines counted it when it was infected
+            return False
+        proved = self.infected_total == t.N or self._drain(deque(ready), True)
+        self.percolated = proved
+        return proved
 
     def run_half_steps(self, *, stop_rule: bool = True, start_axis: int = 0):
         """Alternating single-axis generations (d=2 only).
@@ -438,10 +441,6 @@ class InfectionState(_Cascade):
         sl = slice(lo, hi)
         ready = (self.line_count[sl] >= self._t.thr_line[sl]) & ~self.saturated[sl]
         return lo + np.flatnonzero(ready)
-
-    def _next_ready(self, pos: int) -> int | None:
-        cand = self._ready_lines(pos)
-        return int(cand[0]) if cand.size else None
 
     def _is_ready(self, lid: int) -> bool:
         return not self.saturated[lid] and self.line_count[lid] >= self._t.thr_line[lid]
@@ -565,18 +564,10 @@ class InfectionState(_Cascade):
                 if self._full_planes[b] >= thr[b]:
                     self._early_proof = True
 
-    def grow(self, code: int) -> bool:
-        """Add the seed with point code ``code`` and continue the FIFO
-        cascade, stopping early once percolation is proved.
-
-        Only for a state built from no seeds and advanced by ``grow`` alone.
-        Between calls the state is at the fixed point of the seeds so far,
-        so every line saturates at most once over the whole growth and
-        ``percolated`` is exact after each call.  Returns ``percolated``;
-        once it is True the state takes no more seeds.
-        """
-        if not self._add_grown(code):
-            return False
+    def _add_seed(self, code: int) -> list[int] | None:
+        """Count a new seed on its d lines; return those that reach their
+        threshold, or None if the point is already infected (its lines
+        counted it then)."""
         t = self._t
         digits = [code // s % t.n for s in t.pstride_list]
         lids = [
@@ -585,22 +576,18 @@ class InfectionState(_Cascade):
         ]
         sat = self.saturated
         if any(sat[lid] for lid in lids):
-            # already infected (never by the first seed, so ``percolated``
-            # is already False): its lines counted it when it was infected
-            return False
+            return None
         self.infected_total += 1
         seeds_on = self._seed_index()
         lc = self.line_count
         thr = self.spec.thresholds
-        queue: deque = deque()
+        ready = []
         for axis, lid in enumerate(lids):
             seeds_on.setdefault(lid, []).append(digits[axis])
             lc[lid] += 1
             if lc[lid] == thr[axis]:
-                queue.append(lid)
-        proved = self.infected_total == t.N or self._drain(queue, True)
-        self.percolated = proved
-        return proved
+                ready.append(lid)
+        return ready
 
 
 class Cascade2D(_Cascade):
@@ -679,10 +666,12 @@ class Cascade2D(_Cascade):
         if v:
             bucket.setdefault(v, set()).add(lid)
 
-    def _iter_ready(self, lo: int, hi: int):
+    def _ready_lines(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Ids in [lo, hi) of the unsaturated lines at or above threshold,
-        ascending, generated lazily."""
+        ascending."""
         n = self._t.n
+        hi = self._t.L if hi is None else hi
+        ready: list[int] = []
         for a in (0, 1):
             a_lo, a_hi = max(lo, a * n), min(hi, a * n + n)
             if a_lo >= a_hi:
@@ -690,21 +679,13 @@ class Cascade2D(_Cascade):
             k = self.spec.thresholds[a] - self._sat_per_axis[1 - a]
             if k <= 0:
                 sat = self._sat[a]
-                yield from (q for q in range(a_lo, a_hi) if q not in sat)
+                ready.extend(q for q in range(a_lo, a_hi) if q not in sat)
             else:
-                yield from sorted(
+                ready.extend(sorted(
                     q for v, lids in self._bucket[a].items() if v >= k
                     for q in lids if a_lo <= q < a_hi
-                )
-
-    def _ready_lines(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        hi = self._t.L if hi is None else hi
-        return np.fromiter(self._iter_ready(lo, hi), dtype=np.int64)
-
-    def _next_ready(self, pos: int) -> int | None:
-        # the scan of the sequential schedule stops at the first ready line,
-        # so a pass over the lines costs O(n) in all, not per saturation
-        return next(self._iter_ready(pos, self._t.L), None)
+                ))
+        return np.array(ready, dtype=np.int64)
 
     def _is_ready(self, lid: int) -> bool:
         a = lid // self._t.n
@@ -759,36 +740,24 @@ class Cascade2D(_Cascade):
             free[[q - off for q in crossed]] = False
             sink.extend((off + np.flatnonzero(free)).tolist())
 
-    def _saturate_parallel(
-        self, axis: int, lids: np.ndarray, round_idx: int, step: int
-    ) -> None:
-        """Saturate ascending axis-``axis`` lines one by one; the generation
-        schedules find the next lines by scanning, so there is no sink."""
-        for i, lid in enumerate(lids.tolist()):
-            self._saturate(lid, round_idx, step + i, None)
-
-    def grow(self, code: int) -> bool:
-        """As ``InfectionState.grow``."""
-        if not self._add_grown(code):
-            return False
+    def _add_seed(self, code: int) -> list[int] | None:
+        """Count a new seed in s of its two lines; return those that reach
+        their threshold, or None if the point is already infected."""
         n = self._t.n
         g0, g1 = divmod(int(code), n)
         if g1 in self._sat[0] or n + g0 in self._sat[1]:
-            # already infected; ``percolated`` is already False
-            return False
+            return None
         self._uncovered += 1
         C = self._sat_per_axis
         thr = self.spec.thresholds
-        queue: deque = deque()
+        ready = []
         for a, lid, digit in ((0, g1, g0), (1, n + g0, g1)):
             self._seeds_on.setdefault(lid, []).append(digit)
             v = self._s[a].get(lid, 0) + 1
             self._set_s(a, lid, v)
             if C[1 - a] + v == thr[a]:
-                queue.append(lid)
-        proved = self.infected_total == self._t.N or self._drain(queue, True)
-        self.percolated = proved
-        return proved
+                ready.append(lid)
+        return ready
 
 
 # ---------------------------------------------------------------------------
@@ -832,9 +801,8 @@ def naive_closure(spec: GridSpec, initial: Iterable[Sequence[int]]) -> set[Point
 
     O(d n^d) per pass; intended for cross-checks at small n, not production.
     """
+    require_small_grid(spec, "naive_closure")
     t = _tables(spec)
-    if t.N > 4_000_000:
-        raise InputError("naive_closure is an oracle for small grids only")
     codes = encode_points(spec, initial)
     infected = np.zeros(t.N, dtype=bool)
     infected[codes] = True

@@ -23,8 +23,14 @@ class InputError(ValueError):
 Point = tuple[int, ...]
 
 # every line gets a few counters and flags, so the line count bounds the
-# memory a grid needs; 2^24 lines is about 300 MB of per-line arrays
+# memory a grid needs; 2^24 lines is about 300 MB of per-line arrays.  One
+# saturation touches the n points of a line, so the side length has the same
+# bound, which binds only at d = 1
 MAX_LINES = 1 << 24
+
+# the small-grid tools (the ``naive_closure`` oracle, non-percolation
+# certificates and ``minset verify``) hold one value per site
+MAX_SMALL_GRID_SITES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,10 @@ class GridSpec:
                 f"[{self.n}]^{self.d} has {self.num_lines} lines, "
                 f"more than the supported {MAX_LINES}"
             )
+        if self.n > MAX_LINES:
+            raise InputError(
+                f"side length {self.n} is more than the supported {MAX_LINES}"
+            )
 
     @classmethod
     def uniform(cls, n: int, d: int, r: int) -> "GridSpec":
@@ -84,6 +94,16 @@ class GridSpec:
         if not self.is_uniform:
             raise InputError(f"thresholds {self.thresholds} are not uniform")
         return self.thresholds[0]
+
+
+def require_small_grid(spec: GridSpec, what: str) -> None:
+    """Refuse ``spec`` for ``what``, which holds one value per site, when it
+    has more than ``MAX_SMALL_GRID_SITES`` sites."""
+    if spec.num_sites > MAX_SMALL_GRID_SITES:
+        raise InputError(
+            f"{what} is for grids of at most {MAX_SMALL_GRID_SITES} sites; "
+            f"[{spec.n}]^{spec.d} has {spec.num_sites}"
+        )
 
 
 @dataclass(frozen=True, order=True)

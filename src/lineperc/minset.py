@@ -20,7 +20,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .engine import closure, percolates
-from .grid import GridSpec, InputError, Point, validate_point
+from .grid import GridSpec, InputError, Point, require_small_grid, validate_point
 
 SEARCH_SPACE_LIMIT = 10**7
 
@@ -214,9 +214,11 @@ def certify_non_percolation(
 
     The polynomial is checked, in exact arithmetic, to vanish on every point
     of the closure (not just on A), and the cascade engine independently
-    confirms non-percolation.
+    confirms non-percolation.  The closure is listed point by point, so the
+    grid must be small (``MAX_SMALL_GRID_SITES``).
     """
     r = spec.r  # uniform thresholds required
+    require_small_grid(spec, "certify_non_percolation")
     if spec.n < r:
         raise InputError(f"certificate argument needs n >= r, got n={spec.n} < r={r}")
     pts = [validate_point(spec, p) for p in points]

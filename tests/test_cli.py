@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lineperc import InputError, estimator, grid
+from lineperc import InputError, cli, estimator, grid
 from lineperc.cli import dispatch, parse_p_expression
 
 
@@ -172,10 +172,32 @@ def test_oversized_grid_exit_code(monkeypatch, capsys):
         raise AssertionError("per-line tables built for an oversized grid")
 
     monkeypatch.setattr(grid, "_SpecTables", no_tables)
-    argv = ["theta", "--n", "1000000", "--d", "3", "--r", "2", "--p", "0.1",
-            "--trials", "1", "--seed", "0", "--threads", "1"]
+    cases = [
+        (["--n", "1000000", "--d", "3"], "lines"),
+        # one line, but one saturation would touch 10^9 points
+        (["--n", "1000000000", "--d", "1"], "side length"),
+    ]
+    for shape, reason in cases:
+        argv = ["theta", *shape, "--r", "1", "--p", "0.5", "--trials", "1",
+                "--seed", "1", "--threads", "1"]
+        assert dispatch(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err, argv
+
+
+def test_oversized_minset_verify_exit_code(monkeypatch, capsys):
+    # refused before the construction check and before any sample permutes
+    # the n^d sites
+    def no_cascade(*args, **kwargs):
+        raise AssertionError("a cascade ran on an oversized grid")
+
+    monkeypatch.setattr(cli, "percolates", no_cascade)
+    monkeypatch.setattr(cli, "certify_non_percolation", no_cascade)
+    argv = ["minset", "verify", "--n", "100000", "--d", "2", "--r", "2",
+            "--samples", "1"]
     assert dispatch(argv) == 1
-    assert "lines" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sites" in err
 
 
 def test_bad_threads_env_exit_code(monkeypatch, capsys):

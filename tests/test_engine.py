@@ -16,7 +16,7 @@ from lineperc.engine import (
     new_state,
     percolation_run,
 )
-from lineperc.grid import _tables, decode_point, encode_point
+from lineperc.grid import _tables, decode_line, decode_point, encode_point, points_on
 from lineperc.processes import run_alternating_2d, run_sequential, run_synchronous
 
 
@@ -156,6 +156,61 @@ def test_sequential_order_agreement():
                 assert infected_set(seq) == fifo
 
 
+def reference_scan(spec, codes, order):
+    """The sequential scan on an explicit point set, with no engine code.
+
+    Pass after pass over ``order``, each inspection recounts the inspected
+    line's infected points and saturates the line iff the count reaches its
+    threshold; the scan ends after a pass that changes nothing.  Returns the
+    trace lists ``line_ids``, ``steps``, ``round_of``, ``round_axis_counts``.
+    """
+    lines = [points_on(spec, decode_line(spec, lid)) for lid in range(spec.num_lines)]
+    infected = {decode_point(spec, int(c)) for c in codes}
+    saturated = set()
+    line_ids, steps, round_of = [], [], []
+    for scan in itertools.count():
+        changed = False
+        for pos, lid in enumerate(order):
+            if lid in saturated:
+                continue
+            axis = lid // spec.lines_per_axis
+            if sum(p in infected for p in lines[lid]) >= spec.thresholds[axis]:
+                saturated.add(lid)
+                infected.update(lines[lid])
+                line_ids.append(lid)
+                steps.append(scan * spec.num_lines + pos)
+                round_of.append(scan)
+                changed = True
+        if not changed:
+            break
+    per_axis = [0] * spec.d
+    for lid in line_ids:
+        per_axis[lid // spec.lines_per_axis] += 1
+    return line_ids, steps, round_of, [tuple(per_axis)] if line_ids else []
+
+
+def test_sequential_scan_matches_reference():
+    # both kernels share one scan loop, so compare it with the reference in
+    # canonical and in random order
+    rng = np.random.default_rng(29)
+    kernels_seen = set()
+    multi_pass = 0
+    for _ in range(90):
+        spec, codes = random_instance(rng, n_hi=7)
+        orders = [None, rng.permutation(spec.num_lines).tolist()]
+        for order in orders:
+            expected = reference_scan(spec, codes, order or range(spec.num_lines))
+            for kernel in (new_state, InfectionState):
+                state = kernel(spec, None, _codes=codes).run_sequential(order)
+                tr = state.trace
+                got = (tr.line_ids, tr.steps, tr.round_of, tr.round_axis_counts)
+                assert got == expected, (spec, codes.tolist(), order)
+                kernels_seen.add(type(state).__name__)
+            multi_pass += max(expected[2], default=0) > 0
+    assert kernels_seen == {"Cascade2D", "InfectionState"}
+    assert multi_pass > 30
+
+
 def test_work_bound_counter():
     # every point's infection is processed exactly once
     rng = np.random.default_rng(19)
@@ -243,6 +298,17 @@ def test_grown_state_matches_fresh_cascade():
             assert state.infected_points() == naive_closure(spec, pts)
             assert all(state.is_infected(p) for p in pts)
     assert flips >= 10
+
+
+def test_grow_proves_whole_grid_below_threshold():
+    # no line can saturate, so only the last seed, which fills the grid,
+    # makes the grown state percolate
+    for spec in (GridSpec(3, 1, (4,)), GridSpec(2, 2, (3, 5)), GridSpec(2, 3, (3, 3, 3))):
+        for kernel in (new_state, InfectionState):
+            state = kernel(spec, ())
+            grown = [state.grow(code) for code in range(spec.num_sites)]
+            assert grown == [False] * (spec.num_sites - 1) + [True]
+            assert state.trace.line_ids == []
 
 
 def test_grow_rejects_bad_codes_and_ignores_repeats():

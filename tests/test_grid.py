@@ -42,6 +42,10 @@ def test_spec_line_budget():
         GridSpec(MAX_LINES // 2 + 1, 2, (2, 2))
     with pytest.raises(InputError):
         GridSpec(10**6, 3, (2, 2, 2))
+    # one line, but as long as the line budget allows
+    assert GridSpec(MAX_LINES, 1, (1,)).num_lines == 1
+    with pytest.raises(InputError, match="side length"):
+        GridSpec(MAX_LINES + 1, 1, (1,))
 
 
 def test_lines_through_2d():

@@ -13,9 +13,11 @@ from lineperc import (
     eval_matrix,
     eval_rank,
     min_percolating_size,
+    naive_closure,
     percolates,
     vanishing_polynomial,
 )
+from lineperc.grid import MAX_SMALL_GRID_SITES
 from lineperc.minset import exponent_tuples
 
 
@@ -121,6 +123,18 @@ def test_certificate_rejects_large_sets():
         certify_non_percolation(spec, block(2, 2))
     with pytest.raises(InputError):
         certify_non_percolation(GridSpec.uniform(1, 2, 2), [(1, 1)])
+
+
+def test_small_grid_bound_is_shared():
+    # the certificate lists its closure point by point: it runs up to the
+    # small-grid bound and refuses one site past it, as the oracle does
+    at_bound = GridSpec.uniform(2000, 2, 2)
+    assert at_bound.num_sites == MAX_SMALL_GRID_SITES
+    assert certify_non_percolation(at_bound, [(1, 1), (7, 9)]).closure_size == 2
+    over = GridSpec.uniform(2001, 2, 2)
+    for check in (certify_non_percolation, naive_closure):
+        with pytest.raises(InputError, match="sites"):
+            check(over, [(1, 1)])
 
 
 def test_percolating_sets_have_full_rank():
