@@ -8,10 +8,11 @@ reaches its threshold.  Two kernels keep those counts.
 The schedules live once, on the base ``_Cascade``: ``run_fifo``,
 ``run_rounds``, ``run_half_steps``, ``run_sequential`` and ``grow``.  The
 closure is monotone in the seed set, so ``grow`` adds seeds one at a time and
-every line saturates at most once over the whole growth.  A kernel supplies
-its counts and ``_ready_lines``, ``_is_ready``, ``_saturate`` (one line) and
-``_add_seed`` (one grown seed); it may batch ``_saturate_run``, which by
-default saturates a run of parallel lines one line at a time.
+every line saturates at most once over the whole growth.  A kernel only
+counts: it supplies its counts and ``_ready_lines``, ``_is_ready``,
+``_saturate(lid, sink)`` (one line) and ``_add_seed`` (one grown seed); it
+may batch ``_saturate_run(axis, lids, sink, stop)``, which by default takes a
+run of parallel lines one line at a time.  Only the schedules write the trace.
 
 The FIFO queue is drained in runs: the longest head of the queue whose lines
 share an axis, ascend in id and belong to the current round.  Parallel lines
@@ -29,14 +30,15 @@ strided numpy slices: the ids of the crossing lines along any other axis form
 an arithmetic progression in the varying coordinate.  A line learns it is
 ready from the crossing counters: a counter rises by exactly one per newly
 infected point, so a line is ready at the moment its counter equals its
-threshold, and at no other time.  Its ``_saturate_run`` takes runs shorter
-than ``RUN_MIN`` one line at a time and longer ones as batches of array
-operations, cut into slices of at most ``BATCH_ELEMS`` points to bound
-memory.  A batch cuts itself at the first line after which percolation is
-proved, and bumps the crossing counters by column sums over each group of
-batch lines that share their crossing lines, whose ids it builds once per
-group.  A run of a few lines costs less one line at a time, because a batch
-pays a fixed cost of a few tens of numpy calls.
+threshold, and at no other time.  In d >= 3 its ``_saturate_run`` takes runs
+of ``RUN_MIN`` or more lines as batches of array operations, cut into slices
+of at most ``BATCH_ELEMS`` points to bound memory.  A batch cuts itself at the
+first line after which percolation is proved, and bumps the crossing
+counters by column sums over each group of batch lines that share their
+crossing lines, whose ids it builds once per group.  A run of a few lines
+costs less one line at a time, because a batch pays a fixed cost of a few
+tens of numpy calls.  Runs in d <= 2 always go one line at a time: a 1D grid
+has one line, and every 2D cascade outside the tests runs on ``Cascade2D``.
 
 ``Cascade2D``, the count kernel, serves d = 2 and keeps no per-point or
 per-line array.  A point of an axis-a line is infected iff it is a seed or
@@ -87,10 +89,12 @@ RUN_MIN = 8
 class Trace:
     """Ordered saturation events plus per-round axis tallies.
 
-    ``steps`` is strictly increasing; its meaning depends on the schedule
-    (saturation index for queue/round runs, inspection index for sequential
-    runs).  ``round_axis_counts[g][a]`` is the number of axis-a lines
-    saturated in round g+1.
+    Only the schedules write it, the events through ``record`` once per
+    kernel call.  ``steps`` is strictly increasing; its meaning depends on
+    the schedule (saturation index for queue/round runs, inspection index for
+    sequential runs).  ``round_axis_counts[g][a]`` is the number of axis-a
+    lines saturated in round g+1, and ``round_of`` is g+1 (the half-step g
+    in alternating runs, the pass in sequential ones).
     """
 
     spec: GridSpec
@@ -102,6 +106,17 @@ class Trace:
     @property
     def num_rounds(self) -> int:
         return len(self.round_axis_counts)
+
+    def record(
+        self, lids: Sequence[int], round_idx: int, steps: Sequence[int] | None = None
+    ) -> None:
+        """Append the saturations of ``lids``, in order, all in round
+        ``round_idx``; ``steps`` defaults to the saturation index, which
+        continues from the events already recorded."""
+        start = len(self.line_ids)
+        self.line_ids.extend(lids)
+        self.steps.extend(range(start, start + len(lids)) if steps is None else steps)
+        self.round_of.extend([round_idx] * len(lids))
 
     def check(self) -> None:
         assert all(b > a for a, b in zip(self.steps, self.steps[1:]))
@@ -116,8 +131,9 @@ class _Cascade:
     schedules, ``grow`` among them.  A kernel supplies the counts:
     ``saturated`` and ``line_count`` (arrays over line ids),
     ``infected_total`` and ``_sat_per_axis``; and the operations
-    ``_ready_lines``, ``_is_ready``, ``_saturate`` and ``_add_seed``.  It may
-    override ``_saturate_run`` with a batched equivalent.
+    ``_ready_lines``, ``_is_ready``, ``_saturate(lid, sink)`` and
+    ``_add_seed``.  It may override ``_saturate_run(axis, lids, sink, stop)``
+    with a batched equivalent.  The schedules alone write the trace.
 
     Construction seeds the state from the initial set; one of the ``run_*``
     methods then advances the cascade.  Alternatively a state built from no
@@ -227,7 +243,6 @@ class _Cascade:
         tr = self.trace
         per_axis = t.lines_per_axis
         round_idx = tr.num_rounds + 1
-        step = len(tr.line_ids)
         in_round = len(queue)
         per_round = [0] * t.d
         while queue:
@@ -238,11 +253,9 @@ class _Cascade:
             while len(run) < in_round and last < queue[0] < end:
                 last = queue.popleft()
                 run.append(last)
-            done, proved = self._saturate_run(
-                axis, run, round_idx, step, queue, stop_on_percolation
-            )
+            done, proved = self._saturate_run(axis, run, queue, stop_on_percolation)
+            tr.record(run[:done], round_idx)
             per_round[axis] += done
-            step += done
             if proved:
                 tr.round_axis_counts.append(tuple(per_round))
                 return True
@@ -283,7 +296,6 @@ class _Cascade:
         self._ran = True
         t = self._t
         tr = self.trace
-        step = 0
         ready = self._ready_lines()
         while ready.size:
             round_idx = tr.num_rounds + 1
@@ -291,9 +303,10 @@ class _Cascade:
             cuts = np.searchsorted(ready, t.off_list[1:])
             for axis, lids in enumerate(np.split(ready, cuts)):
                 if lids.size:
-                    self._saturate_run(axis, lids.tolist(), round_idx, step, None, False)
-                    per_round[axis] = int(lids.size)
-                    step += int(lids.size)
+                    lids = lids.tolist()
+                    self._saturate_run(axis, lids, None, False)
+                    tr.record(lids, round_idx)
+                    per_round[axis] = len(lids)
             tr.round_axis_counts.append(tuple(per_round))
             ready = self._ready_lines()
         self.percolated = self.infected_total == t.N
@@ -317,19 +330,16 @@ class _Cascade:
             if sorted(order) != list(range(t.L)):
                 raise InputError("order must be a permutation of all line ids")
         idle = 0
-        inspections = 0
-        pos = 0
+        step = 0  # the inspection index
         while idle < t.L:
-            lid = order[pos]
-            inspections += 1
+            lid = order[step % t.L]
             if self._is_ready(lid):
-                self._saturate(lid, (inspections - 1) // t.L, inspections - 1, None)
+                self._saturate(lid, None)
+                self.trace.record([lid], step // t.L, [step])
                 idle = 0
             else:
                 idle += 1
-            pos += 1
-            if pos == t.L:
-                pos = 0
+            step += 1
         if self.trace.line_ids:
             # the whole scan is one round: every saturation so far, per axis
             self.trace.round_axis_counts.append(tuple(self._sat_per_axis))
@@ -337,7 +347,7 @@ class _Cascade:
         return self
 
     def _saturate_run(
-        self, axis: int, lids: list[int], round_idx: int, step: int, sink, stop: bool
+        self, axis: int, lids: list[int], sink, stop: bool
     ) -> tuple[int, bool]:
         """Saturate ``lids``, ascending axis-``axis`` lines, in id order, and
         append to ``sink`` (unless None) every crossing line that reaches its
@@ -352,7 +362,7 @@ class _Cascade:
         two_d = stop and self._t.d == 2
         for i, lid in enumerate(lids):
             proves = two_d and self._sat_per_axis[axis] + 1 >= thr[1 - axis]
-            self._saturate(lid, round_idx, step + i, None if proves else sink)
+            self._saturate(lid, None if proves else sink)
             if stop and (proves or self._percolation_proved()):
                 return i + 1, True
         return len(lids), False
@@ -406,14 +416,13 @@ class _Cascade:
         axis = start_axis
         halves: list[tuple[int, int]] = []
         idle = 0
-        step = 0
-        half = 0
         while True:
             lo = axis * t.lines_per_axis
             ready = self._ready_lines(lo, lo + t.lines_per_axis)
             if ready.size:
-                self._saturate_run(axis, ready.tolist(), half, step, None, False)
-                step += int(ready.size)
+                lids = ready.tolist()
+                self._saturate_run(axis, lids, None, False)
+                self.trace.record(lids, len(halves))
             per_round = [0] * t.d
             per_round[axis] = int(ready.size)
             self.trace.round_axis_counts.append(tuple(per_round))
@@ -425,7 +434,6 @@ class _Cascade:
             if idle >= 2:
                 break
             axis = 1 - axis
-            half += 1
         self.percolated = self.infected_total == t.N
         return halves
 
@@ -486,7 +494,7 @@ class InfectionState(_Cascade):
     def _is_ready(self, lid: int) -> bool:
         return not self.saturated[lid] and self.line_count[lid] >= self._t.thr_line[lid]
 
-    def _saturate(self, lid: int, round_idx: int, step: int, sink) -> None:
+    def _saturate(self, lid: int, sink) -> None:
         """Saturate one line: infect its new points, bump crossing counters,
         and append to ``sink`` (unless None) every crossing line that reaches
         its threshold.
@@ -516,10 +524,6 @@ class InfectionState(_Cascade):
         lc[lid] = n
         self.infected_total += n - int(np.count_nonzero(mask))
         self._sat_per_axis[axis] += 1
-        tr = self.trace
-        tr.line_ids.append(int(lid))
-        tr.steps.append(step)
-        tr.round_of.append(round_idx)
         thr = self.spec.thresholds
         for b, base, s in cross:
             view = lc[base : base + s * n : s]
@@ -533,11 +537,12 @@ class InfectionState(_Cascade):
             self._tally_planes(axis, g)
 
     def _saturate_run(
-        self, axis: int, lids: list[int], round_idx: int, step: int, sink, stop: bool
+        self, axis: int, lids: list[int], sink, stop: bool
     ) -> tuple[int, bool]:
         """Saturate a run of parallel lines: one line at a time below
-        ``RUN_MIN`` lines, else as batches of at most ``BATCH_ELEMS`` points,
-        in id order, each with one set of array operations.
+        ``RUN_MIN`` lines or in d <= 2, else as batches of at most
+        ``BATCH_ELEMS`` points, in id order, each with one set of array
+        operations.
 
         Parallel lines share no point, and a batch changes no ``saturated``
         flag of a crossing line, so a batch leaves the state, the sink and
@@ -546,23 +551,23 @@ class InfectionState(_Cascade):
         of bytes per point).
         """
         k = len(lids)
-        if k < RUN_MIN:
-            return super()._saturate_run(axis, lids, round_idx, step, sink, stop)
+        if k < RUN_MIN or self._t.d < 3:
+            return super()._saturate_run(axis, lids, sink, stop)
         rows = max(1, BATCH_ELEMS // self._t.n)
         done = 0
         for lo in range(0, k, rows):
             batch = np.asarray(lids[lo : lo + rows], dtype=np.int64)
-            m, proved = self._saturate_batch(axis, batch, round_idx, step + lo, sink, stop)
+            m, proved = self._saturate_batch(axis, batch, sink, stop)
             done += m
             if proved:
                 return done, True
         return done, False
 
     def _saturate_batch(
-        self, axis: int, lids: np.ndarray, round_idx: int, step: int, sink, stop: bool
+        self, axis: int, lids: np.ndarray, sink, stop: bool
     ) -> tuple[int, bool]:
-        """The body of ``_saturate_run`` for one batch ``lids`` (an array),
-        shared by the queue's runs and the generations."""
+        """The body of ``_saturate_run`` for one batch ``lids`` (an array) of
+        lines in d >= 3, shared by the queue's runs and the generations."""
         t = self._t
         n, d, k = t.n, t.d, int(lids.size)
         thr = self.spec.thresholds
@@ -571,15 +576,11 @@ class InfectionState(_Cascade):
         for i in reversed(range(d)):
             if i != axis:
                 rem, g[:, i] = np.divmod(rem, n)
-        # the proofs that read line digits alone: find the first line after
-        # which one holds, and build the (k, n) arrays only up to it
+        # the 3D plane proof reads line digits alone: find the first line
+        # after which it holds, and build the (k, n) arrays only up to it
         planes = self._plane_fills(axis, g) if d == 3 else []
         first = k
-        if stop and d == 1:
-            first = 0
-        elif stop and d == 2:
-            first = max(0, thr[1 - axis] - self._sat_per_axis[axis] - 1)
-        elif stop:
+        if stop:
             for b, z, fills in planes:
                 need = thr[b] - self._full_planes[b]
                 first = min(first, int(np.searchsorted(np.cumsum(fills), need)))
@@ -588,9 +589,7 @@ class InfectionState(_Cascade):
             k = first + 1
             if k < RUN_MIN:
                 # a short run after all: one line at a time finds the same stop
-                return _Cascade._saturate_run(
-                    self, axis, lids[:k].tolist(), round_idx, step, sink, stop
-                )
+                return _Cascade._saturate_run(self, axis, lids[:k].tolist(), sink, stop)
             lids, g = lids[:k], g[:k]
         mask = np.zeros((k, n), dtype=bool)
         index = self._seed_index()
@@ -623,21 +622,14 @@ class InfectionState(_Cascade):
             total = self.infected_total + np.cumsum(new.sum(axis=1))
             keep = int(np.searchsorted(total, t.N)) + 1
             proved = True
-        # the line that proves the 2D early stop sinks nothing, as in
-        # ``_Cascade._saturate_run``
-        sunk_rows = keep
-        if proved and d == 2 and self._sat_per_axis[axis] + keep >= thr[1 - axis]:
-            sunk_rows -= 1
         sunk = []  # (rows, ids) per crossing axis, in digit order per row
         for b, base, groups, lines in cross:
             hit = self._bump(lines, groups, new, None if sink is None else thr[b])
             if hit is not None:
-                rows, cols = np.divmod(np.flatnonzero(hit[:sunk_rows]), n)
+                rows, cols = np.divmod(np.flatnonzero(hit[:keep]), n)
                 if rows.size:
                     sunk.append((rows, base[rows] + t.W_list[b][axis] * cols))
-        if len(sunk) == 1:
-            sink.extend(sunk[0][1].tolist())
-        elif sunk:
+        if sunk:
             # by line, then by crossing axis and digit, as one line at a time
             rows = np.concatenate([r for r, _ in sunk])
             lines = np.concatenate([q for _, q in sunk])
@@ -647,10 +639,6 @@ class InfectionState(_Cascade):
         self.line_count[lids] = n
         self.infected_total += gained
         self._sat_per_axis[axis] += keep
-        tr = self.trace
-        tr.line_ids.extend(lids.tolist())
-        tr.steps.extend(range(step, step + keep))
-        tr.round_of.extend([round_idx] * keep)
         if d == 3:
             self._boosted[axis] += new.sum(axis=0)
             for b, z, fills in planes:
@@ -866,7 +854,7 @@ class Cascade2D(_Cascade):
             >= self.spec.thresholds[a]
         )
 
-    def _saturate(self, lid: int, round_idx: int, step: int, sink) -> None:
+    def _saturate(self, lid: int, sink) -> None:
         """Saturate one line: add one to its C, cover its seeds, and append to
         ``sink`` (unless None) every perpendicular line that reaches its
         threshold, in ascending id as the dense kernel's crossing scan finds
@@ -881,10 +869,6 @@ class Cascade2D(_Cascade):
         if v:
             self._bucket[a][v].discard(lid)
             self._uncovered -= v
-        tr = self.trace
-        tr.line_ids.append(lid)
-        tr.steps.append(step)
-        tr.round_of.append(round_idx)
         # the line's seeds on unsaturated perpendicular lines were uncovered
         # until now: each of those lines loses one from s, so its count stays
         sat_b, s_b = self._sat[b], self._s[b]

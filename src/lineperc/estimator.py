@@ -209,8 +209,8 @@ def check_2d_process_properties(spec: GridSpec, codes, state) -> None:
     r = spec.r
     if len(codes) == spec.num_sites:
         return
-    if state.trace.round_of:
-        rounds_bound = state.trace.round_of[-1] + 2
+    if state.trace.line_ids:
+        rounds_bound = state.trace.num_rounds + 2
         if rounds_bound > 2 * r + 1:
             from .processes import run_synchronous
 

@@ -32,6 +32,10 @@ from .grid import GridSpec, InputError, Point, decode_point
 
 _MASK64 = (1 << 64) - 1
 
+# sites one sample may draw: the draw peaks at about 150 bytes of RSS per code
+# and a theta trial on it at about 320 (measured at 1M and 4M codes, d = 1)
+MAX_DRAWN_SITES = 1 << 22
+
 
 @dataclass(frozen=True)
 class TrialSeed:
@@ -77,6 +81,13 @@ class PcSample:
     )
 
 
+def _check_drawn(k: int) -> None:
+    if k > MAX_DRAWN_SITES:
+        raise InputError(
+            f"a sample of {k} sites is more than the supported {MAX_DRAWN_SITES}"
+        )
+
+
 def _draw_distinct_codes(
     rng: np.random.Generator, n_sites: int, k: int, taken: set[int]
 ) -> np.ndarray:
@@ -102,6 +113,7 @@ def sample_codes(spec: GridSpec, p: float, seed: TrialSeed) -> np.ndarray:
     rng = seed.generator()
     n_sites = spec.num_sites
     k = int(rng.binomial(n_sites, p))
+    _check_drawn(k)
     if k == n_sites:
         return np.arange(n_sites, dtype=np.int64)
     return _draw_distinct_codes(rng, n_sites, k, set())
@@ -147,6 +159,7 @@ def realize_coupled(
         q = (cap - cap_prev) / (1.0 - cap_prev)
         remaining = n_sites - codes.size
         k_new = int(rng.binomial(remaining, q)) if q < 1.0 else remaining
+        _check_drawn(codes.size + k_new)
         if k_new:
             new_codes = _draw_distinct_codes(rng, n_sites, k_new, taken)
             new_w = cap_prev + (cap - cap_prev) * rng.random(k_new)

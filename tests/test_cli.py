@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,22 @@ def test_oversized_grid_exit_code(monkeypatch, capsys):
         assert dispatch(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and reason in err, argv
+
+
+def test_oversized_sample_exit_code(capsys):
+    # a grid the line bound accepts, at a p that would draw about 6.4e12
+    # sites: refused before any code is drawn
+    argv = ["theta", "--n", "8000000", "--d", "2", "--r", "2", "--p", "0.1",
+            "--trials", "1", "--seed", "1", "--threads", "1"]
+    tracemalloc.start()
+    try:
+        assert dispatch(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sites" in err and "Traceback" not in err
+    assert peak < 16 << 20
 
 
 def test_oversized_minset_verify_exit_code(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -209,6 +210,48 @@ def test_sequential_scan_matches_reference():
             multi_pass += max(expected[2], default=0) > 0
     assert kernels_seen == {"Cascade2D", "InfectionState"}
     assert multi_pass > 30
+
+
+def assert_rounds(spec, trace, first):
+    """``steps`` number the events, and ``round_of[i]`` is the index, counted
+    from ``first``, of the ``round_axis_counts`` entry that counts event i."""
+    assert trace.steps == list(range(len(trace.line_ids)))
+    rows = enumerate(trace.round_axis_counts, start=first)
+    assert trace.round_of == [g for g, row in rows for _ in range(sum(row))]
+    tally = Counter(
+        (g, lid // spec.lines_per_axis) for g, lid in zip(trace.round_of, trace.line_ids)
+    )
+    for g, row in enumerate(trace.round_axis_counts, start=first):
+        assert tuple(tally[g, a] for a in range(spec.d)) == row
+
+
+def test_trace_semantics_on_every_schedule():
+    rng = np.random.default_rng(71)
+    for _ in range(90):
+        spec, codes = random_instance(rng, dims=(1, 4), n_hi=6)
+        for kernel in (new_state, InfectionState):
+            def fresh():
+                return kernel(spec, None, _codes=codes)
+
+            assert_rounds(spec, fresh().run_fifo().trace, 1)
+            tr = fresh().run_fifo(stop_on_percolation=True).trace
+            assert_rounds(spec, tr, 1)
+            assert tr.num_rounds == (tr.round_of[-1] if tr.round_of else 0)
+            assert_rounds(spec, fresh().run_rounds().trace, 1)
+            if spec.d == 2:
+                for stop_rule, start_axis in itertools.product((True, False), (0, 1)):
+                    state = fresh()
+                    state.run_half_steps(stop_rule=stop_rule, start_axis=start_axis)
+                    assert_rounds(spec, state.trace, 0)
+            order = rng.permutation(spec.num_lines).tolist()
+            tr = fresh().run_sequential(order).trace
+            assert tr.round_of == [s // spec.num_lines for s in tr.steps]
+            grown = kernel(spec, ())
+            for code in rng.permutation(spec.num_sites).tolist():
+                grown.grow(code)
+                assert_rounds(spec, grown.trace, 1)
+                if grown.percolated:
+                    break
 
 
 def test_work_bound_counter():

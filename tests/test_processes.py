@@ -171,8 +171,11 @@ class _OneLineAtATime(InfectionState):
         self.sunk: dict[int, list[int]] = {}  # generation round -> sunk line ids
         self.runs: list[tuple] = []  # (lids, stop, saturated, proved, sunk)
 
-    def _saturate_run(self, axis, lids, round_idx, step, sink, stop):
+    def _saturate_run(self, axis, lids, sink, stop):
         thr = self.spec.thresholds
+        # the round of a ``run_rounds`` generation, whose tally the schedule
+        # appends after its last run
+        round_idx = self.trace.num_rounds + 1
         got = self.sunk.setdefault(round_idx, []) if sink is None else []
         done, proved = len(lids), False
         for i, lid in enumerate(lids):
@@ -183,7 +186,7 @@ class _OneLineAtATime(InfectionState):
                 stop and self.spec.d == 2
                 and self._sat_per_axis[axis] + 1 >= thr[1 - axis]
             )
-            self._saturate(lid, round_idx, step + i, None if proves else got)
+            self._saturate(lid, None if proves else got)
             if stop and (proves or self._percolation_proved()):
                 done, proved = i + 1, True
                 break
@@ -201,9 +204,9 @@ class _Recorded(InfectionState):
         super().__init__(*args, **kwargs)
         self.runs: list[tuple] = []
 
-    def _saturate_run(self, axis, lids, round_idx, step, sink, stop):
+    def _saturate_run(self, axis, lids, sink, stop):
         before = len(sink) if sink is not None else 0
-        done, proved = super()._saturate_run(axis, lids, round_idx, step, sink, stop)
+        done, proved = super()._saturate_run(axis, lids, sink, stop)
         got = list(sink)[before:] if sink is not None else None
         self.runs.append((list(lids), stop, done, proved, got))
         return done, proved
@@ -227,10 +230,27 @@ def _same_run(batched, reference):
         assert batched.runs == reference.runs
 
 
+def _count_batches(monkeypatch):
+    """Record (lines, lines saturated) for every call of the dense batch
+    body, which only runs in d >= 3 reach, that builds its arrays rather
+    than handing a short cut run back to one line at a time."""
+    calls = []
+    body = InfectionState._saturate_batch
+
+    def counted(self, axis, lids, sink, stop):
+        done, proved = body(self, axis, lids, sink, stop)
+        if done >= engine.RUN_MIN:
+            calls.append((int(lids.size), done))
+        return done, proved
+
+    monkeypatch.setattr(InfectionState, "_saturate_batch", counted)
+    return calls
+
+
 def test_batched_generations_match_one_line_at_a_time(monkeypatch):
-    monkeypatch.setattr(engine, "RUN_MIN", 1)  # every batch in one step
+    monkeypatch.setattr(engine, "RUN_MIN", 1)  # every 3D batch in one step
+    calls = _count_batches(monkeypatch)
     rng = np.random.default_rng(47)
-    multi_line_batches = 0
     for _ in range(150):
         d = int(rng.integers(1, 4))
         n = int(rng.integers(2, {1: 30, 2: 16, 3: 8}[d]))
@@ -250,10 +270,9 @@ def test_batched_generations_match_one_line_at_a_time(monkeypatch):
             if g > 1:
                 assert sorted(ref.sunk[g - 1]) == lids
         assert not ref.sunk.get(len(rounds))
-        multi_line_batches += sum(c > 1 for row in batched.trace.round_axis_counts for c in row)
 
         if d == 2:
-            # the dense batches, and the 2D count kernel behind
+            # the dense kernel, and the 2D count kernel behind
             # ``run_alternating_2d``, against the one-line reference
             for stop_rule in (True, False):
                 for start_axis in (0, 1):
@@ -270,52 +289,39 @@ def test_batched_generations_match_one_line_at_a_time(monkeypatch):
                     assert isinstance(ref, _OneLineAtATime)
                     _same_run(counted, ref)
                     assert lc == ref_lc
-    assert multi_line_batches > 100
+    assert sum(size > 1 for size, _ in calls) > 400
 
 
 def test_sliced_batches_match_whole_batches(monkeypatch):
-    # a batch split into slices of one or two lines must leave the state,
+    # a 3D batch split into slices of one or two lines must leave the state,
     # the trace and the plane tallies exactly as the whole batch does
     monkeypatch.setattr(engine, "RUN_MIN", 1)
+    calls = _count_batches(monkeypatch)
     rng = np.random.default_rng(53)
-    instances = []
-    for n, d in ((12, 2), (5, 3)):  # a 2 x .. x 2 block: batches of 9 to 12 lines
-        spec = GridSpec.uniform(n, d, 2)
-        instances.append((spec, encode_points(spec, block(2, d))))
-    instances += [random_instance(rng) for _ in range(60)]
+    spec = GridSpec.uniform(5, 3, 2)  # a 2 x 2 x 2 block fills whole planes
+    instances = [(spec, encode_points(spec, block(2, 3)))]
+    instances += [random_instance(rng, dims=(3, 3)) for _ in range(60)]
     split = 0
     for spec, codes in instances:
         rows = int(rng.integers(1, 3))
-
-        # the dense kernel for every d: the 2D count kernel has no batches
-        def rounds():
-            return InfectionState(spec, None, _codes=codes).run_rounds(), None
-
-        def half_steps(stop_rule):
-            state = InfectionState(spec, None, _codes=codes)
-            return state, state.run_half_steps(stop_rule=stop_rule)
-
-        runs = [rounds]
-        if spec.d == 2:
-            runs += [lambda: half_steps(True), lambda: half_steps(False)]
-        for run in runs:
-            whole, whole_extra = run()
-            with monkeypatch.context() as m:
-                m.setattr(engine, "BATCH_ELEMS", rows * spec.n)
-                sliced, sliced_extra = run()
-            _same_run(sliced, whole)
-            assert sliced_extra == whole_extra
-            split += any(c > rows for row in whole.trace.round_axis_counts for c in row)
-    assert split > 20
+        first = len(calls)
+        whole = InfectionState(spec, None, _codes=codes).run_rounds()
+        mid = len(calls)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "BATCH_ELEMS", rows * spec.n)
+            sliced = InfectionState(spec, None, _codes=codes).run_rounds()
+        _same_run(sliced, whole)
+        split += len(calls) - mid > mid - first
+    assert split > 35
 
 
 def test_drain_runs_match_one_line_at_a_time(monkeypatch):
     # the FIFO queue hands the kernel runs of parallel lines; batched, cut at
     # a proof and sliced down to one or two lines, they must leave the
     # state, the trace, the sinks and the stop as one line at a time does
+    calls = _count_batches(monkeypatch)
     rng = np.random.default_rng(61)
-    batched_runs = cut_runs = 0
-    for it in range(120):
+    for it in range(240):
         d = int(rng.integers(1, 4))
         n = int(rng.integers(2, {1: 30, 2: 16, 3: 9}[d]))
         thresholds = tuple(int(x) for x in rng.integers(1, 5, size=d))
@@ -332,14 +338,12 @@ def test_drain_runs_match_one_line_at_a_time(monkeypatch):
             m.setattr(engine, "RUN_MIN", run_min)
             if rows:
                 m.setattr(engine, "BATCH_ELEMS", rows * n)
-            refs = []
             for stop in (False, True):
                 batched = _Recorded(spec, None, _codes=codes)
                 ref = _OneLineAtATime(spec, None, _codes=codes)
                 batched.run_fifo(stop_on_percolation=stop)
                 ref.run_fifo(stop_on_percolation=stop)
                 _same_run(batched, ref)
-                refs.append(ref)
             # every grow prefix, the seeds in a random order
             batched, ref = _Recorded(spec, ()), _OneLineAtATime(spec, ())
             for code in rng.permutation(spec.num_sites).tolist():
@@ -347,11 +351,8 @@ def test_drain_runs_match_one_line_at_a_time(monkeypatch):
                 _same_run(batched, ref)
                 if ref.percolated:
                     break
-            refs.append(ref)
-        for lids, _, done, proved, _ in (r for ref in refs for r in ref.runs):
-            batched_runs += max(2, run_min) <= len(lids)
-            cut_runs += done < len(lids)
-    assert batched_runs > 200 and cut_runs > 10
+    assert sum(size > 1 for size, _ in calls) > 800
+    assert sum(done < size for size, done in calls) > 12
 
 
 def test_sequential_equivalence():

@@ -6,7 +6,7 @@ from scipy.stats import beta
 
 from lineperc import GridSpec, InputError, TrialSeed, critical_p_of_sample, sample_initial
 from lineperc.engine import percolation_run
-from lineperc.sampling import realize_coupled, sample_codes
+from lineperc.sampling import MAX_DRAWN_SITES, realize_coupled, sample_codes
 
 
 def test_sample_extremes():
@@ -15,6 +15,17 @@ def test_sample_extremes():
     assert len(sample_initial(spec, 1.0, TrialSeed(1, 0))) == 36
     with pytest.raises(InputError):
         sample_initial(spec, 1.5, TrialSeed(1, 0))
+
+
+def test_sample_size_bound():
+    # refused before the draw, the whole-grid ``arange`` included
+    seed = TrialSeed(1, 0)
+    for spec, p in ((GridSpec.uniform(8_000_000, 2, 2), 0.1),
+                    (GridSpec.uniform(MAX_DRAWN_SITES + 1, 1, 1), 1.0)):
+        with pytest.raises(InputError, match="sites"):
+            sample_codes(spec, p, seed)
+        with pytest.raises(InputError, match="sites"):
+            next(realize_coupled(spec, seed, cap0=p))
 
 
 def test_sample_mean_matches_binomial():
