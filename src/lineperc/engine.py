@@ -7,12 +7,13 @@ reaches its threshold.  Two kernels keep those counts.
 
 The schedules live once, on the base ``_Cascade``: ``run_fifo``,
 ``run_rounds``, ``run_half_steps``, ``run_sequential`` and ``grow``.  The
-closure is monotone in the seed set, so ``grow`` adds seeds one at a time and
-every line saturates at most once over the whole growth.  A kernel only
-counts: it supplies its counts and ``_ready_lines``, ``_is_ready``,
-``_saturate(lid, sink)`` (one line) and ``_add_seed`` (one grown seed); it
-may batch ``_saturate_run(axis, lids, sink, stop)``, which by default takes a
-run of parallel lines one line at a time.  Only the schedules write the trace.
+closure is monotone in the seed set, so ``grow`` adds an array of seeds in
+order and every line saturates at most once over the whole growth.  A kernel
+only counts: it supplies its counts and ``_ready_lines``, ``_is_ready``,
+``_saturate(lid, sink)`` (one line) and ``_add_seeds(codes)`` (the grown seeds
+up to the first that makes a line ready); it may batch
+``_saturate_run(axis, lids, sink, stop)``, which by default takes a run of
+parallel lines one line at a time.  Only the schedules write the trace.
 
 The FIFO queue is drained in runs: the longest head of the queue whose lines
 share an axis, ascend in id and belong to the current round.  Parallel lines
@@ -132,12 +133,13 @@ class _Cascade:
     ``saturated`` and ``line_count`` (arrays over line ids),
     ``infected_total`` and ``_sat_per_axis``; and the operations
     ``_ready_lines``, ``_is_ready``, ``_saturate(lid, sink)`` and
-    ``_add_seed``.  It may override ``_saturate_run(axis, lids, sink, stop)``
-    with a batched equivalent.  The schedules alone write the trace.
+    ``_add_seeds(codes)``.  It may override
+    ``_saturate_run(axis, lids, sink, stop)`` with a batched equivalent.  The
+    schedules alone write the trace.
 
     Construction seeds the state from the initial set; one of the ``run_*``
     methods then advances the cascade.  Alternatively a state built from no
-    seeds takes them one at a time through ``grow``.  A single state is
+    seeds takes them, in order, through ``grow``.  A single state is
     single-threaded; distinct states are independent.
     """
 
@@ -367,37 +369,54 @@ class _Cascade:
                 return i + 1, True
         return len(lids), False
 
-    def grow(self, code: int) -> bool:
-        """Add the seed with point code ``code`` and continue the FIFO
-        cascade, stopping early once percolation is proved.
+    def grow(self, codes) -> int:
+        """Add the seeds with point codes ``codes``, in order, continuing the
+        FIFO cascade after each, and stop at the first seed after which
+        percolation is proved.
 
         Only for a state built from no seeds and advanced by ``grow`` alone.
-        Between calls the state is at the fixed point of the seeds so far,
-        so every line saturates at most once over the whole growth and
-        ``percolated`` is exact after each call.  Returns ``percolated``;
-        once it is True the state takes no more seeds.
+        Seeds already grown, here or earlier, are skipped.  After each seed
+        the state is at the fixed point of the seeds so far, so every line
+        saturates at most once over the whole growth and ``percolated`` is
+        exact after each call.  Returns the 1-based position in ``codes`` of
+        the seed that proved percolation, or 0 if none did; once one has, the
+        state takes no more seeds.  A code out of range is refused before
+        any seed is added.
         """
         assert self._codes.size == 0 and not self.percolated
         assert self._grown or not self._ran
         t = self._t
-        if not 0 <= code < t.N:
-            raise InputError(f"point code {code} out of range [0, {t.N})")
-        self._ran = True
-        if code in self._initial_set:
-            return False
-        self._initial_set.add(code)
-        self._grown.append(code)
-        ready = self._add_seed(code)
-        if ready is None:
-            # already infected (never by the first seed, so ``percolated``
-            # is already False): its lines counted it when it was infected
-            return False
-        # most seeds make no line ready, and then there is nothing to drain
-        proved = self.infected_total == t.N or (
-            bool(ready) and self._drain(deque(ready), True)
-        )
-        self.percolated = proved
-        return proved
+        codes = np.asarray(codes, dtype=np.int64)
+        bad = (codes < 0) | (codes >= t.N)
+        if bad.any():
+            raise InputError(f"point code {codes[bad][0]} out of range [0, {t.N})")
+        seeded = self._initial_set
+        listed = codes.tolist()
+        at = None  # where each code not grown yet first stands, if not all do
+        if len(set(listed).difference(seeded)) < len(listed):
+            first: dict[int, int] = {}
+            for i, code in enumerate(listed):
+                if code not in seeded:
+                    first.setdefault(code, i)
+            at = np.fromiter(first.values(), dtype=np.int64, count=len(first))
+            codes = codes[at]
+        i = 0
+        while i < codes.size:
+            # a kernel call ends at the first seed that makes a line ready;
+            # covered seeds join the seeds but count nowhere
+            self._ran = True
+            taken, ready = self._add_seeds(codes[i:])
+            grown = codes[i : i + taken].tolist()
+            seeded.update(grown)
+            self._grown.extend(grown)
+            i += taken
+            if self.infected_total == t.N or (
+                ready and self._drain(deque(ready), True)
+            ):
+                self.percolated = True
+                return i if at is None else int(at[i - 1]) + 1
+        self.percolated = False
+        return 0
 
     def run_half_steps(self, *, stop_rule: bool = True, start_axis: int = 0):
         """Alternating single-axis generations (d=2 only).
@@ -622,25 +641,28 @@ class InfectionState(_Cascade):
             total = self.infected_total + np.cumsum(new.sum(axis=1))
             keep = int(np.searchsorted(total, t.N)) + 1
             proved = True
-        sunk = []  # (rows, ids) per crossing axis, in digit order per row
-        for b, base, groups, lines in cross:
-            hit = self._bump(lines, groups, new, None if sink is None else thr[b])
-            if hit is not None:
-                rows, cols = np.divmod(np.flatnonzero(hit[:keep]), n)
-                if rows.size:
-                    sunk.append((rows, base[rows] + t.W_list[b][axis] * cols))
-        if sunk:
-            # by line, then by crossing axis and digit, as one line at a time
-            rows = np.concatenate([r for r, _ in sunk])
-            lines = np.concatenate([q for _, q in sunk])
-            sink.extend(lines[np.argsort(rows, kind="stable")].tolist())
+        if gained:
+            # (a batch that infects no point bumps no counter and sinks nothing)
+            sunk = []  # (rows, ids) per crossing axis, in digit order per row
+            for b, base, groups, lines in cross:
+                hit = self._bump(lines, groups, new, None if sink is None else thr[b])
+                if hit is not None:
+                    rows, cols = np.divmod(np.flatnonzero(hit[:keep]), n)
+                    if rows.size:
+                        sunk.append((rows, base[rows] + t.W_list[b][axis] * cols))
+            if sunk:
+                # by line, then by crossing axis and digit, as one line at a time
+                rows = np.concatenate([r for r, _ in sunk])
+                lines = np.concatenate([q for _, q in sunk])
+                sink.extend(lines[np.argsort(rows, kind="stable")].tolist())
         lids = lids[:keep]
         self.saturated[lids] = True
         self.line_count[lids] = n
         self.infected_total += gained
         self._sat_per_axis[axis] += keep
         if d == 3:
-            self._boosted[axis] += new.sum(axis=0)
+            if gained:
+                self._boosted[axis] += new.sum(axis=0)
             for b, z, fills in planes:
                 z, fills = z[:keep], fills[:keep]
                 self._paral[b, :, axis] += np.bincount(z, minlength=n)
@@ -724,30 +746,47 @@ class InfectionState(_Cascade):
                 if self._full_planes[b] >= thr[b]:
                     self._early_proof = True
 
-    def _add_seed(self, code: int) -> list[int] | None:
-        """Count a new seed on its d lines; return those that reach their
-        threshold, or None if the point is already infected (its lines
-        counted it then)."""
+    def _add_seeds(self, codes: np.ndarray) -> tuple[int, list[int]]:
+        """Count the new seeds ``codes``, in order, on their d lines, up to
+        the first one that brings a line to its threshold.  Returns how many
+        codes were taken and the lines that the last one made ready, in axis
+        order.  A seed already infected counts nowhere: its lines counted it
+        when it was infected.
+
+        No line saturates between two seeds here, so the counter of a line
+        after a seed is its count before plus the seed's 1-based rank among
+        the seeds on the line, and it reaches the threshold exactly once.
+
+        A seed that fills the grid and makes no line ready is the last new
+        code there can be: every threshold then exceeds n, so no line ever
+        saturated and every point is a seed.
+        """
         t = self._t
-        digits = [code // s % t.n for s in t.pstride_list]
-        lids = [
-            off + sum(g * w for g, w in zip(digits, row))
-            for off, row in zip(t.off_list, t.W_list)
-        ]
-        sat = self.saturated
-        if any(sat[lid] for lid in lids):
-            return None
-        self.infected_total += 1
+        digits = t.digits_of(codes)
+        lids = digits @ t.W.T + t.off
+        uncovered = np.flatnonzero(~self.saturated[lids].any(axis=1))
+        m = uncovered.size
+        if m < codes.size:
+            digits, lids = digits[uncovered], lids[uncovered]
+        # seed by seed, its d lines; a line id names its axis too
+        flat = lids.ravel()
+        count = self.line_count[flat] + 1
+        groups = _groups(flat)
+        if groups is not None:
+            order, starts, sizes = groups
+            count[order] += np.arange(flat.size) - np.repeat(starts, sizes)
+        hit = (count == t.thr_line[flat]).reshape(lids.shape)
+        stop = int(hit.any(axis=1).argmax()) if hit.any() else m
+        taken, ready = codes.size, []
+        if stop < m:
+            taken, ready = int(uncovered[stop]) + 1, lids[stop][hit[stop]].tolist()
+            m = stop + 1
+        np.add.at(self.line_count, lids[:m].ravel(), 1)
+        self.infected_total += m
         seeds_on = self._seed_index()
-        lc = self.line_count
-        thr = self.spec.thresholds
-        ready = []
-        for axis, lid in enumerate(lids):
-            seeds_on.setdefault(lid, []).append(digits[axis])
-            lc[lid] += 1
-            if lc[lid] == thr[axis]:
-                ready.append(lid)
-        return ready
+        for lid, digit in zip(lids[:m].ravel().tolist(), digits[:m].ravel().tolist()):
+            seeds_on.setdefault(lid, []).append(digit)
+        return taken, ready
 
 
 class Cascade2D(_Cascade):
@@ -896,24 +935,32 @@ class Cascade2D(_Cascade):
             free[[q - off for q in crossed]] = False
             sink.extend((off + np.flatnonzero(free)).tolist())
 
-    def _add_seed(self, code: int) -> list[int] | None:
-        """Count a new seed in s of its two lines; return those that reach
-        their threshold, or None if the point is already infected."""
+    def _add_seeds(self, codes: np.ndarray) -> tuple[int, list[int]]:
+        """Count the new seeds ``codes``, in order, in s of their two lines, up
+        to the first one that brings a line to its threshold; return how many
+        were taken and the lines the last one made ready.  A seed already
+        infected counts nowhere.  As in the dense kernel, a seed that fills
+        the grid and makes no line ready is the last new code."""
         n = self._t.n
-        g0, g1 = divmod(int(code), n)
-        if g1 in self._sat[0] or n + g0 in self._sat[1]:
-            return None
-        self._uncovered += 1
         C = self._sat_per_axis
         thr = self.spec.thresholds
-        ready = []
-        for a, lid, digit in ((0, g1, g0), (1, n + g0, g1)):
-            self._seeds_on.setdefault(lid, []).append(digit)
-            v = self._s[a].get(lid, 0) + 1
-            self._set_s(a, lid, v)
-            if C[1 - a] + v == thr[a]:
-                ready.append(lid)
-        return ready
+        sat0, sat1 = self._sat
+        seeds_on = self._seeds_on
+        for i, code in enumerate(codes.tolist()):
+            g0, g1 = divmod(code, n)
+            if g1 in sat0 or n + g0 in sat1:
+                continue
+            self._uncovered += 1
+            ready = []
+            for a, lid, digit in ((0, g1, g0), (1, n + g0, g1)):
+                seeds_on.setdefault(lid, []).append(digit)
+                v = self._s[a].get(lid, 0) + 1
+                self._set_s(a, lid, v)
+                if C[1 - a] + v == thr[a]:
+                    ready.append(lid)
+            if ready:
+                return i + 1, ready
+        return codes.size, []
 
 
 # ---------------------------------------------------------------------------
@@ -922,17 +969,20 @@ class Cascade2D(_Cascade):
 
 
 def _groups(base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Group equal values of ``base``: the stable order that puts each group
-    together, and the start and size of each group in that order; None when
-    all values differ."""
-    order = np.argsort(base, kind="stable")
-    key = base[order]
-    head = np.ones(base.size, dtype=bool)  # first of its group, in that order
-    np.not_equal(key[1:], key[:-1], out=head[1:])
-    if head.all():
+    """Group equal values of ``base``, nonnegative ints: the stable order that
+    puts each group together, and the start and size of each group in that
+    order; None when all values differ."""
+    size = base.size
+    # distinct keys (value, position) sort alike by any algorithm, and numpy's
+    # plain sort beats its stable argsort, fivefold on thousands of values
+    value, order = np.divmod(np.sort(base * size + np.arange(size)), size)
+    head = np.empty(size + 1, dtype=bool)  # a group starts here, or the end
+    head[0] = head[size] = True
+    np.not_equal(value[1:], value[:-1], out=head[1:size])
+    bounds = np.flatnonzero(head)
+    if bounds.size > size:
         return None
-    starts = np.flatnonzero(head)
-    return order, starts, np.diff(starts, append=base.size)
+    return order, bounds[:-1], bounds[1:] - bounds[:-1]
 
 
 def new_state(

@@ -147,7 +147,7 @@ def _theta_chunk(args) -> list[bool]:
         codes = sample_codes(spec, p, TrialSeed(master_seed, i))
         state = percolation_run(spec, codes)
         if state.percolated and checks and spec.d == 2 and spec.is_uniform:
-            check_2d_process_properties(spec, codes, state)
+            check_2d_process_properties(spec, codes)
         out.append(bool(state.percolated))
     return out
 
@@ -158,11 +158,7 @@ def _pc_chunk(args) -> list[tuple[float, bool]]:
     for i in range(lo, hi):
         pc = critical_p_of_sample(spec, TrialSeed(master_seed, i))
         if checks and not pc.degenerate and spec.d == 2 and spec.is_uniform:
-            # the checks read FIFO generations, which a grown state lacks
-            codes = pc.witness._initial_codes
-            state = percolation_run(spec, codes)
-            assert state.percolated
-            check_2d_process_properties(spec, codes, state)
+            check_2d_process_properties(spec, pc.witness._initial_codes)
         out.append((pc.p_star, pc.degenerate))
     return out
 
@@ -194,35 +190,36 @@ def _chunk_ranges(trials: int, workers: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def check_2d_process_properties(spec: GridSpec, codes, state) -> None:
-    """Invariant checks on a percolating 2D run.
+def check_2d_process_properties(spec: GridSpec, codes) -> None:
+    """Invariant checks on a percolating 2D seed set.
 
-    The synchronous process needs at most 2r+1 rounds when percolation
-    occurs: once one axis holds enough parallel saturated lines (round g of
-    the early-stopped run), every perpendicular line saturates by round g+1
-    and the rest by round g+2.  If the cheap bound is inconclusive the exact
-    synchronous run decides.  The stopped alternating run must classify as
-    exactly one of horizontal/vertical line-count.  A seed set that is the
-    whole grid percolates with no line saturated when r > n, and the process
-    statements are about the other sets, so it is not checked.
+    The stopped alternating run must classify as exactly one of
+    horizontal/vertical line-count, which also proves that the set
+    percolates.  The synchronous process needs at most 2r+1 rounds.  After k
+    rounds it has saturated every line that the alternating run has after k
+    half-steps (by induction on k: line counts are monotone in the saturated
+    lines), so it holds the stop rule's r parallel lines by round h, the
+    number of half-steps of the stopped run; every perpendicular line then
+    saturates in round h+1 and the rest by round h+2.  If h+2 exceeds 2r+1
+    the exact synchronous run decides.  A seed set that is the whole grid
+    percolates with no line saturated when r > n, and the process statements
+    are about the other sets, so it is not checked.
     """
     r = spec.r
     if len(codes) == spec.num_sites:
         return
-    if state.trace.line_ids:
-        rounds_bound = state.trace.num_rounds + 2
-        if rounds_bound > 2 * r + 1:
-            from .processes import run_synchronous
-
-            _, trace = run_synchronous(spec, None, _codes=codes)
-            assert trace.num_rounds <= 2 * r + 1, (
-                f"synchronous rounds {trace.num_rounds} > {2 * r + 1}"
-            )
-    _, lc = run_alternating_2d(spec, None, stop_rule=True, _codes=codes)
+    state, lc = run_alternating_2d(spec, None, stop_rule=True, _codes=codes)
     cls = classify_line_count(lc, r)
     assert cls in (LineCountClass.HORIZONTAL, LineCountClass.VERTICAL), (
         f"percolating run classified {cls} with line-count {lc}"
     )
+    if state.trace.num_rounds + 2 > 2 * r + 1:
+        from .processes import run_synchronous
+
+        _, trace = run_synchronous(spec, None, _codes=codes)
+        assert trace.num_rounds <= 2 * r + 1, (
+            f"synchronous rounds {trace.num_rounds} > {2 * r + 1}"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,6 @@ class _SpecTables:
         )
         # plain-int copies for per-point scalar arithmetic, where numpy's
         # per-call overhead would dominate
-        self.pstride_list = self.pstride.tolist()
         self.off_list = self.off.tolist()
         self.W_list = W.tolist()
 

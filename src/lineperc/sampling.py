@@ -15,8 +15,10 @@ field exactly without touching all n^d sites.
 p* is found in one pass in weight order (the add-one-site sweep of Newman &
 Ziff, PRL 85, 4104 (2000)): the realized sites are fed, lightest first, into a
 single growing cascade, which stops at the first site after which
-percolation is proved.  Because the closure is monotone in the seed set, each
-line saturates at most once per trial.
+percolation is proved.  Each cap's new sites are grown as one array, and the
+kernel counts the seeds between two cascades in one step.  Because the
+closure is monotone in the seed set, each line saturates at most once per
+trial.
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ def critical_p_of_sample(
 
     Found in one pass in weight order: the caps of ``realize_coupled`` are
     visited in turn, and each cap's new sites, all heavier than the sites
-    before them, are grown one by one into a single cascade state.  p*
+    before them, are grown in weight order into a single cascade state.  p*
     is the weight of the first site after which the grown cascade proves
     percolation; the state was at a non-percolating fixed point just before
     it, which certifies percolates(A_{p*}) and not percolates(A_{p*-eps}).
@@ -202,11 +204,11 @@ def critical_p_of_sample(
     caps = 0
     for sample in realize_coupled(spec, seed, cap0=cap0):
         caps += 1
-        for k, code in enumerate(sample.codes[fed:].tolist(), start=fed + 1):
-            if state.grow(code):
-                return PcSample(
-                    float(sample.weights[k - 1]), False, seed,
-                    int(sample.codes.size), caps, state,
-                )
+        k = state.grow(sample.codes[fed:])
+        if k:
+            return PcSample(
+                float(sample.weights[fed + k - 1]), False, seed,
+                int(sample.codes.size), caps, state,
+            )
         fed = sample.codes.size
     raise AssertionError("the full grid always percolates at cap 1.0")

@@ -105,7 +105,7 @@ def test_every_grow_prefix_matches_dense(instance):
     fast = Cascade2D(spec, ())
     dense = InfectionState(spec, ())
     for code in codes.tolist():
-        assert fast.grow(code) == dense.grow(code)
+        assert fast.grow([code]) == dense.grow([code])
         assert_same(fast, dense)
         if fast.percolated:
             break

@@ -1,5 +1,5 @@
 import itertools
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from lineperc import (
     percolates,
 )
 from lineperc.engine import (
+    Cascade2D,
     InfectionState,
     closure_from_codes,
     new_state,
@@ -248,7 +249,7 @@ def test_trace_semantics_on_every_schedule():
             assert tr.round_of == [s // spec.num_lines for s in tr.steps]
             grown = kernel(spec, ())
             for code in rng.permutation(spec.num_sites).tolist():
-                grown.grow(code)
+                grown.grow([code])
                 assert_rounds(spec, grown.trace, 1)
                 if grown.percolated:
                     break
@@ -320,7 +321,7 @@ def test_grown_state_matches_fresh_cascade():
         spec, codes = random_instance(rng, n_hi=6)
         state = InfectionState(spec, ())
         for k, code in enumerate(codes.tolist(), start=1):
-            proved = state.grow(code)
+            proved = state.grow([code]) == 1
             assert state.percolated == proved
             state.trace.check()
             if proved:
@@ -349,8 +350,8 @@ def test_grow_proves_whole_grid_below_threshold():
     for spec in (GridSpec(3, 1, (4,)), GridSpec(2, 2, (3, 5)), GridSpec(2, 3, (3, 3, 3))):
         for kernel in (new_state, InfectionState):
             state = kernel(spec, ())
-            grown = [state.grow(code) for code in range(spec.num_sites)]
-            assert grown == [False] * (spec.num_sites - 1) + [True]
+            grown = [state.grow([code]) for code in range(spec.num_sites)]
+            assert grown == [0] * (spec.num_sites - 1) + [1]
             assert state.trace.line_ids == []
 
 
@@ -358,10 +359,116 @@ def test_grow_rejects_bad_codes_and_ignores_repeats():
     spec = GridSpec.uniform(4, 2, 2)
     state = InfectionState(spec, ())
     with pytest.raises(InputError):
-        state.grow(16)
-    assert state.grow(0) is False
-    assert state.grow(0) is False
+        state.grow([16])
+    assert state.grow([0]) == 0
+    assert state.grow([0]) == 0
     assert state.infected_total == 1 and state._initial_codes.tolist() == [0]
+    # a bad code anywhere refuses the whole array before any seed is added
+    with pytest.raises(InputError):
+        state.grow([5, -1])
+    assert state.infected_total == 1 and state._initial_codes.tolist() == [0]
+
+
+class _OneSeedAtATime(InfectionState):
+    """Reference: the per-seed ingest that the array ingest replaced.  Each
+    code goes through its own grow step, which counts the seed on its lines
+    one at a time and drains the lines it makes ready."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.covered = 0  # seeds grown on a saturated line
+
+    def grow(self, codes):
+        for k, code in enumerate(np.asarray(codes, dtype=np.int64).tolist(), start=1):
+            if self._grow_one(code):
+                return k
+        return 0
+
+    def _grow_one(self, code):
+        assert self._codes.size == 0 and not self.percolated
+        t = self._t
+        if not 0 <= code < t.N:
+            raise InputError(f"point code {code} out of range [0, {t.N})")
+        self._ran = True
+        if code in self._initial_set:
+            return False
+        self._initial_set.add(code)
+        self._grown.append(code)
+        digits = [code // s % t.n for s in t.pstride.tolist()]
+        lids = [
+            off + sum(g * w for g, w in zip(digits, row))
+            for off, row in zip(t.off_list, t.W_list)
+        ]
+        if any(self.saturated[lid] for lid in lids):
+            self.covered += 1  # already infected: its lines counted it then
+            return False
+        self.infected_total += 1
+        seeds_on = self._seed_index()
+        ready = []
+        for axis, lid in enumerate(lids):
+            seeds_on.setdefault(lid, []).append(digits[axis])
+            self.line_count[lid] += 1
+            if self.line_count[lid] == self.spec.thresholds[axis]:
+                ready.append(lid)
+        proved = self.infected_total == t.N or (
+            bool(ready) and self._drain(deque(ready), True)
+        )
+        self.percolated = proved
+        return proved
+
+
+def _same_growth(state, ref):
+    for name in ("line_ids", "steps", "round_of", "round_axis_counts"):
+        assert getattr(state.trace, name) == getattr(ref.trace, name), name
+    assert np.array_equal(state.line_count, ref.line_count)
+    assert np.array_equal(state.saturated, ref.saturated)
+    assert state.infected_total == ref.infected_total
+    assert list(state._sat_per_axis) == ref._sat_per_axis
+    assert state.percolated == ref.percolated
+    assert state._grown == ref._grown and state._initial_set == ref._initial_set
+    index = state._seeds_on if isinstance(state, Cascade2D) else state._seed_index()
+    assert index == ref._seed_index()
+    if isinstance(state, InfectionState) and state.spec.d == 3:
+        assert np.array_equal(state._paral, ref._paral)
+        assert np.array_equal(state._boosted, ref._boosted)
+        assert np.array_equal(state._plane_full, ref._plane_full)
+        assert state._full_planes == ref._full_planes
+        assert state._early_proof == ref._early_proof
+
+
+def test_array_ingest_matches_one_seed_at_a_time():
+    # random code sequences, cut into random chunks, grow the same states on
+    # both ingests: d = 1..4, uniform and mixed thresholds (some above n, so
+    # that only a full grid proves), covered seeds and repeated codes
+    rng = np.random.default_rng(83)
+    flips = repeats = covered = fills = 0
+    for it in range(240):
+        d = 1 + it % 4
+        n = int(rng.integers(2, {1: 30, 2: 14, 3: 8, 4: 5}[d]))
+        thresholds = tuple(int(x) for x in rng.integers(1, n + 3, size=d))
+        if it % 3 == 0:
+            thresholds = (thresholds[0],) * d
+        spec = GridSpec(n, d, thresholds)
+        size = int(rng.integers(1, 2 * spec.num_sites + 1))
+        if it % 2:
+            codes = rng.integers(0, spec.num_sites, size=size)
+        else:
+            codes = rng.permutation(spec.num_sites)
+        repeats += len(set(codes.tolist())) < codes.size
+        kernels = [InfectionState] + ([Cascade2D] if d == 2 else [])
+        for kernel in kernels:
+            state, ref = kernel(spec, ()), _OneSeedAtATime(spec, ())
+            lo = 0
+            while lo < codes.size and not ref.percolated:
+                hi = lo + int(rng.integers(1, 2 * n + 1))
+                assert state.grow(codes[lo:hi]) == ref.grow(codes[lo:hi])
+                _same_growth(state, ref)
+                lo = hi
+            flips += bool(ref.percolated)
+            covered += ref.covered
+            # a grid filled with no line saturated
+            fills += bool(ref.percolated) and not ref.trace.line_ids
+    assert flips > 150 and repeats > 100 and covered > 1000 and fills > 10
 
 
 def test_initial_out_of_range():

@@ -113,9 +113,9 @@ def test_process_checks_see_the_flip_prefix(monkeypatch):
     seen = []
     check = estimator.check_2d_process_properties
 
-    def recording(spec_, codes, state):
+    def recording(spec_, codes):
         seen.append(np.sort(codes))
-        check(spec_, codes, state)
+        check(spec_, codes)
 
     monkeypatch.setattr(estimator, "check_2d_process_properties", recording)
     estimate_pc(spec, 25, 123, workers=1)

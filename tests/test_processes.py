@@ -65,6 +65,37 @@ def test_synchronous_round_bound_on_percolating_runs():
     assert checked > 10
 
 
+def test_synchronous_rounds_trail_alternating_half_steps():
+    # the bound that check_2d_process_properties uses: after k half-steps the
+    # alternating run's saturated lines are among those after k synchronous
+    # rounds, so the synchronous run ends by the stopped run's h + 2
+    rng = np.random.default_rng(71)
+    checked = 0
+    for _ in range(400):
+        n = int(rng.integers(3, 31))
+        spec = GridSpec.uniform(n, 2, int(rng.integers(1, 6)))
+        k = int(rng.binomial(spec.num_sites, rng.uniform(0.02, 0.5)))
+        codes = rng.choice(spec.num_sites, size=k, replace=False).astype(np.int64)
+        sync, trace = run_synchronous(spec, None, _codes=codes)
+        if not sync.percolated or k == spec.num_sites:
+            continue
+        for start_axis in (0, 1):
+            alt, _ = run_alternating_2d(
+                spec, None, stop_rule=True, start_axis=start_axis, _codes=codes
+            )
+            assert alt.percolated
+            h = alt.trace.num_rounds
+            assert trace.num_rounds <= h + 2
+            # half-steps are numbered from 0, generations from 1
+            alt_events = list(zip(alt.trace.line_ids, alt.trace.round_of))
+            sync_events = list(zip(trace.line_ids, trace.round_of))
+            for half in range(1, h + 1):
+                done = {q for q, g in alt_events if g < half}
+                assert done <= {q for q, g in sync_events if g <= half}
+        checked += 1
+    assert checked > 100
+
+
 def test_alternating_stop_rule_example():
     spec = GridSpec.uniform(8, 2, 3)
     state, lc = run_alternating_2d(spec, block(3, 2))
@@ -347,7 +378,7 @@ def test_drain_runs_match_one_line_at_a_time(monkeypatch):
             # every grow prefix, the seeds in a random order
             batched, ref = _Recorded(spec, ()), _OneLineAtATime(spec, ())
             for code in rng.permutation(spec.num_sites).tolist():
-                assert batched.grow(code) == ref.grow(code)
+                assert batched.grow([code]) == ref.grow([code])
                 _same_run(batched, ref)
                 if ref.percolated:
                     break
