@@ -20,14 +20,12 @@ from .engine import (
     percolates,
 )
 from .estimator import (
-    SUPERCRITICAL,
     PcEstimate,
     SlopeFit,
     ThetaEstimate,
     estimate_pc,
     estimate_theta,
     fit_exponent,
-    regime_of,
     wilson_interval,
 )
 from .grid import (
@@ -78,11 +76,13 @@ from .sampling import (
     sample_initial,
 )
 from .theory import (
+    SUPERCRITICAL,
     TheoryReport,
     check_binomial_bounds,
     gamma_of_r,
     lambda_r,
     predicted_theta2,
+    regime_of,
     s_of_r,
     theory_report,
 )

@@ -104,6 +104,14 @@ def _int_list(text: str, what: str) -> list[int]:
         ) from None
 
 
+def _seed(seed: int) -> int:
+    """A master seed: one Philox key word, so seeds outside [0, 2^64) would
+    alias others."""
+    if not 0 <= seed < 2**64:
+        raise InputError(f"--seed must lie in [0, 2^64), got {seed}")
+    return seed
+
+
 def _spec_from_args(args) -> GridSpec:
     if getattr(args, "thresholds", None):
         thr = tuple(_int_list(args.thresholds, "--thresholds"))
@@ -189,7 +197,7 @@ def cmd_theta(args) -> int:
     spec = _spec_from_args(args)
     p = parse_p_expression(args.p, spec.n)
     workers = _resolve_threads(args)
-    est = estimate_theta(spec, p, args.trials, args.seed, workers=workers)
+    est = estimate_theta(spec, p, args.trials, _seed(args.seed), workers=workers)
     print(f"theta run: {est.wall_seconds:.2f}s", file=sys.stderr)
     rec = _base_record(spec, "theta")
     rec.update(est.to_json_dict())
@@ -203,7 +211,7 @@ def cmd_theta(args) -> int:
 def cmd_pc(args) -> int:
     spec = _spec_from_args(args)
     workers = _resolve_threads(args)
-    est = estimate_pc(spec, args.trials, args.seed, workers=workers)
+    est = estimate_pc(spec, args.trials, _seed(args.seed), workers=workers)
     print(f"pc run: {est.wall_seconds:.2f}s", file=sys.stderr)
     rec = _base_record(spec, "pc")
     rec.update(est.to_json_dict())
@@ -296,7 +304,7 @@ def _sweep_config(args) -> SweepConfig:
         thresholds=thr,
         n_list=_int_list(n_list, "n list"),
         trials=trials,
-        master_seed=seed,
+        master_seed=_seed(seed),
         p_rule=pick(args.p_rule, "p_rule"),
         fit=args.fit or cfg.get("fit") in ("1", "true", "yes"),
         csv_path=pick(args.csv, "csv"),
@@ -356,6 +364,7 @@ def cmd_theory(args) -> int:
 def cmd_preface_stats(args) -> int:
     if args.trials < 1:
         raise InputError(f"--trials must be >= 1, got {args.trials}")
+    _seed(args.seed)
     spec = GridSpec.uniform(args.n, 2, args.r)
     p = parse_p_expression(args.p, spec.n)
     s = s_of_r(args.r) if args.r >= 2 else 0
@@ -385,6 +394,7 @@ def cmd_preface_stats(args) -> int:
 def cmd_plane_stats(args) -> int:
     if args.trials < 1:
         raise InputError(f"--trials must be >= 1, got {args.trials}")
+    _seed(args.seed)
     spec = GridSpec.uniform(args.n, 3, args.r)
     p = parse_p_expression(args.p, spec.n)
     g = float(gamma_of_r(args.r))
@@ -451,8 +461,7 @@ def cmd_minset(args) -> int:
     # verify
     if args.samples < 0:
         raise InputError(f"--samples must be >= 0, got {args.samples}")
-    if not 0 <= args.seed < 2**64:
-        raise InputError(f"--seed must lie in [0, 2^64), got {args.seed}")
+    _seed(args.seed)
     spec = GridSpec.uniform(args.n, args.d, args.r)
     # each sample permutes all n^d sites and certifies its closure
     require_small_grid(spec, "minset verify")

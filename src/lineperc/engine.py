@@ -10,10 +10,17 @@ The schedules live once, on the base ``_Cascade``: ``run_fifo``,
 closure is monotone in the seed set, so ``grow`` adds an array of seeds in
 order and every line saturates at most once over the whole growth.  A kernel
 only counts: it supplies its counts and ``_ready_lines``, ``_is_ready``,
-``_saturate(lid, sink)`` (one line) and ``_add_seeds(codes)`` (the grown seeds
-up to the first that makes a line ready); it may batch
-``_saturate_run(axis, lids, sink, stop)``, which by default takes a run of
-parallel lines one line at a time.  Only the schedules write the trace.
+``_saturate(lid, sink)`` (one line), ``_fill_line(lid)`` (the early proof) and
+``_add_seeds(codes)`` (the grown seeds up to the first that makes a line
+ready); it may batch ``_saturate_run(axis, lids, sink, stop)``, which by
+default takes a run of parallel lines one line at a time.  Only the schedules
+write the trace.
+
+Runs that stop on percolation (``run_fifo(stop_on_percolation=True)``,
+``grow``) prove it by full flats in every d: a flat with free axes S is full
+when it is a saturated line, or when thr[e] of its slices x_e = z are full
+for some e in S, as each of its axis-e lines then saturates.  The grid
+percolates once it is full, or once its last point is infected.
 
 The FIFO queue is drained in runs: the longest head of the queue whose lines
 share an axis, ascend in id and belong to the current round.  Parallel lines
@@ -34,12 +41,13 @@ infected point, so a line is ready at the moment its counter equals its
 threshold, and at no other time.  In d >= 3 its ``_saturate_run`` takes runs
 of ``RUN_MIN`` or more lines as batches of array operations, cut into slices
 of at most ``BATCH_ELEMS`` points to bound memory.  A batch cuts itself at the
-first line after which percolation is proved, and bumps the crossing
-counters by column sums over each group of batch lines that share their
-crossing lines, whose ids it builds once per group.  A run of a few lines
-costs less one line at a time, because a batch pays a fixed cost of a few
-tens of numpy calls.  Runs in d <= 2 always go one line at a time: a 1D grid
-has one line, and every 2D cascade outside the tests runs on ``Cascade2D``.
+first line after which percolation is proved, and bumps the crossing counters
+by column sums over each group of batch lines that share their crossing lines,
+whose ids it builds once per group (and which share a plane).  A run of a few
+lines costs less one line at a time, because a batch pays a fixed cost of a
+few tens of numpy calls.  Runs in d <= 2 always go one line at a time: a 1D
+grid has one line, and every 2D cascade outside the tests runs on
+``Cascade2D``.
 
 ``Cascade2D``, the count kernel, serves d = 2 and keeps no per-point or
 per-line array.  A point of an axis-a line is infected iff it is a seed or
@@ -60,6 +68,7 @@ of every line each pass) used to cross-check the cascades.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -132,8 +141,8 @@ class _Cascade:
     schedules, ``grow`` among them.  A kernel supplies the counts:
     ``saturated`` and ``line_count`` (arrays over line ids),
     ``infected_total`` and ``_sat_per_axis``; and the operations
-    ``_ready_lines``, ``_is_ready``, ``_saturate(lid, sink)`` and
-    ``_add_seeds(codes)``.  It may override
+    ``_ready_lines``, ``_is_ready``, ``_saturate(lid, sink)``,
+    ``_fill_line(lid)`` and ``_add_seeds(codes)``.  It may override
     ``_saturate_run(axis, lids, sink, stop)`` with a batched equivalent.  The
     schedules alone write the trace.
 
@@ -214,19 +223,6 @@ class _Cascade:
         return {decode_point(self.spec, int(c)) for c in self.infected_codes()}
 
     # -- schedules -----------------------------------------------------------
-
-    def _percolation_proved(self) -> bool:
-        """Sound sufficient conditions; the fixed point is always the fallback.
-        ``_saturate_run`` decides the 2D early stop before the line
-        saturates."""
-        t = self._t
-        if self.infected_total == t.N:
-            return True
-        if t.d == 1:
-            return self._sat_per_axis[0] > 0
-        if t.d == 3:
-            return self._early_proof
-        return False
 
     def _drain(self, queue: deque, stop_on_percolation: bool) -> bool:
         """Saturate queued lines until the queue is empty or, with
@@ -357,15 +353,15 @@ class _Cascade:
         is proved.  Returns the number of lines saturated and whether
         percolation was proved.
 
-        This default takes one line at a time.  The 2D early stop is known
-        before the line saturates, and a run that stops on it reads no sink.
+        This default takes one line at a time.  The kernel's ``_fill_line``
+        tells the flat proof before the line saturates, which then sinks
+        nothing.
         """
-        thr = self.spec.thresholds
-        two_d = stop and self._t.d == 2
+        N = self._t.N
         for i, lid in enumerate(lids):
-            proves = two_d and self._sat_per_axis[axis] + 1 >= thr[1 - axis]
+            proves = stop and self._fill_line(lid)
             self._saturate(lid, None if proves else sink)
-            if stop and (proves or self._percolation_proved()):
+            if stop and (proves or self.infected_total == N):
                 return i + 1, True
         return len(lids), False
 
@@ -461,8 +457,8 @@ class InfectionState(_Cascade):
     """The dense kernel, for every d: a counter and a flag per line.
 
     ``line_count[i]`` is the number of infected points on line i and
-    ``saturated[i]`` whether line i is full.  In 3D it also keeps the plane
-    tallies that ``plane_statistics`` reads and that prove the 3D early stop.
+    ``saturated[i]`` whether line i is full.  Runs that stop also count the
+    full flats, and 3D runs the boosted points that ``plane_statistics`` reads.
     """
 
     def __init__(self, spec: GridSpec, initial, _codes: np.ndarray | None = None):
@@ -484,13 +480,11 @@ class InfectionState(_Cascade):
             self._seed_digits = np.zeros((0, spec.d), dtype=np.int64)
             self._seed_lids = np.zeros((0, spec.d), dtype=np.int64)
         if spec.d == 3:
-            # plane bookkeeping: parallel saturated lines per (normal, offset,
-            # line axis), boosted points per plane, and the early-stop flags
-            self._paral = np.zeros((3, spec.n, 3), dtype=np.int64)
+            # points per plane (normal, offset) first infected by a normal line
             self._boosted = np.zeros((3, spec.n), dtype=np.int64)
-            self._plane_full = np.zeros((3, spec.n), dtype=bool)
-            self._full_planes = [0, 0, 0]
-        self._early_proof = False
+        # ``_flat`` by free-axes mask, for two or more free axes and built on
+        # first use; none are kept where they outnumber the lines
+        self._flats = {} if (t.n + 1) ** t.d <= t.N + 2 * t.L else None
 
     # -- cascade core ---------------------------------------------------------
 
@@ -553,7 +547,6 @@ class InfectionState(_Cascade):
                     sink.extend((base + s * hit).tolist())
         if t.d == 3:
             self._boosted[axis] += new
-            self._tally_planes(axis, g)
 
     def _saturate_run(
         self, axis: int, lids: list[int], sink, stop: bool
@@ -586,30 +579,31 @@ class InfectionState(_Cascade):
         self, axis: int, lids: np.ndarray, sink, stop: bool
     ) -> tuple[int, bool]:
         """The body of ``_saturate_run`` for one batch ``lids`` (an array) of
-        lines in d >= 3, shared by the queue's runs and the generations."""
+        lines in d >= 3, shared by the queue's runs and the generations.  With
+        ``stop`` it is cut at the proving line before its arrays are built."""
         t = self._t
-        n, d, k = t.n, t.d, int(lids.size)
+        n, d = t.n, t.d
         thr = self.spec.thresholds
+        # parallel lines share no point: each gains its uninfected ones
+        total = self.infected_total + np.cumsum(n - self.line_count[lids])
+        proved = stop and int(total[-1]) == t.N  # the grid fills after a line
+        k = int(np.searchsorted(total, t.N)) + 1 if proved else int(lids.size)
         g = np.zeros((k, d), dtype=np.int64)  # digit vectors, 0 at ``axis``
-        rem = lids - t.off_list[axis]
+        rem = lids[:k] - t.off_list[axis]
         for i in reversed(range(d)):
             if i != axis:
                 rem, g[:, i] = np.divmod(rem, n)
-        # the 3D plane proof reads line digits alone: find the first line
-        # after which it holds, and build the (k, n) arrays only up to it
-        planes = self._plane_fills(axis, g) if d == 3 else []
-        first = k
-        if stop:
-            for b, z, fills in planes:
-                need = thr[b] - self._full_planes[b]
-                first = min(first, int(np.searchsorted(np.cumsum(fills), need)))
-        proved = first < k
-        if proved:
-            k = first + 1
-            if k < RUN_MIN:
-                # a short run after all: one line at a time finds the same stop
-                return _Cascade._saturate_run(self, axis, lids[:k].tolist(), sink, stop)
-            lids, g = lids[:k], g[:k]
+        # lines share their axis-b crossing lines iff they share a plane {axis, b}
+        bases = {b: g @ t.W[b] + t.off_list[b] for b in range(d) if b != axis}
+        groups = {b: _groups(base) for b, base in bases.items()}
+        first = k  # the line that fills the grid by the flat rule sinks nothing
+        if stop and self._flats is not None:
+            first = self._fill_lines(axis, g, groups)
+        if first < k:
+            k, proved = first + 1, True
+            bases = {b: base[:k] for b, base in bases.items()}
+            groups = {b: _groups(base) for b, base in bases.items()}
+        lids = lids[:k]
         mask = np.zeros((k, n), dtype=bool)
         index = self._seed_index()
         for row, lid in enumerate(lids.tolist()):
@@ -618,36 +612,26 @@ class InfectionState(_Cascade):
                 mask[row, seeds] = True
         digit = np.arange(n, dtype=np.int64)
         cross = []  # per other axis: (axis, base, groups, crossing ids per group)
-        for b in range(d):
-            if b != axis:
-                base = g @ t.W[b] + t.off_list[b]
-                groups = _groups(base)
-                if groups is None:
-                    lines = base[:, None] + t.W_list[b][axis] * digit
-                    mask |= self.saturated[lines]
-                else:
-                    order, starts, sizes = groups
-                    lines = base[order[starts], None] + t.W_list[b][axis] * digit
-                    row_group = np.empty(k, dtype=np.int64)
-                    row_group[order] = np.repeat(np.arange(starts.size), sizes)
-                    mask |= self.saturated[lines][row_group]
-                cross.append((b, base, groups, lines))
+        for b, base in bases.items():
+            if groups[b] is None:
+                lines = base[:, None] + t.W_list[b][axis] * digit
+                mask |= self.saturated[lines]
+            else:
+                order, starts, sizes = groups[b]
+                lines = base[order[starts], None] + t.W_list[b][axis] * digit
+                row_group = np.empty(k, dtype=np.int64)
+                row_group[order] = np.repeat(np.arange(starts.size), sizes)
+                mask |= self.saturated[lines][row_group]
+            cross.append((b, base, groups[b], lines))
         new = ~mask
-        gained = k * n - int(np.count_nonzero(mask))
-        keep = k
-        if stop and self.infected_total + gained == t.N:
-            # the whole grid is infected after some line; the lines after it
-            # gain no point, so they change no counter and sink nothing
-            total = self.infected_total + np.cumsum(new.sum(axis=1))
-            keep = int(np.searchsorted(total, t.N)) + 1
-            proved = True
+        gained = int(total[k - 1]) - self.infected_total
         if gained:
             # (a batch that infects no point bumps no counter and sinks nothing)
             sunk = []  # (rows, ids) per crossing axis, in digit order per row
             for b, base, groups, lines in cross:
                 hit = self._bump(lines, groups, new, None if sink is None else thr[b])
                 if hit is not None:
-                    rows, cols = np.divmod(np.flatnonzero(hit[:keep]), n)
+                    rows, cols = np.divmod(np.flatnonzero(hit[:first]), n)
                     if rows.size:
                         sunk.append((rows, base[rows] + t.W_list[b][axis] * cols))
             if sunk:
@@ -655,22 +639,13 @@ class InfectionState(_Cascade):
                 rows = np.concatenate([r for r, _ in sunk])
                 lines = np.concatenate([q for _, q in sunk])
                 sink.extend(lines[np.argsort(rows, kind="stable")].tolist())
-        lids = lids[:keep]
+            if d == 3:
+                self._boosted[axis] += new.sum(axis=0)
         self.saturated[lids] = True
         self.line_count[lids] = n
         self.infected_total += gained
-        self._sat_per_axis[axis] += keep
-        if d == 3:
-            if gained:
-                self._boosted[axis] += new.sum(axis=0)
-            for b, z, fills in planes:
-                z, fills = z[:keep], fills[:keep]
-                self._paral[b, :, axis] += np.bincount(z, minlength=n)
-                self._plane_full[b, z[fills]] = True
-                self._full_planes[b] += int(np.count_nonzero(fills))
-                if self._full_planes[b] >= thr[b]:
-                    self._early_proof = True
-        return keep, proved
+        self._sat_per_axis[axis] += k
+        return k, proved
 
     def _bump(
         self, lines: np.ndarray, groups, new: np.ndarray, thr: int | None
@@ -709,42 +684,73 @@ class InfectionState(_Cascade):
         hit[order] = new_g & (run == np.repeat(need, sizes, axis=0))
         return hit
 
-    def _plane_fills(self, axis: int, g: np.ndarray) -> list:
-        """3D plane bookkeeping for a batch of axis-``axis`` lines with digit
-        vectors ``g``, before it is applied: per other axis b, the offsets z
-        of the normal-b planes holding the lines and which lines fill their
-        plane (as ``_tally_planes`` one line at a time would)."""
-        thr = self.spec.thresholds
-        k = g.shape[0]
-        planes = []
-        for b in range(3):
-            if b == axis:
-                continue
-            z = g[:, b]
-            rank = np.zeros(k, dtype=np.int64)  # earlier batch lines in the plane
-            groups = _groups(z)
-            if groups is not None:
-                order, starts, sizes = groups
-                rank[order] = np.arange(k) - np.repeat(starts, sizes)
-            tally = self._paral[b, z, axis] + rank + 1
-            fills = (tally == thr[3 - axis - b]) & ~self._plane_full[b, z]
-            planes.append((b, z, fills))
-        return planes
+    def _flat(self, free: int) -> tuple[list[int], np.ndarray, list]:
+        """The flats with free axes ``free``: strides that index them by fixed
+        digits, full flags, and per free axis e their full slices x_e = z."""
+        if free not in self._flats:
+            d, m = self._t.d, 1
+            strides = [0] * d
+            for i in reversed(range(d)):
+                if not free >> i & 1:
+                    strides[i], m = m, m * self._t.n
+            slices = [np.zeros(m, np.int32) if free >> e & 1 else None for e in range(d)]
+            self._flats[free] = (strides, np.zeros(m, dtype=bool), slices)
+        return self._flats[free]
 
-    def _tally_planes(self, axis: int, g: list[int]) -> None:
-        """3D plane bookkeeping for one saturated line with digit vector g."""
+    def _fill(self, free: int, digits: list[int]) -> bool:
+        """Count the flat with free axes ``free`` through ``digits``, just
+        full, as the slice x_e = digits[e] of each flat one axis e larger,
+        which is full with thr[e] full slices: each of its axis-e lines then
+        holds thr[e] infected points.  Returns whether the grid filled."""
+        if free == (1 << self._t.d) - 1:
+            return True
         thr = self.spec.thresholds
-        for b in range(3):
-            if b == axis:
-                continue
-            c = 3 - axis - b
-            z = g[b]
-            self._paral[b, z, axis] += 1
-            if not self._plane_full[b, z] and self._paral[b, z, axis] >= thr[c]:
-                self._plane_full[b, z] = True
-                self._full_planes[b] += 1
-                if self._full_planes[b] >= thr[b]:
-                    self._early_proof = True
+        proved = False
+        for e in range(self._t.d):
+            if not free >> e & 1:
+                strides, full, slices = self._flat(free | 1 << e)
+                i = sum(map(operator.mul, digits, strides))
+                count = slices[e][i] = slices[e].item(i) + 1
+                if count == thr[e] and not full[i]:
+                    full[i] = True
+                    proved |= self._fill(free | 1 << e, digits)
+        return proved
+
+    def _fill_line(self, lid: int) -> bool:
+        """Count the line ``lid``, about to saturate, in its flats; returns
+        whether it fills the grid."""
+        axis, g = self._t.line_digits(lid)
+        return self._flats is not None and self._fill(1 << axis, g)
+
+    def _fill_lines(self, axis: int, g: np.ndarray, groups: dict) -> int:
+        """``_fill_line`` for the axis-``axis`` lines of digits ``g``, grouped by
+        plane {axis, e} in ``groups[e]``, up to the first that fills the grid:
+        returns its row, or len(g).  Only filled planes go on to ``_fill``."""
+        k = g.shape[0]
+        thr = self.spec.thresholds
+        planes, fills = [], []
+        for e in range(self._t.d):
+            if e != axis:
+                strides, full, slices = self._flat(1 << axis | 1 << e)
+                z = g @ strides
+                # the plane's full slices after each line, earlier lines included
+                count, open_ = slices[e][z] + 1, ~full[z]
+                if groups[e] is not None and open_.any():
+                    order, starts, sizes = groups[e]
+                    count[order] += np.arange(k) - np.repeat(starts, sizes)
+                fills.append((count == thr[e]) & open_)
+                planes.append((1 << axis | 1 << e, z, full, slices[e]))
+        first = k
+        for row, j in zip(*np.nonzero(np.array(fills).T)):
+            if row > first:
+                break
+            free, z, full, _ = planes[j]
+            full[z[row]] = True
+            if self._fill(free, g[row].tolist()):
+                first = int(row)
+        for _, z, _, count in planes:
+            count += np.bincount(z[: first + 1], minlength=count.size)
+        return first
 
     def _add_seeds(self, codes: np.ndarray) -> tuple[int, list[int]]:
         """Count the new seeds ``codes``, in order, on their d lines, up to
@@ -800,9 +806,9 @@ class Cascade2D(_Cascade):
     ``line_count`` and ``infected_total`` are derived when read.
 
     An unsaturated axis-a line is ready iff s >= thr[a] - C[1-a].  Once
-    C[1-a] >= thr[a], which is the 2D early stop for axis 1-a, every
-    unsaturated axis-a line is ready; only a run past that stop ever lists
-    the lines with s = 0, once per axis.
+    C[1-a] >= thr[a], the grid is full by the flat rule: every unsaturated
+    axis-a line is ready, and only a run past that proof ever lists the lines
+    with s = 0, once per axis.
     """
 
     def __init__(self, spec: GridSpec, initial, _codes: np.ndarray | None = None):
@@ -892,6 +898,11 @@ class Cascade2D(_Cascade):
             self._sat_per_axis[1 - a] + self._s[a].get(lid, 0)
             >= self.spec.thresholds[a]
         )
+
+    def _fill_line(self, lid: int) -> bool:
+        """The grid is the only flat above a line, and C counts its slices."""
+        a = lid // self._t.n
+        return self._sat_per_axis[a] + 1 >= self.spec.thresholds[1 - a]
 
     def _saturate(self, lid: int, sink) -> None:
         """Saturate one line: add one to its C, cover its seeds, and append to

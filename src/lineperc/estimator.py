@@ -22,9 +22,13 @@ from scipy.stats import binom as _binom
 
 from .engine import percolation_run
 from .grid import GridSpec, InputError
-from .processes import LineCountClass, classify_line_count, run_alternating_2d
+from .processes import (
+    LineCountClass,
+    classify_line_count,
+    run_alternating_2d,
+    run_synchronous,
+)
 from .sampling import TrialSeed, critical_p_of_sample, sample_codes
-from .theory import SUPERCRITICAL, regime_of  # re-exported; formulas live in theory
 
 __all__ = [
     "ThetaEstimate",
@@ -34,8 +38,6 @@ __all__ = [
     "estimate_pc",
     "fit_exponent",
     "wilson_interval",
-    "regime_of",
-    "SUPERCRITICAL",
 ]
 
 _Z95 = 1.959963984540054
@@ -214,8 +216,6 @@ def check_2d_process_properties(spec: GridSpec, codes) -> None:
         f"percolating run classified {cls} with line-count {lc}"
     )
     if state.trace.num_rounds + 2 > 2 * r + 1:
-        from .processes import run_synchronous
-
         _, trace = run_synchronous(spec, None, _codes=codes)
         assert trace.num_rounds <= 2 * r + 1, (
             f"synchronous rounds {trace.num_rounds} > {2 * r + 1}"

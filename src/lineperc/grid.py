@@ -160,6 +160,7 @@ class _SpecTables:
         # per-call overhead would dominate
         self.off_list = self.off.tolist()
         self.W_list = W.tolist()
+        self._rev_others = [[i for i in reversed(range(d)) if i != b] for b in range(d)]
 
     def digits_of(self, codes: np.ndarray) -> np.ndarray:
         """0-based digit matrix, shape (len(codes), d)."""
@@ -173,9 +174,8 @@ class _SpecTables:
         """Decode a line id to (axis, full 0-based digit vector with 0 at axis)."""
         axis, rem = divmod(int(lid), self.lines_per_axis)
         g = [0] * self.d
-        for i in reversed([i for i in range(self.d) if i != axis]):
-            rem, dig = divmod(rem, self.n)
-            g[i] = dig
+        for i in self._rev_others[axis]:
+            rem, g[i] = divmod(rem, self.n)
         return axis, g
 
 

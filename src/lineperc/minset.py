@@ -313,8 +313,13 @@ def min_percolating_size(
     points on some line (nothing is infected before the first saturation);
     the first cascade pass doubles as that pruning test, so closed sets cost
     one scan.  The corner block [r_1] x ... x [r_d] is probed first at its
-    own size.  Refuses when C(n^d, size) exceeds SEARCH_SPACE_LIMIT.
+    own size.  Sizes below every threshold are not enumerated: such a set,
+    unless it is the whole grid, saturates no line, and its C(n^d, size)
+    subsets count as tested.  Refuses when C(n^d, size) exceeds
+    SEARCH_SPACE_LIMIT, and a negative ``max_size``.
     """
+    if max_size is not None and max_size < 0:
+        raise InputError(f"max_size must be >= 0, got {max_size}")
     n_sites = spec.num_sites
     cap = min(max_size if max_size is not None else n_sites, n_sites)
     cascade = _BitCascade(spec)
@@ -331,6 +336,9 @@ def min_percolating_size(
                 f"limit {SEARCH_SPACE_LIMIT}"
             )
         sizes.append(m)
+        if m < min(spec.thresholds) and m < n_sites:
+            tested += space
+            continue
         if m == block_size and spec.n >= max(spec.thresholds):
             bits = 0
             for c in block:

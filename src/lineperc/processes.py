@@ -213,14 +213,18 @@ def preface_text(preface: Preface) -> str:
 
 
 def plane_statistics(spec: GridSpec, state: InfectionState) -> PlaneStats:
-    """N_k inputs and boosted-point counts, from the run's incremental tallies."""
+    """N_k inputs from the saturation flags, and boosted-point counts from
+    the run's incremental tallies."""
     if spec.d != 3:
         raise InputError("plane_statistics requires d = 3")
-    return PlaneStats(
-        n=spec.n,
-        max_parallel=state._paral.max(axis=2).copy(),
-        boosted=state._boosted.copy(),
-    )
+    # sat[a] holds the axis-a lines by their two other digits, in axis order;
+    # summing out the one that is not b, axis 1 - b + (b > a), leaves the
+    # count per normal-b plane
+    sat = state.saturated.reshape(3, spec.n, spec.n)
+    paral = [
+        [sat[a].sum(axis=1 - b + (b > a)) for a in range(3) if a != b] for b in range(3)
+    ]
+    return PlaneStats(spec.n, np.max(paral, axis=1), state._boosted.copy())
 
 
 def plane_statistics_recount(spec: GridSpec, state: InfectionState) -> PlaneStats:

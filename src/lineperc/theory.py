@@ -10,6 +10,7 @@ case gamma = s (exactly when r = s(s+1)) is detected without rounding.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +26,10 @@ def lambda_r(r: int) -> float:
     """Unique positive root of exp(-2 x^r / r!) = 1/2."""
     if r < 2:
         raise InputError(f"infection parameter must be >= 2, got {r}")
-    return (math.factorial(r) * math.log(2.0) / 2.0) ** (1.0 / r)
+    if r <= 170:
+        return (math.factorial(r) * math.log(2.0) / 2.0) ** (1.0 / r)
+    # r! is beyond a float: the same root from log r!
+    return math.exp((math.lgamma(r + 1) + math.log(math.log(2.0) / 2.0)) / r)
 
 
 def s_of_r(r: int) -> int:
@@ -312,8 +316,10 @@ class TheoryReport:
 
 def theory_report(r: int) -> TheoryReport:
     lam = lambda_r(r)
-    residual = abs(math.exp(-2.0 * lam**r / math.factorial(r)) - 0.5)
-    assert residual < 1e-12
+    # lam^r / r! in logs, whose rounding grows with log r!
+    log_fact = math.lgamma(r + 1)
+    residual = abs(math.exp(-2.0 * math.exp(r * math.log(lam) - log_fact)) - 0.5)
+    assert residual < max(1e-12, sys.float_info.epsilon * log_fact)
     return TheoryReport(
         r=r,
         lam=lam,

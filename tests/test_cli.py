@@ -235,6 +235,50 @@ def test_search_space_refusal_exit_code():
     assert "search space" in proc.stderr
 
 
+def test_seeds_outside_64_bits_exit_code(tmp_path, capsys):
+    # a master seed is one Philox key word, so -1 and 2^64 + 1 would give the
+    # samples of 2^64 - 1 and 1: every --seed is refused outside [0, 2^64)
+    runs = [
+        ["pc", "--n", "16", "--d", "2", "--r", "2", "--trials", "10", "--threads", "1"],
+        ["theta", "--n", "16", "--d", "2", "--r", "2", "--p", "0.1", "--trials", "2",
+         "--threads", "1"],
+        ["sweep", "--d", "2", "--r", "2", "--n-list", "8,12", "--trials", "10",
+         "--threads", "1"],
+        ["preface-stats", "--n", "16", "--r", "2", "--p", "0.1", "--trials", "2"],
+        ["plane-stats", "--n", "8", "--r", "2", "--p", "0.05", "--trials", "2"],
+        ["minset", "verify", "--n", "4", "--d", "2", "--r", "2", "--samples", "1"],
+    ]
+    config = tmp_path / "sweep.cfg"
+    for seed in (-1, 2**64, 2**64 + 1):
+        config.write_text(f"d = 2\nr = 2\nn_list = 8,12\ntrials = 10\nseed = {seed}\n")
+        for argv in runs + [["sweep", "--config", str(config), "--threads", "1"]]:
+            if argv[0] != "sweep" or "--config" not in argv:
+                argv = argv + ["--seed", str(seed)]
+            assert dispatch(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert "--seed must lie in [0, 2^64)" in err and "Traceback" not in err
+    for argv in runs:
+        assert dispatch(argv + ["--seed", str(2**64 - 1)]) == 0, argv
+    capsys.readouterr()
+
+
+def test_negative_max_size_exit_code(capsys):
+    argv = ["minset", "search", "--n", "3", "--d", "2", "--r", "2", "--max-size", "-1"]
+    assert dispatch(argv) == 1
+    assert "max_size must be >= 0" in capsys.readouterr().err
+
+
+def test_thresholds_above_170_exit_code(capsys):
+    # r! is beyond a float above r = 170; lambda_r, which sets the 2D p*
+    # search's first cap, and the theory residual check work in logs there
+    assert dispatch(["theory", "--r", "171"]) == 0
+    assert json.loads(capsys.readouterr().out)["lambda"] > 0
+    argv = ["pc", "--n", "200", "--d", "2", "--r", "171", "--trials", "10", "--seed", "1",
+            "--threads", "1"]
+    assert dispatch(argv) == 0
+    assert json.loads(capsys.readouterr().out)["n_degenerate"] == 0
+
+
 def test_bad_list_values_exit_code(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("1,1\n")

@@ -428,12 +428,21 @@ def _same_growth(state, ref):
     assert state._grown == ref._grown and state._initial_set == ref._initial_set
     index = state._seeds_on if isinstance(state, Cascade2D) else state._seed_index()
     assert index == ref._seed_index()
-    if isinstance(state, InfectionState) and state.spec.d == 3:
-        assert np.array_equal(state._paral, ref._paral)
-        assert np.array_equal(state._boosted, ref._boosted)
-        assert np.array_equal(state._plane_full, ref._plane_full)
-        assert state._full_planes == ref._full_planes
-        assert state._early_proof == ref._early_proof
+    if isinstance(state, InfectionState):
+        assert flat_tallies(state) == flat_tallies(ref)
+        if state.spec.d == 3:
+            assert np.array_equal(state._boosted, ref._boosted)
+
+
+def flat_tallies(state):
+    """Per free-axes mask, the full flags and full-slice counts of the
+    flats; a mask whose flats are all empty reads as absent."""
+    tallies = {}
+    for free, (_, full, slices) in (state._flats or {}).items():
+        counts = [c.tolist() for c in slices if c is not None]
+        if full.any() or any(map(any, counts)):
+            tallies[free] = (full.tolist(), counts)
+    return tallies
 
 
 def test_array_ingest_matches_one_seed_at_a_time():
@@ -469,6 +478,44 @@ def test_array_ingest_matches_one_seed_at_a_time():
             # a grid filled with no line saturated
             fills += bool(ref.percolated) and not ref.trace.line_ids
     assert flips > 150 and repeats > 100 and covered > 1000 and fills > 10
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_flat_proof_stops_early(d):
+    # full flats stop a run early in every d (d = 4 had no proof before):
+    # the stop must agree with the oracle and cut the FIFO cascade short, not
+    # change it; mixed thresholds above n leave only the full grid of points
+    rng = np.random.default_rng(97 + d)
+    early = mixed_above = 0
+    for it in range(60):
+        n = int(rng.integers(2, {3: 8, 4: 6}[d]))
+        thresholds = tuple(int(x) for x in rng.integers(1, n + 3, size=d))
+        if it % 3 == 0:
+            thresholds = (int(rng.integers(1, n + 1)),) * d
+        spec = GridSpec(n, d, thresholds)
+        mixed_above += max(thresholds) > n > min(thresholds)
+        k = int(rng.binomial(spec.num_sites, rng.uniform(0.02, 0.5)))
+        codes = rng.choice(spec.num_sites, size=k, replace=False).astype(np.int64)
+
+        def percolating(prefix):
+            pts = {decode_point(spec, int(c)) for c in prefix}
+            return len(naive_closure(spec, pts)) == spec.num_sites
+
+        fifo = closure_from_codes(spec, codes)
+        stopped = percolation_run(spec, codes)
+        assert stopped.percolated == fifo.percolated == percolating(codes)
+        done = len(stopped.trace.line_ids)
+        assert stopped.trace.line_ids == fifo.trace.line_ids[:done]
+        early += done < len(fifo.trace.line_ids)
+        # grow stops at the first seed whose prefix percolates
+        order = rng.permutation(spec.num_sites)
+        lo, hi = 0, spec.num_sites  # percolating(order[:hi]) and not order[:lo]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if percolating(order[:mid]) else (mid, hi)
+        grown = InfectionState(spec, ())
+        assert grown.grow(order) == hi and grown.percolated
+    assert early > 10 and mixed_above > 10
 
 
 def test_initial_out_of_range():

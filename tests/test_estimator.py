@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from lineperc import (
-    SUPERCRITICAL,
     GridSpec,
     InputError,
     estimate_pc,
     estimate_theta,
     fit_exponent,
-    regime_of,
     wilson_interval,
 )
 from lineperc import estimator
@@ -22,6 +20,7 @@ from lineperc.sampling import (
     realize_coupled,
     sample_codes,
 )
+from lineperc.theory import SUPERCRITICAL, regime_of
 
 
 def test_theta_extremes():

@@ -17,6 +17,7 @@ from lineperc import (
     percolates,
     vanishing_polynomial,
 )
+from lineperc import minset
 from lineperc.grid import MAX_SMALL_GRID_SITES
 from lineperc.minset import exponent_tuples
 
@@ -172,6 +173,35 @@ def test_max_size_cap():
     res = min_percolating_size(GridSpec.uniform(4, 2, 2), max_size=3)
     assert res.min_size is None
     assert res.sizes_searched == (1, 2, 3)
+    assert min_percolating_size(GridSpec.uniform(4, 2, 2), max_size=0).min_size is None
+    with pytest.raises(InputError, match="max_size"):
+        min_percolating_size(GridSpec.uniform(4, 2, 2), max_size=-1)
+
+
+def test_sizes_below_every_threshold_are_counted_not_enumerated(monkeypatch):
+    # fewer points than every threshold saturate no line, so those sizes
+    # are skipped but their subsets still count as tested; the results are
+    # those of the search that enumerated them
+    cases = {
+        GridSpec(4, 2, (2, 3)): (6, (1, 2, 3, 4, 5, 6), 6885),
+        GridSpec.uniform(3, 2, 2): (4, (1, 2, 3, 4), 130),
+        # the whole grid is below every threshold and percolates alone
+        GridSpec(2, 2, (5, 5)): (4, (1, 2, 3, 4), 15),
+    }
+    for spec, (size, sizes, tested) in cases.items():
+        res = min_percolating_size(spec)
+        assert res.min_size == size
+        assert res.sizes_searched == sizes and res.subsets_tested == tested
+    calls = []
+    body = minset._BitCascade.percolates
+
+    def counted(self, bits):
+        calls.append(bits)
+        return body(self, bits)
+
+    monkeypatch.setattr(minset._BitCascade, "percolates", counted)
+    res = min_percolating_size(GridSpec.uniform(10, 3, 4), max_size=2)
+    assert res.subsets_tested == 1000 + 499500 and calls == []
 
 
 def test_exactness_coefficients_are_rational():

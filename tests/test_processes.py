@@ -18,7 +18,7 @@ from lineperc import (
     run_synchronous,
 )
 from lineperc import engine, processes
-from lineperc.engine import InfectionState, closure_from_codes
+from lineperc.engine import InfectionState, closure_from_codes, percolation_run
 from lineperc.grid import encode_points
 from lineperc.processes import plane_statistics_recount, preface_text
 
@@ -203,7 +203,6 @@ class _OneLineAtATime(InfectionState):
         self.runs: list[tuple] = []  # (lids, stop, saturated, proved, sunk)
 
     def _saturate_run(self, axis, lids, sink, stop):
-        thr = self.spec.thresholds
         # the round of a ``run_rounds`` generation, whose tally the schedule
         # appends after its last run
         round_idx = self.trace.num_rounds + 1
@@ -211,14 +210,11 @@ class _OneLineAtATime(InfectionState):
         done, proved = len(lids), False
         for i, lid in enumerate(lids):
             assert lid // self.spec.lines_per_axis == axis
-            # the 2D early stop is known before its line saturates, which
-            # then sinks nothing
-            proves = (
-                stop and self.spec.d == 2
-                and self._sat_per_axis[axis] + 1 >= thr[1 - axis]
-            )
+            # the flat rule is asked before the line saturates, which then
+            # sinks nothing; a full grid proves after it
+            proves = stop and self._fill_line(lid)
             self._saturate(lid, None if proves else got)
-            if stop and (proves or self._percolation_proved()):
+            if stop and (proves or self.infected_total == self.spec.num_sites):
                 done, proved = i + 1, True
                 break
         if sink is not None:
@@ -243,6 +239,17 @@ class _Recorded(InfectionState):
         return done, proved
 
 
+def flat_tallies(state):
+    """Per free-axes mask, the full flags and full-slice counts of the
+    flats; a mask whose flats are all empty reads as absent."""
+    tallies = {}
+    for free, (_, full, slices) in (state._flats or {}).items():
+        counts = [c.tolist() for c in slices if c is not None]
+        if full.any() or any(map(any, counts)):
+            tallies[free] = (full.tolist(), counts)
+    return tallies
+
+
 def _same_run(batched, reference):
     for name in ("line_ids", "steps", "round_of", "round_axis_counts"):
         assert getattr(batched.trace, name) == getattr(reference.trace, name), name
@@ -251,27 +258,23 @@ def _same_run(batched, reference):
     assert batched.infected_total == reference.infected_total
     assert batched._sat_per_axis == reference._sat_per_axis
     assert batched.percolated == reference.percolated
-    if batched.spec.d == 3:
-        assert np.array_equal(batched._paral, reference._paral)
-        assert np.array_equal(batched._boosted, reference._boosted)
-        assert np.array_equal(batched._plane_full, reference._plane_full)
-        assert batched._full_planes == reference._full_planes
-        assert batched._early_proof == reference._early_proof
+    if isinstance(batched, InfectionState):
+        assert flat_tallies(batched) == flat_tallies(reference)
+        if batched.spec.d == 3:
+            assert np.array_equal(batched._boosted, reference._boosted)
     if hasattr(batched, "runs") and hasattr(reference, "runs"):
         assert batched.runs == reference.runs
 
 
 def _count_batches(monkeypatch):
     """Record (lines, lines saturated) for every call of the dense batch
-    body, which only runs in d >= 3 reach, that builds its arrays rather
-    than handing a short cut run back to one line at a time."""
+    body, which only runs in d >= 3 reach."""
     calls = []
     body = InfectionState._saturate_batch
 
     def counted(self, axis, lids, sink, stop):
         done, proved = body(self, axis, lids, sink, stop)
-        if done >= engine.RUN_MIN:
-            calls.append((int(lids.size), done))
+        calls.append((int(lids.size), done))
         return done, proved
 
     monkeypatch.setattr(InfectionState, "_saturate_batch", counted)
@@ -469,13 +472,15 @@ def test_plane_stats_monotone_and_bounded():
 
 def test_plane_stats_recount_matches_incremental():
     # the queue saturates one line at a time, the generations a batch of
-    # parallel lines at once; both must tally the planes the same way
+    # parallel lines at once, and a stopped run ends at its proof; all must
+    # tally the planes the same way
     rng = np.random.default_rng(43)
     for _ in range(40):
         spec, codes = random_instance(rng, dims=(3, 3))
         for state in (
             closure_from_codes(spec, codes),
             run_synchronous(spec, None, _codes=codes)[0],
+            percolation_run(spec, codes),
         ):
             fast = plane_statistics(spec, state)
             slow = plane_statistics_recount(spec, state)

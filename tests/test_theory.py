@@ -41,6 +41,20 @@ def test_lambda_defining_equation(r):
     assert abs(math.exp(-2 * lam**r / math.factorial(r)) - 0.5) < 1e-12
 
 
+def test_lambda_above_float_factorials():
+    # r! is beyond a float above r = 170, so lambda_r switches to log r!
+    # there; below, it keeps its expression bit for bit, since it sets the
+    # 2D p* search's first cap and with it every 2D p* byte
+    for r in range(2, 171):
+        assert lambda_r(r) == (math.factorial(r) * math.log(2.0) / 2.0) ** (1.0 / r)
+    assert lambda_r(171) / lambda_r(170) == pytest.approx(171 / 170, rel=1e-3)
+    for r in (170, 171, 200, 1000, 10**6):
+        lam = lambda_r(r)
+        log_ratio = r * math.log(lam) - math.lgamma(r + 1)
+        assert math.exp(log_ratio) == pytest.approx(math.log(2) / 2, rel=1e-8)
+        assert theory_report(r).lam == lam
+
+
 def test_s_and_gamma_examples():
     assert s_of_r(2) == 1 and gamma_of_r(2) == 1
     assert pc3_exponent(2) == -2
