@@ -55,6 +55,9 @@ from .theory import gamma_of_r, s_of_r, theory_report
 
 SCHEMA = "lineperc.v1"
 
+# ``theory`` lists r regimes of about 90 bytes each: under 1 MB of output
+MAX_THEORY_R = 10_000
+
 
 @lru_cache(maxsize=1)
 def build_id() -> str:
@@ -355,6 +358,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_theory(args) -> int:
+    if args.r > MAX_THEORY_R:
+        raise InputError(f"--r must be <= {MAX_THEORY_R}, got {args.r}")
     rec = {"schema": f"{SCHEMA}.theory", "build": build_id()}
     rec.update(theory_report(args.r).to_json_dict())
     _emit_json(rec, args.out)
@@ -470,7 +475,7 @@ def cmd_minset(args) -> int:
         for digits in itertools.product(range(args.r), repeat=args.d)
     ]
     block_ok = percolates(spec, block)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
+    rng = TrialSeed(args.seed, 0).generator()
     target = args.r**args.d - 1
     checked = 0
     for _ in range(args.samples):

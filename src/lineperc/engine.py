@@ -8,13 +8,15 @@ reaches its threshold.  Two kernels keep those counts.
 The schedules live once, on the base ``_Cascade``: ``run_fifo``,
 ``run_rounds``, ``run_half_steps``, ``run_sequential`` and ``grow``.  The
 closure is monotone in the seed set, so ``grow`` adds an array of seeds in
-order and every line saturates at most once over the whole growth.  A kernel
-only counts: it supplies its counts and ``_ready_lines``, ``_is_ready``,
-``_saturate(lid, sink)`` (one line), ``_fill_line(lid)`` (the early proof) and
-``_add_seeds(codes)`` (the grown seeds up to the first that makes a line
-ready); it may batch ``_saturate_run(axis, lids, sink, stop)``, which by
-default takes a run of parallel lines one line at a time.  Only the schedules
-write the trace.
+order and every line saturates at most once over the whole growth.  Every
+``run_*`` returns the state, and ``run_rounds`` and ``run_half_steps`` share
+one generation body.  A kernel only counts: it supplies its counts and
+``_ready_lines``, ``_is_ready``, ``_saturate(lid, sink)`` (one line),
+``_fill_line(lid)`` (the early proof) and ``_add_seeds(codes)`` (the grown
+seeds up to the first that makes a line ready); it may batch
+``_saturate_run(axis, lids, sink, stop)``, which by default takes a run of
+parallel lines one line at a time.  Only the schedules write the trace, the
+only record of a half-step run, whose rounds are numbered from 0.
 
 Runs that stop on percolation (``run_fifo(stop_on_percolation=True)``,
 ``grow``) prove it by full flats in every d: a flat with free axes S is full
@@ -28,14 +30,13 @@ share no point, a run changes no ``saturated`` flag of a crossing line, and
 the lines it sinks go to the tail of the queue, so a run saturated at once
 sinks the same lines in the same order as its lines one by one, and the FIFO
 order is unchanged.  When a plane fills, one saturation sinks all its
-perpendicular lines, and the next run is that whole plane.  The generation
-schedules hand each axis of a generation to ``_saturate_run`` as one run,
-with no sink.
+perpendicular lines, and the next run is that whole plane.
 
 ``InfectionState``, the dense kernel, serves every d.  It keeps a counter and
-a saturation flag per line, and saturating a line touches its n points with
-strided numpy slices: the ids of the crossing lines along any other axis form
-an arithmetic progression in the varying coordinate.  A line learns it is
+a saturation flag per line, and the seeds of each line, indexed at
+construction.  Saturating a line touches its n points with strided numpy
+slices: the ids of the crossing lines along any other axis form an
+arithmetic progression in the varying coordinate.  A line learns it is
 ready from the crossing counters: a counter rises by exactly one per newly
 infected point, so a line is ready at the moment its counter equals its
 threshold, and at no other time.  In d >= 3 its ``_saturate_run`` takes runs
@@ -69,6 +70,7 @@ of every line each pass) used to cross-check the cascades.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -147,9 +149,9 @@ class _Cascade:
     schedules alone write the trace.
 
     Construction seeds the state from the initial set; one of the ``run_*``
-    methods then advances the cascade.  Alternatively a state built from no
-    seeds takes them, in order, through ``grow``.  A single state is
-    single-threaded; distinct states are independent.
+    methods then advances the cascade and returns the state.  Alternatively
+    a state built from no seeds takes them, in order, through ``grow``.  A
+    single state is single-threaded; distinct states are independent.
     """
 
     def __init__(self, spec: GridSpec, initial, _codes: np.ndarray | None = None):
@@ -281,33 +283,36 @@ class _Cascade:
             self.percolated = proved or self.infected_total == self._t.N
         return self
 
+    def _generation(self, ready: np.ndarray, round_idx: int) -> None:
+        """Saturate ``ready``, ascending lines at threshold, together as round
+        ``round_idx``: one axis at a time, each as one run of parallel lines.
+        That is canonical id order, which fixes the attribution of points
+        lying on two simultaneously saturating lines."""
+        t = self._t
+        per_round = [0] * t.d
+        ready = ready.tolist()
+        lo = 0
+        for axis in range(t.d):
+            hi = bisect_left(ready, (axis + 1) * t.lines_per_axis, lo)
+            if lo < hi:
+                lids = ready[lo:hi]
+                self._saturate_run(axis, lids, None, False)
+                self.trace.record(lids, round_idx)
+                per_round[axis] = hi - lo
+            lo = hi
+        self.trace.round_axis_counts.append(tuple(per_round))
+
     def run_rounds(self):
         """Synchronous generations: every thresholded line saturates together.
 
-        A round saturates its lines one axis at a time, in axis order, each
-        axis as one batch of parallel lines.  That is canonical id order, which
-        fixes the attribution of points lying on two simultaneously
-        saturating lines.  The next round is every unsaturated line then at
-        or above threshold.
+        Round g (from 1) is every unsaturated line at or above threshold
+        after round g-1.
         """
         assert not self._ran
         self._ran = True
-        t = self._t
-        tr = self.trace
-        ready = self._ready_lines()
-        while ready.size:
-            round_idx = tr.num_rounds + 1
-            per_round = [0] * t.d
-            cuts = np.searchsorted(ready, t.off_list[1:])
-            for axis, lids in enumerate(np.split(ready, cuts)):
-                if lids.size:
-                    lids = lids.tolist()
-                    self._saturate_run(axis, lids, None, False)
-                    tr.record(lids, round_idx)
-                    per_round[axis] = len(lids)
-            tr.round_axis_counts.append(tuple(per_round))
-            ready = self._ready_lines()
-        self.percolated = self.infected_total == t.N
+        while (ready := self._ready_lines()).size:
+            self._generation(ready, self.trace.num_rounds + 1)
+        self.percolated = self.infected_total == self._t.N
         return self
 
     def run_sequential(self, order: Sequence[int] | None = None):
@@ -415,70 +420,56 @@ class _Cascade:
         return 0
 
     def run_half_steps(self, *, stop_rule: bool = True, start_axis: int = 0):
-        """Alternating single-axis generations (d=2 only).
+        """Alternating single-axis generations (d=2 only), from ``start_axis``.
 
-        Saturates, per half-step, every line of the current axis already at
-        threshold, as one batch of parallel lines.  With ``stop_rule`` the
-        run halts as soon as one axis holds enough parallel saturated lines
-        to force full percolation.  Returns the per-half-step counts in
-        execution order as [(axis, count), ...].
+        Half-step g (from 0) saturates every line of its axis already at
+        threshold as round g, which may be empty; the returned state's trace
+        is the only record.  With ``stop_rule`` the run halts as soon as one
+        axis holds enough parallel saturated lines to force full percolation.
         """
         assert not self._ran
-        self._ran = True
         t = self._t
         if t.d != 2:
             raise InputError("alternating process requires d = 2")
-        axis = start_axis
-        halves: list[tuple[int, int]] = []
-        idle = 0
-        while True:
+        if start_axis not in (0, 1):
+            raise InputError(f"start_axis must be 0 or 1, got {start_axis}")
+        self._ran = True
+        axis, idle = start_axis, 0
+        while idle < 2:
             lo = axis * t.lines_per_axis
             ready = self._ready_lines(lo, lo + t.lines_per_axis)
-            if ready.size:
-                lids = ready.tolist()
-                self._saturate_run(axis, lids, None, False)
-                self.trace.record(lids, len(halves))
-            per_round = [0] * t.d
-            per_round[axis] = int(ready.size)
-            self.trace.round_axis_counts.append(tuple(per_round))
-            halves.append((axis, int(ready.size)))
+            self._generation(ready, self.trace.num_rounds)
             if stop_rule and self._sat_per_axis[axis] >= self.spec.thresholds[1 - axis]:
                 self.percolated = True
-                return halves
+                return self
             idle = idle + 1 if ready.size == 0 else 0
-            if idle >= 2:
-                break
             axis = 1 - axis
         self.percolated = self.infected_total == t.N
-        return halves
+        return self
 
 
 class InfectionState(_Cascade):
     """The dense kernel, for every d: a counter and a flag per line.
 
     ``line_count[i]`` is the number of infected points on line i and
-    ``saturated[i]`` whether line i is full.  Runs that stop also count the
-    full flats, and 3D runs the boosted points that ``plane_statistics`` reads.
+    ``saturated[i]`` whether line i is full; ``_seeds_on``, built at
+    construction, holds the seeds on each line.  Runs that stop also count
+    the full flats, and 3D runs the boosted points that ``plane_statistics``
+    reads.
     """
 
     def __init__(self, spec: GridSpec, initial, _codes: np.ndarray | None = None):
         super().__init__(spec, initial, _codes)
         t = self._t
-        codes = self._codes
-        # line id -> varying-axis digits of the seeds on that line; built on
-        # first use, so a run that saturates nothing never pays for it
-        self._seeds_on: dict[int, list[int]] | None = None
+        # line id -> varying-axis digits of the seeds on that line
+        self._seeds_on: dict[int, list[int]] = {}
         self.line_count = np.zeros(t.L, dtype=np.int64)
         self.saturated = np.zeros(t.L, dtype=bool)
-        self.infected_total = int(codes.size)
+        self.infected_total = 0
         self._sat_per_axis = [0] * spec.d
-        if codes.size:
-            self._seed_digits = t.digits_of(codes)
-            self._seed_lids = self._seed_digits @ t.W.T + t.off
-            np.add.at(self.line_count, self._seed_lids.ravel(), 1)
-        else:
-            self._seed_digits = np.zeros((0, spec.d), dtype=np.int64)
-            self._seed_lids = np.zeros((0, spec.d), dtype=np.int64)
+        if self._codes.size:
+            digits = t.digits_of(self._codes)
+            self._count_seeds(digits, digits @ t.W.T + t.off)
         if spec.d == 3:
             # points per plane (normal, offset) first infected by a normal line
             self._boosted = np.zeros((3, spec.n), dtype=np.int64)
@@ -488,14 +479,14 @@ class InfectionState(_Cascade):
 
     # -- cascade core ---------------------------------------------------------
 
-    def _seed_index(self) -> dict[int, list[int]]:
-        if self._seeds_on is None:
-            index: dict[int, list[int]] = {}
-            for lids, digits in zip(self._seed_lids.tolist(), self._seed_digits.tolist()):
-                for lid, digit in zip(lids, digits):
-                    index.setdefault(lid, []).append(digit)
-            self._seeds_on = index
-        return self._seeds_on
+    def _count_seeds(self, digits: np.ndarray, lids: np.ndarray) -> None:
+        """Count new uncovered seeds, of digits and line ids (k, d), on their
+        lines and in the seed index."""
+        np.add.at(self.line_count, lids.ravel(), 1)
+        self.infected_total += lids.shape[0]
+        seeds_on = self._seeds_on
+        for lid, digit in zip(lids.ravel().tolist(), digits.ravel().tolist()):
+            seeds_on.setdefault(lid, []).append(digit)
 
     def _ready_lines(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Ids in [lo, hi) of the unsaturated lines at or above threshold,
@@ -520,7 +511,7 @@ class InfectionState(_Cascade):
         n = t.n
         axis, g = t.line_digits(lid)
         mask = np.zeros(n, dtype=bool)
-        seeds = self._seed_index().get(lid)
+        seeds = self._seeds_on.get(lid)
         if seeds:
             mask[seeds] = True
         sat = self.saturated
@@ -605,9 +596,8 @@ class InfectionState(_Cascade):
             groups = {b: _groups(base) for b, base in bases.items()}
         lids = lids[:k]
         mask = np.zeros((k, n), dtype=bool)
-        index = self._seed_index()
         for row, lid in enumerate(lids.tolist()):
-            seeds = index.get(lid)
+            seeds = self._seeds_on.get(lid)
             if seeds:
                 mask[row, seeds] = True
         digit = np.arange(n, dtype=np.int64)
@@ -787,11 +777,7 @@ class InfectionState(_Cascade):
         if stop < m:
             taken, ready = int(uncovered[stop]) + 1, lids[stop][hit[stop]].tolist()
             m = stop + 1
-        np.add.at(self.line_count, lids[:m].ravel(), 1)
-        self.infected_total += m
-        seeds_on = self._seed_index()
-        for lid, digit in zip(lids[:m].ravel().tolist(), digits[:m].ravel().tolist()):
-            seeds_on.setdefault(lid, []).append(digit)
+        self._count_seeds(digits[:m], lids[:m])
         return taken, ready
 
 

@@ -241,6 +241,7 @@ def estimate_theta(
         raise InputError(f"trials must be >= 1, got {trials}")
     if not (0.0 <= p <= 1.0):
         raise InputError(f"p must lie in [0, 1], got {p}")
+    TrialSeed(master_seed, trials - 1)  # refuses a seed key before any trial
     t0 = time.perf_counter()
     payloads = [
         (spec, p, master_seed, lo, hi, process_checks)
@@ -287,6 +288,7 @@ def estimate_pc(
     """Median of the coupled per-sample p* values, with an order-statistic CI."""
     if trials < 10:
         raise InputError(f"need at least 10 trials, got {trials}")
+    TrialSeed(master_seed, trials - 1)  # refuses a seed key before any trial
     t0 = time.perf_counter()
     payloads = [
         (spec, master_seed, lo, hi, process_checks)

@@ -58,6 +58,10 @@ class GridSpec:
             )
         if any(t < 1 for t in self.thresholds):
             raise InputError(f"thresholds must be >= 1, got {self.thresholds}")
+        # a line holds at most n <= MAX_LINES points, so no higher threshold
+        # is ever reached
+        if any(t > MAX_LINES for t in self.thresholds):
+            raise InputError(f"thresholds must be <= {MAX_LINES}, got {self.thresholds}")
         if self.num_lines > MAX_LINES:
             raise InputError(
                 f"[{self.n}]^{self.d} has {self.num_lines} lines, "

@@ -112,24 +112,18 @@ def run_alternating_2d(
     With ``stop_rule`` the process halts as soon as one direction has
     accumulated enough parallel fully infected lines to guarantee percolation
     (the perpendicular axis threshold); without it the run reaches the same
-    closure as every other schedule.
+    closure as every other schedule.  The line-count is read from the
+    returned state's trace, whose round g is half-step g (from 0).
     """
-    if spec.d != 2:
-        raise InputError("run_alternating_2d requires d = 2")
-    if start_axis not in (0, 1):
-        raise InputError(f"start_axis must be 0 or 1, got {start_axis}")
-    state = new_state(spec, initial, _codes=_codes)
-    halves = state.run_half_steps(stop_rule=stop_rule, start_axis=start_axis)
-    counts = [c for _, c in halves]
+    state = new_state(spec, initial, _codes=_codes).run_half_steps(
+        stop_rule=stop_rule, start_axis=start_axis
+    )
+    counts = [sum(row) for row in state.trace.round_axis_counts]
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
-    by_axis: dict[int, list[int]] = {0: [], 1: []}
-    axis = start_axis
-    for c in counts:
-        by_axis[axis].append(c)
-        axis = 1 - axis
-    lc = LineCount2D(tuple(by_axis[0]), tuple(by_axis[1]), start_axis=start_axis)
-    return state, lc
+    first, second = tuple(counts[0::2]), tuple(counts[1::2])
+    h, v = (first, second) if start_axis == 0 else (second, first)
+    return state, LineCount2D(h, v, start_axis=start_axis)
 
 
 def run_sequential(

@@ -32,8 +32,6 @@ from . import theory
 from .engine import Cascade2D, InfectionState, new_state
 from .grid import GridSpec, InputError, Point, decode_point
 
-_MASK64 = (1 << 64) - 1
-
 # sites one sample may draw: the draw peaks at about 150 bytes of RSS per code
 # and a theta trial on it at about 320 (measured at 1M and 4M codes, d = 1)
 MAX_DRAWN_SITES = 1 << 22
@@ -41,20 +39,24 @@ MAX_DRAWN_SITES = 1 << 22
 
 @dataclass(frozen=True)
 class TrialSeed:
-    """Key of one trial's random stream; fully determines every draw."""
+    """Key of one trial's random stream; fully determines every draw.
+
+    Each number is one 64-bit Philox key word, so one outside [0, 2^64) is
+    refused: it would alias another.
+    """
 
     master_seed: int
     trial_index: int
 
+    def __post_init__(self):
+        for name, value in (("master_seed", self.master_seed),
+                            ("trial_index", self.trial_index)):
+            if not 0 <= value < 2**64:
+                raise InputError(f"{name} must lie in [0, 2^64), got {value}")
+
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.Philox(
-                key=np.array(
-                    [self.master_seed & _MASK64, self.trial_index & _MASK64],
-                    dtype=np.uint64,
-                )
-            )
-        )
+        key = np.array([self.master_seed, self.trial_index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass
@@ -177,9 +179,7 @@ def realize_coupled(
         cap = min(1.0, 2.0 * cap)
 
 
-def critical_p_of_sample(
-    spec: GridSpec, seed: TrialSeed, *, cap0: float | None = None
-) -> PcSample:
+def critical_p_of_sample(spec: GridSpec, seed: TrialSeed) -> PcSample:
     """p* = the smallest realized weight w with A_w percolating.
 
     Found in one pass in weight order: the caps of ``realize_coupled`` are
@@ -202,7 +202,7 @@ def critical_p_of_sample(
     state = new_state(spec, ())
     fed = 0
     caps = 0
-    for sample in realize_coupled(spec, seed, cap0=cap0):
+    for sample in realize_coupled(spec, seed):
         caps += 1
         k = state.grow(sample.codes[fed:])
         if k:

@@ -279,6 +279,31 @@ def test_thresholds_above_170_exit_code(capsys):
     assert json.loads(capsys.readouterr().out)["n_degenerate"] == 0
 
 
+def test_thresholds_and_theory_r_beyond_bounds_exit_code(capsys):
+    # no line holds more than MAX_LINES points, and such thresholds overflowed
+    # the int64 line tables (or, as plane-stats' r, counted up to sqrt r);
+    # theory's output grows by one regime per unit of r
+    big = str(10**400)
+    cases = [
+        ["pc", "--n", "64", "--d", "2", "--thresholds", f"2,{big}", "--trials", "10",
+         "--seed", "1"],
+        ["pc", "--n", "16", "--d", "3", "--thresholds", f"2,2,{10**23}", "--trials",
+         "10", "--seed", "1"],
+        ["plane-stats", "--n", "8", "--r", str(10**26), "--p", "0.1", "--trials", "1",
+         "--seed", "1"],
+        ["theory", "--r", big],
+        ["theory", "--r", "1000000"],
+        ["theory", "--r", str(cli.MAX_THEORY_R + 1)],
+    ]
+    for argv in cases:
+        assert dispatch(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert not captured.out, argv
+    assert dispatch(["theory", "--r", str(cli.MAX_THEORY_R)]) == 0
+    assert len(capsys.readouterr().out) < 1 << 20
+
+
 def test_bad_list_values_exit_code(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("1,1\n")

@@ -241,8 +241,7 @@ def test_trace_semantics_on_every_schedule():
             assert_rounds(spec, fresh().run_rounds().trace, 1)
             if spec.d == 2:
                 for stop_rule, start_axis in itertools.product((True, False), (0, 1)):
-                    state = fresh()
-                    state.run_half_steps(stop_rule=stop_rule, start_axis=start_axis)
+                    state = fresh().run_half_steps(stop_rule=stop_rule, start_axis=start_axis)
                     assert_rounds(spec, state.trace, 0)
             order = rng.permutation(spec.num_lines).tolist()
             tr = fresh().run_sequential(order).trace
@@ -403,10 +402,9 @@ class _OneSeedAtATime(InfectionState):
             self.covered += 1  # already infected: its lines counted it then
             return False
         self.infected_total += 1
-        seeds_on = self._seed_index()
         ready = []
         for axis, lid in enumerate(lids):
-            seeds_on.setdefault(lid, []).append(digits[axis])
+            self._seeds_on.setdefault(lid, []).append(digits[axis])
             self.line_count[lid] += 1
             if self.line_count[lid] == self.spec.thresholds[axis]:
                 ready.append(lid)
@@ -426,8 +424,7 @@ def _same_growth(state, ref):
     assert list(state._sat_per_axis) == ref._sat_per_axis
     assert state.percolated == ref.percolated
     assert state._grown == ref._grown and state._initial_set == ref._initial_set
-    index = state._seeds_on if isinstance(state, Cascade2D) else state._seed_index()
-    assert index == ref._seed_index()
+    assert state._seeds_on == ref._seeds_on
     if isinstance(state, InfectionState):
         assert flat_tallies(state) == flat_tallies(ref)
         if state.spec.d == 3:

@@ -93,6 +93,21 @@ def test_estimate_pc_determinism_across_workers():
     assert ta.successes == tb.successes
 
 
+def test_seeds_outside_64_bits_refused_before_any_trial(monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial or a pool started")
+
+    monkeypatch.setattr(estimator, "ProcessPoolExecutor", no_trial)
+    monkeypatch.setattr(estimator, "critical_p_of_sample", no_trial)
+    monkeypatch.setattr(estimator, "sample_codes", no_trial)
+    spec = GridSpec.uniform(64, 2, 2)
+    for seed in (-1, 2**64, 2**64 + 1):
+        with pytest.raises(InputError, match="master_seed"):
+            estimate_pc(spec, 10, seed, workers=2)
+        with pytest.raises(InputError, match="master_seed"):
+            estimate_theta(spec, 0.01, 10, seed, workers=2)
+
+
 def test_checked_pc_trial_opens_its_stream_once(monkeypatch):
     # the process checks reuse the search's cascade on A_{p*}
     opened = []

@@ -46,6 +46,10 @@ def test_spec_line_budget():
     assert GridSpec(MAX_LINES, 1, (1,)).num_lines == 1
     with pytest.raises(InputError, match="side length"):
         GridSpec(MAX_LINES + 1, 1, (1,))
+    # no line holds more points than that, so no higher threshold is reached
+    assert GridSpec(4, 2, (2, MAX_LINES)).thresholds == (2, MAX_LINES)
+    with pytest.raises(InputError, match="thresholds"):
+        GridSpec(4, 2, (2, MAX_LINES + 1))
 
 
 def test_lines_through_2d():

@@ -126,6 +126,19 @@ def test_alternating_requires_2d():
         run_alternating_2d(GridSpec.uniform(3, 3, 2), [])
 
 
+def test_half_steps_refuse_a_start_axis_outside_0_1():
+    # checked by the schedule itself, on both kernels, before any line moves
+    spec = GridSpec.uniform(4, 2, 2)
+    for kernel in (InfectionState, engine.Cascade2D):
+        for start_axis in (-1, 2):
+            state = kernel(spec, block(2, 2))
+            with pytest.raises(InputError, match="start_axis"):
+                state.run_half_steps(start_axis=start_axis)
+            assert not state.trace.line_ids and state.percolated is None
+        with pytest.raises(InputError, match="start_axis"):
+            run_alternating_2d(spec, block(2, 2), start_axis=2)
+
+
 def test_alternating_start_axis():
     spec = GridSpec.uniform(8, 2, 3)
     state, lc = run_alternating_2d(spec, block(3, 2), start_axis=1)
@@ -311,10 +324,8 @@ def test_batched_generations_match_one_line_at_a_time(monkeypatch):
             for stop_rule in (True, False):
                 for start_axis in (0, 1):
                     kw = dict(stop_rule=stop_rule, start_axis=start_axis)
-                    batched = InfectionState(spec, None, _codes=codes)
-                    halves = batched.run_half_steps(**kw)
-                    ref = _OneLineAtATime(spec, None, _codes=codes)
-                    assert ref.run_half_steps(**kw) == halves
+                    batched = InfectionState(spec, None, _codes=codes).run_half_steps(**kw)
+                    ref = _OneLineAtATime(spec, None, _codes=codes).run_half_steps(**kw)
                     _same_run(batched, ref)
                     counted, lc = run_alternating_2d(spec, None, _codes=codes, **kw)
                     with monkeypatch.context() as m:

@@ -47,6 +47,16 @@ def test_sample_determinism_and_independence():
     assert not np.array_equal(np.sort(a), np.sort(c))
 
 
+def test_trial_seed_refuses_keys_outside_64_bits():
+    # each number is one Philox key word: -1 would alias 2^64 - 1, and 2^64
+    # would alias 0
+    for master, trial in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64)):
+        with pytest.raises(InputError):
+            TrialSeed(master, trial)
+    top = TrialSeed(2**64 - 1, 2**64 - 1).generator().integers(0, 2**32, size=4)
+    assert not np.array_equal(top, TrialSeed(0, 0).generator().integers(0, 2**32, size=4))
+
+
 def test_coupled_realization_is_nested_and_sorted():
     spec = GridSpec.uniform(16, 2, 2)
     seed = TrialSeed(4, 2)
