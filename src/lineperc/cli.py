@@ -3,7 +3,7 @@
 One executable, one subcommand per capability.  Single-record results are
 JSON on stdout; tabular results are CSV.  Every output embeds the spec, seed,
 trial count, schema tag, and a build id, and is byte-identical across reruns
-and thread counts (timings go to stderr).
+and thread counts (timings go to stderr).  An output path of ``-`` is stdout.
 
 Exit codes: 0 success, 1 input error, 2 internal assertion failure.
 
@@ -37,6 +37,7 @@ from .grid import (
     format_line,
     format_point,
     parse_point,
+    require_dimension,
     require_small_grid,
 )
 from .minset import certify_non_percolation, min_percolating_size
@@ -118,11 +119,10 @@ def _seed(seed: int) -> int:
 def _spec_from_args(args) -> GridSpec:
     if getattr(args, "thresholds", None):
         thr = tuple(_int_list(args.thresholds, "--thresholds"))
-    elif getattr(args, "r", None) is not None:
-        thr = (int(args.r),) * args.d
-    else:
-        raise InputError("supply --r or --thresholds")
-    return GridSpec(args.n, args.d, thr)
+        return GridSpec(args.n, args.d, thr)
+    if getattr(args, "r", None) is not None:
+        return GridSpec.uniform(args.n, args.d, args.r)
+    raise InputError("supply --r or --thresholds")
 
 
 def _resolve_threads(args) -> int:
@@ -141,12 +141,27 @@ def _resolve_threads(args) -> int:
     return t
 
 
-def _emit_json(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
-    if path:
-        Path(path).write_text(text)
-    else:
+def _to_stdout(path: str | None) -> bool:
+    return not path or path == "-"
+
+
+def _one_stdout(*paths: str | None) -> None:
+    """Refuse an explicit ``-`` for one of a command's outputs when another
+    also goes to stdout.  sweep's default CSV-then-fit stdout stays."""
+    if "-" in paths and sum(map(_to_stdout, paths)) > 1:
+        raise InputError("only one output can go to stdout; give the others a file")
+
+
+def _write(text: str, path: str | None) -> None:
+    """Write one output to ``path``; no path or ``-`` is stdout."""
+    if _to_stdout(path):
         sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
+
+
+def _emit_json(obj: dict, path: str | None) -> None:
+    _write(json.dumps(obj, indent=2) + "\n", path)
 
 
 def _emit_csv(header: list[str], rows: list[list], path: str | None) -> None:
@@ -154,10 +169,7 @@ def _emit_csv(header: list[str], rows: list[list], path: str | None) -> None:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     w.writerows(rows)
-    if path:
-        Path(path).write_text(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write(buf.getvalue(), path)
 
 
 def _base_record(spec: GridSpec, kind: str) -> dict:
@@ -198,6 +210,8 @@ def cmd_closure(args) -> int:
 
 def cmd_theta(args) -> int:
     spec = _spec_from_args(args)
+    if args.csv:
+        _one_stdout(args.out, args.csv)
     p = parse_p_expression(args.p, spec.n)
     workers = _resolve_threads(args)
     est = estimate_theta(spec, p, args.trials, _seed(args.seed), workers=workers)
@@ -213,6 +227,8 @@ def cmd_theta(args) -> int:
 
 def cmd_pc(args) -> int:
     spec = _spec_from_args(args)
+    if args.csv:
+        _one_stdout(args.out, args.csv)
     workers = _resolve_threads(args)
     est = estimate_pc(spec, args.trials, _seed(args.seed), workers=workers)
     print(f"pc run: {est.wall_seconds:.2f}s", file=sys.stderr)
@@ -299,6 +315,7 @@ def _sweep_config(args) -> SweepConfig:
     if thresholds is not None:
         thr = tuple(_int_list(thresholds, "thresholds"))
     elif r is not None:
+        require_dimension(d)
         thr = (r,) * d
     else:
         raise InputError("sweep needs --r or --thresholds")
@@ -317,6 +334,8 @@ def _sweep_config(args) -> SweepConfig:
 
 def cmd_sweep(args) -> int:
     sw = _sweep_config(args)
+    if sw.fit:
+        _one_stdout(sw.csv_path, sw.fit_path)
     workers = _resolve_threads(args)
     rows = []
     fit_points = []

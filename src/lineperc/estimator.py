@@ -12,13 +12,14 @@ yields the whole curve.
 from __future__ import annotations
 
 import math
+import operator
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binom as _binom
 
 from .engine import percolation_run
 from .grid import GridSpec, InputError
@@ -41,6 +42,16 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054
+
+# the estimators keep one result per trial and build every chunk payload up
+# front, so the trial count bounds their memory: a million pc trials hold
+# about 100 MB of results
+MAX_TRIALS = 1_000_000
+
+
+def _check_trials(trials: int, least: int) -> None:
+    if not least <= trials <= MAX_TRIALS:
+        raise InputError(f"trials must lie in [{least}, {MAX_TRIALS}], got {trials}")
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -237,8 +248,7 @@ def estimate_theta(
     process_checks: bool = True,
 ) -> ThetaEstimate:
     """Fraction of percolating Bernoulli(p) trials with a Wilson 95% CI."""
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials, 1)
     if not (0.0 <= p <= 1.0):
         raise InputError(f"p must lie in [0, 1], got {p}")
     TrialSeed(master_seed, trials - 1)  # refuses a seed key before any trial
@@ -264,14 +274,78 @@ def estimate_theta(
     )
 
 
+def _central_term(m: int) -> float:
+    """C(m, m // 2) / 2^m, within one ulp."""
+    if m < 2000:
+        return math.comb(m, m // 2) / (1 << m)  # int division rounds correctly
+    # C(2j, j) / 4^j = (1 - 1/8j + 1/128j^2 + 5/1024j^3 - 21/32768j^4 + ...)
+    # / sqrt(pi j); the next term is below 1e-18 at j >= 1000
+    j = m // 2
+    x = 1.0 / j
+    t = (1 - x / 8 + x * x / 128 + 5 * x**3 / 1024 - 21 * x**4 / 32768) / math.sqrt(
+        math.pi * j
+    )
+    # C(2j+1, j) / 2^(2j+1) = C(2j, j) / 4^j * (2j+1) / (2j+2)
+    return t if m % 2 == 0 else t * (m / (m + 1))
+
+
+def _walk_cdf(m: int, cdf, term, reaches, div):
+    """Smallest k with ``reaches(S(k))``, S the cdf of Bin(m, 1/2) up to a
+    common scale, walking from the centre c = m // 2, where S(c) = ``cdf``
+    and C(m, c) = ``term`` on that scale.  Returns k, S(k - 1) and S(k)."""
+    k = m // 2
+    if reaches(cdf):
+        while k > 0 and reaches(cdf - term):
+            cdf -= term
+            term = div(term * k, m - k + 1)
+            k -= 1
+    else:
+        while k < m and not reaches(cdf):
+            term = div(term * (m - k), k + 1)
+            k += 1
+            cdf += term
+    return k, cdf - term, cdf
+
+
+def _binom_half_ppf(q: float, m: int) -> int:
+    """Smallest k with P(Bin(m, 1/2) <= k) >= q, decided exactly.
+
+    This is the index ``scipy.stats.binom.ppf(q, m, 0.5)`` gives.  A float
+    walk from the centre finds it in O(|k - m/2|) steps.  After s steps each
+    float cdf value is within (3s + 4) eps/2 of the true one (one rounding for
+    the centre, two per term, one per sum), so when S(k - 1) and S(k) both
+    clear q by more than ``tol`` the answer is k.  Otherwise the same walk
+    settles it in integers.
+    """
+    c = m // 2
+    t = _central_term(m)
+    half = 0.5 + t / 2 if m % 2 == 0 else 0.5
+    k, below, at = _walk_cdf(m, half, t, lambda s: s >= q, operator.truediv)
+    tol = (4 * abs(k - c) + 64) * sys.float_info.epsilon
+    if at - q > tol and q - below > tol:
+        return k
+    return _binom_half_ppf_exact(q, m)
+
+
+def _binom_half_ppf_exact(q: float, m: int) -> int:
+    """``_binom_half_ppf`` in integers: sum_{j<=k} C(m, j) * b >= a * 2^m,
+    with q = a / b exactly.  Every step works on m-bit numbers, so this is
+    for the rare q that lies within rounding of a cdf value."""
+    a, b = q.as_integer_ratio()
+    target = a << m
+    t = math.comb(m, m // 2)
+    half = (1 << (m - 1)) + (t >> 1 if m % 2 == 0 else 0)
+    return _walk_cdf(m, half, t, lambda s: s * b >= target, operator.floordiv)[0]
+
+
 def median_order_statistic_ci(
     sorted_samples: np.ndarray, level: float = 0.95
 ) -> tuple[float, float]:
     """Distribution-free CI for the median from binomial order statistics."""
     m = len(sorted_samples)
     alpha = 1.0 - level
-    lo_idx = int(_binom.ppf(alpha / 2, m, 0.5))
-    hi_idx = int(_binom.ppf(1.0 - alpha / 2, m, 0.5))
+    lo_idx = _binom_half_ppf(alpha / 2, m)
+    hi_idx = _binom_half_ppf(1.0 - alpha / 2, m)
     lo_idx = max(0, min(m - 1, lo_idx))
     hi_idx = max(0, min(m - 1, hi_idx))
     return float(sorted_samples[lo_idx]), float(sorted_samples[hi_idx])
@@ -286,8 +360,7 @@ def estimate_pc(
     process_checks: bool = True,
 ) -> PcEstimate:
     """Median of the coupled per-sample p* values, with an order-statistic CI."""
-    if trials < 10:
-        raise InputError(f"need at least 10 trials, got {trials}")
+    _check_trials(trials, 10)
     TrialSeed(master_seed, trials - 1)  # refuses a seed key before any trial
     t0 = time.perf_counter()
     payloads = [

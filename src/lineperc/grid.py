@@ -14,6 +14,9 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+# np.unique reads np.ma, which numpy loads on first use: load it with the
+# package so that a job's, or a pool worker's, first trial does not pay it
+import numpy.ma  # noqa: F401
 
 
 class InputError(ValueError):
@@ -27,6 +30,10 @@ Point = tuple[int, ...]
 # saturation touches the n points of a line, so the side length has the same
 # bound, which binds only at d = 1
 MAX_LINES = 1 << 24
+
+# a grid with n >= 2 and at most MAX_LINES lines has d <= 20, and the per-spec
+# tables hold d x d strides, so this binds only the one-point grids n = 1
+MAX_DIMENSION = 64
 
 # the small-grid tools (the ``naive_closure`` oracle, non-percolation
 # certificates and ``minset verify``) hold one value per site
@@ -47,9 +54,8 @@ class GridSpec:
     thresholds: tuple[int, ...]
 
     def __post_init__(self):
+        require_dimension(self.d)
         object.__setattr__(self, "thresholds", tuple(int(t) for t in self.thresholds))
-        if self.d < 1:
-            raise InputError(f"dimension must be >= 1, got {self.d}")
         if self.n < 1:
             raise InputError(f"side length must be >= 1, got {self.n}")
         if len(self.thresholds) != self.d:
@@ -62,18 +68,19 @@ class GridSpec:
         # is ever reached
         if any(t > MAX_LINES for t in self.thresholds):
             raise InputError(f"thresholds must be <= {MAX_LINES}, got {self.thresholds}")
-        if self.num_lines > MAX_LINES:
-            raise InputError(
-                f"[{self.n}]^{self.d} has {self.num_lines} lines, "
-                f"more than the supported {MAX_LINES}"
-            )
         if self.n > MAX_LINES:
             raise InputError(
                 f"side length {self.n} is more than the supported {MAX_LINES}"
             )
+        # the count can run to hundreds of digits, so it is not shown
+        if self.num_lines > MAX_LINES:
+            raise InputError(
+                f"[{self.n}]^{self.d} has more than the supported {MAX_LINES} lines"
+            )
 
     @classmethod
     def uniform(cls, n: int, d: int, r: int) -> "GridSpec":
+        require_dimension(d)  # before the d thresholds are built
         return cls(n, d, (r,) * d)
 
     @property
@@ -98,6 +105,12 @@ class GridSpec:
         if not self.is_uniform:
             raise InputError(f"thresholds {self.thresholds} are not uniform")
         return self.thresholds[0]
+
+
+def require_dimension(d: int) -> None:
+    """Refuse a dimension outside [1, MAX_DIMENSION]."""
+    if not 1 <= d <= MAX_DIMENSION:
+        raise InputError(f"dimension must lie in [1, {MAX_DIMENSION}], got {d}")
 
 
 def require_small_grid(spec: GridSpec, what: str) -> None:

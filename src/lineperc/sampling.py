@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from . import theory
 from .engine import Cascade2D, InfectionState, new_state
@@ -54,9 +55,9 @@ class TrialSeed:
             if not 0 <= value < 2**64:
                 raise InputError(f"{name} must lie in [0, 2^64), got {value}")
 
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> Generator:
         key = np.array([self.master_seed, self.trial_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return Generator(Philox(key=key))
 
 
 @dataclass

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from .grid import InputError
 
@@ -120,6 +119,9 @@ def predicted_theta2(n: int, p: float, r: int) -> float:
 
 def log_binom_pmf(N: int, p: float, k) -> np.ndarray:
     """log P(Bin(N, p) = k), vectorized over k, computed via lgamma."""
+    # imported here so that only the binomial checks load scipy, not the CLI
+    from scipy.special import gammaln
+
     k = np.asarray(k, dtype=np.int64)
     if np.any((k < 0) | (k > N)):
         raise InputError("k out of range [0, N]")

@@ -217,6 +217,104 @@ def test_oversized_minset_verify_exit_code(monkeypatch, capsys):
     assert err.startswith("error: ") and "sites" in err
 
 
+def test_oversized_dimension_exit_code(capsys):
+    # refused before the (r,) * d thresholds are built, and the line count,
+    # thousands of digits at d = 20000, is never formatted
+    proc = run_cli(["pc", "--n", "2", "--d", "20000", "--r", "2", "--trials", "10",
+                    "--seed", "1"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert "dimension" in proc.stderr
+    cases = [
+        (["pc", "--n", "2", "--d", "30", "--r", "2", "--trials", "10", "--seed", "1"],
+         "lines"),
+        # (2,) * 2^63 raises OverflowError, so a late check would not pass
+        (["minset", "verify", "--n", "2", "--d", str(2**63), "--r", "2"], "dimension"),
+        (["sweep", "--d", str(2**63), "--r", "2", "--n-list", "2,3,4", "--trials", "10",
+          "--seed", "1"], "dimension"),
+    ]
+    for argv, reason in cases:
+        assert dispatch(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err, argv
+
+
+def test_trials_above_the_bound_exit_code(capsys):
+    for cmd in (["pc"], ["theta", "--p", "0.1"]):
+        argv = [*cmd, "--n", "8", "--d", "2", "--r", "2", "--trials", str(10**12),
+                "--seed", "1", "--threads", "1"]
+        assert dispatch(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(estimator.MAX_TRIALS) in err
+
+
+def test_dash_output_is_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    pc = ["pc", "--n", "16", "--d", "2", "--r", "2", "--trials", "10", "--seed", "1",
+          "--threads", "1"]
+    assert dispatch(pc + ["--out", "pc.json"]) == 0
+    assert capsys.readouterr().out == ""
+    assert dispatch(pc + ["--out", "-"]) == 0
+    assert capsys.readouterr().out == Path("pc.json").read_text()
+    assert dispatch(pc + ["--csv", "-", "--out", "pc.json"]) == 0
+    assert capsys.readouterr().out.startswith("rank,p_star\n")
+    assert dispatch(["theory", "--r", "2", "--out", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["s"] == 1
+    assert not Path("-").exists()
+
+
+def test_two_outputs_on_stdout_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate ran")
+
+    monkeypatch.setattr(cli, "estimate_pc", no_estimate)
+    monkeypatch.setattr(cli, "estimate_theta", no_estimate)
+    spec = ["--n", "16", "--d", "2", "--r", "2", "--trials", "10", "--seed", "1"]
+    cases = [
+        ["pc", *spec, "--csv", "-"],
+        ["pc", *spec, "--csv", "-", "--out", "-"],
+        ["theta", *spec, "--p", "0.1", "--csv", "-"],
+        ["sweep", "--d", "2", "--r", "2", "--n-list", "8,12,16", "--trials", "10",
+         "--seed", "1", "--fit", "--fit-out", "-"],
+        ["sweep", "--d", "2", "--r", "2", "--n-list", "8,12,16", "--trials", "10",
+         "--seed", "1", "--fit", "--csv", "-"],
+    ]
+    for argv in cases:
+        assert dispatch(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "stdout" in captured.err, argv
+        assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+_NO_SCIPY = """
+import contextlib, io, sys
+from lineperc.cli import dispatch
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(argv) == 0, argv
+assert not any(k.split(".")[0] == "scipy" for k in sys.modules)
+"""
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.stats was most of every CLI call's start-up; only the binomial
+    # checks in theory.py load scipy now
+    one = ["--threads", "1", "--trials", "20", "--seed", "1"]
+    runs = [
+        [],
+        ["pc", "--n", "16", "--d", "2", "--r", "2", *one],
+        ["theta", "--n", "16", "--d", "2", "--r", "2", "--p", "0.05", *one],
+        ["sweep", "--d", "2", "--r", "2", "--n-list", "8,12,16", "--fit", *one],
+        ["theory", "--r", "3"],
+    ]
+    for run in runs:
+        code = _NO_SCIPY.format(runs=[run] if run else [])
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0, run
+
+
 def test_bad_threads_env_exit_code(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from lineperc import (
     GridSpec,
@@ -211,6 +212,64 @@ def test_median_order_statistic_ci():
     lo, hi = median_order_statistic_ci(samples)
     med = float(np.median(samples))
     assert lo <= med <= hi
+
+
+# the two quantiles of the default 95% median CI, computed as the CI does
+_CI_QS = ((1.0 - 0.95) / 2, 1.0 - (1.0 - 0.95) / 2)
+
+
+def test_binom_half_ppf_matches_scipy():
+    # scipy's binom.ppf is the oracle for the exact order-statistic indices;
+    # the integer walk must agree with the float one wherever it is cheap
+    for m in range(10, 3001):
+        for q in _CI_QS:
+            want = int(binom.ppf(q, m, 0.5))
+            assert estimator._binom_half_ppf(q, m) == want, (q, m)
+            assert estimator._binom_half_ppf_exact(q, m) == want, (q, m)
+    spaced = list(range(3001, estimator.MAX_TRIALS, 9973)) + [estimator.MAX_TRIALS]
+    for m in spaced:
+        for q in _CI_QS:
+            assert estimator._binom_half_ppf(q, m) == int(binom.ppf(q, m, 0.5)), (q, m)
+
+
+@pytest.mark.parametrize("m", [11, 35, 2001, 2999, 10**5 + 1])
+def test_binom_half_ppf_settles_ties_exactly(m, monkeypatch):
+    # at odd m, P(Bin(m, 1/2) <= (m - 1)/2) is exactly 1/2: the float cdf
+    # lands within rounding of q = 0.5, so the integer walk decides.  scipy's
+    # float ppf answers (m + 1)/2 at m = 35
+    exact = estimator._binom_half_ppf_exact
+    settled = []
+    monkeypatch.setattr(
+        estimator, "_binom_half_ppf_exact", lambda q, m: settled.append(m) or exact(q, m)
+    )
+    assert estimator._binom_half_ppf(0.5, m) == (m - 1) // 2
+    assert estimator._binom_half_ppf(0.5, m + 1) == (m + 1) // 2
+    assert settled == [m]
+
+
+def test_binom_half_ppf_exact_walk_both_ways():
+    # the smallest k with sum_{j<=k} C(m, j) >= q 2^m, by brute force
+    for m in range(1, 60):
+        for q in (1e-9, 0.025, 0.3, 0.5, 0.7, 0.975, 1 - 1e-9):
+            a, b = q.as_integer_ratio()
+            cdf = np.cumsum([math.comb(m, j) for j in range(m + 1)], dtype=object)
+            want = next(k for k in range(m + 1) if cdf[k] * b >= a << m)
+            assert estimator._binom_half_ppf(q, m) == want, (q, m)
+            assert estimator._binom_half_ppf_exact(q, m) == want, (q, m)
+
+
+def test_trials_above_the_bound_refused_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("chunks were built or a trial ran")
+
+    monkeypatch.setattr(estimator, "_chunk_ranges", no_work)
+    monkeypatch.setattr(estimator, "_run_chunks", no_work)
+    spec = GridSpec.uniform(8, 2, 2)
+    for trials in (estimator.MAX_TRIALS + 1, 10**12):
+        with pytest.raises(InputError, match="trials"):
+            estimate_pc(spec, trials, 1)
+        with pytest.raises(InputError, match="trials"):
+            estimate_theta(spec, 0.1, trials, 1)
 
 
 def test_regime_of_examples():

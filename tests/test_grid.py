@@ -18,7 +18,7 @@ from lineperc import (
     parse_point,
     points_on,
 )
-from lineperc.grid import MAX_LINES
+from lineperc.grid import MAX_DIMENSION, MAX_LINES
 
 
 def test_spec_validation():
@@ -50,6 +50,16 @@ def test_spec_line_budget():
     assert GridSpec(4, 2, (2, MAX_LINES)).thresholds == (2, MAX_LINES)
     with pytest.raises(InputError, match="thresholds"):
         GridSpec(4, 2, (2, MAX_LINES + 1))
+    # a one-point grid has d lines, so the dimension has its own bound, checked
+    # before the d thresholds are built: (2,) * 2^63 raises OverflowError
+    assert GridSpec.uniform(1, MAX_DIMENSION, 1).num_lines == MAX_DIMENSION
+    with pytest.raises(InputError, match="dimension"):
+        GridSpec(1, MAX_DIMENSION + 1, (1,) * (MAX_DIMENSION + 1))
+    with pytest.raises(InputError, match="dimension"):
+        GridSpec.uniform(2, 2**63, 2)
+    # the refusal names the bound, not the count of d * n^(d-1) lines
+    with pytest.raises(InputError, match=f"more than the supported {MAX_LINES} lines"):
+        GridSpec.uniform(MAX_LINES, MAX_DIMENSION, 2)
 
 
 def test_lines_through_2d():
