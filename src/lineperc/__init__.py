@@ -27,6 +27,7 @@ from .estimator import (
     estimate_theta,
     fit_exponent,
     wilson_interval,
+    worker_pool,
 )
 from .grid import (
     GridSpec,

@@ -5,7 +5,8 @@ JSON on stdout; tabular results are CSV.  Every output embeds the spec, seed,
 trial count, schema tag, and a build id, and is byte-identical across reruns
 and thread counts (timings go to stderr).  An output path of ``-`` is stdout.
 
-Exit codes: 0 success, 1 input error, 2 internal assertion failure.
+Exit codes: 0 success, 1 input error, 2 internal assertion failure or a
+worker process that died.
 
 The p mini-grammar accepts ``0.01``, ``n^-1.5``, and ``0.5*n^-1.5``.
 """
@@ -21,6 +22,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .engine import percolates, percolation_run
-from .estimator import estimate_pc, estimate_theta, fit_exponent
+from .estimator import estimate_pc, estimate_theta, fit_exponent, worker_pool
 from .grid import (
     GridSpec,
     InputError,
@@ -213,8 +215,8 @@ def cmd_theta(args) -> int:
     if args.csv:
         _one_stdout(args.out, args.csv)
     p = parse_p_expression(args.p, spec.n)
-    workers = _resolve_threads(args)
-    est = estimate_theta(spec, p, args.trials, _seed(args.seed), workers=workers)
+    with worker_pool(_resolve_threads(args)):
+        est = estimate_theta(spec, p, args.trials, _seed(args.seed))
     print(f"theta run: {est.wall_seconds:.2f}s", file=sys.stderr)
     rec = _base_record(spec, "theta")
     rec.update(est.to_json_dict())
@@ -229,8 +231,8 @@ def cmd_pc(args) -> int:
     spec = _spec_from_args(args)
     if args.csv:
         _one_stdout(args.out, args.csv)
-    workers = _resolve_threads(args)
-    est = estimate_pc(spec, args.trials, _seed(args.seed), workers=workers)
+    with worker_pool(_resolve_threads(args)):
+        est = estimate_pc(spec, args.trials, _seed(args.seed))
     print(f"pc run: {est.wall_seconds:.2f}s", file=sys.stderr)
     rec = _base_record(spec, "pc")
     rec.update(est.to_json_dict())
@@ -336,25 +338,25 @@ def cmd_sweep(args) -> int:
     sw = _sweep_config(args)
     if sw.fit:
         _one_stdout(sw.csv_path, sw.fit_path)
-    workers = _resolve_threads(args)
     rows = []
     fit_points = []
-    for n in sw.n_list:
-        spec = sw.spec_for(n)
-        if sw.p_rule:
-            p = parse_p_expression(sw.p_rule, n)
-            est = estimate_theta(spec, p, sw.trials, sw.master_seed, workers=workers)
-            print(f"n={n}: theta={est.point_estimate:.5f} "
-                  f"({est.wall_seconds:.2f}s)", file=sys.stderr)
-            rows.append([n, p, est.point_estimate, est.ci_low, est.ci_high])
-            if est.point_estimate > 0:
-                fit_points.append((n, est.point_estimate))
-        else:
-            est = estimate_pc(spec, sw.trials, sw.master_seed, workers=workers)
-            print(f"n={n}: median_pc={est.median:.6g} "
-                  f"({est.wall_seconds:.2f}s)", file=sys.stderr)
-            rows.append([n, est.median, est.ci_low, est.ci_high])
-            fit_points.append((n, est.median))
+    with worker_pool(_resolve_threads(args)):  # one pool for every n
+        for n in sw.n_list:
+            spec = sw.spec_for(n)
+            if sw.p_rule:
+                p = parse_p_expression(sw.p_rule, n)
+                est = estimate_theta(spec, p, sw.trials, sw.master_seed)
+                print(f"n={n}: theta={est.point_estimate:.5f} "
+                      f"({est.wall_seconds:.2f}s)", file=sys.stderr)
+                rows.append([n, p, est.point_estimate, est.ci_low, est.ci_high])
+                if est.point_estimate > 0:
+                    fit_points.append((n, est.point_estimate))
+            else:
+                est = estimate_pc(spec, sw.trials, sw.master_seed)
+                print(f"n={n}: median_pc={est.median:.6g} "
+                      f"({est.wall_seconds:.2f}s)", file=sys.stderr)
+                rows.append([n, est.median, est.ci_low, est.ci_high])
+                fit_points.append((n, est.median))
     if sw.p_rule:
         _emit_csv(["n", "p", "theta", "ci_low", "ci_high"], rows, sw.csv_path)
     else:
@@ -630,6 +632,9 @@ def dispatch(argv: list[str]) -> int:
         return 1
     except AssertionError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
+        return 2
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 2
 
 

@@ -2,7 +2,11 @@
 
 Trials fan out over a process pool when ``workers`` > 1; each trial is a pure
 function of (master_seed, trial_index), and aggregation is positional, so
-results are bit-identical for every worker count.
+results are bit-identical for every worker count.  Every estimate inside one
+``with worker_pool(workers):`` block runs on one pool, forked at the first
+estimate that fans out and joined when the block ends; the CLI runs each
+command in one such block.  An estimate outside a block gets a pool of its
+own.
 
 p_c is estimated as the median of the coupled per-sample p* values: under the
 coupling P(p* <= p) equals theta_p exactly, so one cascade pipeline per trial
@@ -15,8 +19,10 @@ import math
 import operator
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +45,7 @@ __all__ = [
     "estimate_pc",
     "fit_exponent",
     "wilson_interval",
+    "worker_pool",
 ]
 
 _Z95 = 1.959963984540054
@@ -176,22 +183,60 @@ def _pc_chunk(args) -> list[tuple[float, bool]]:
     return out
 
 
+class _WorkerPool:
+    """The process pool of one ``worker_pool`` block, built when first needed."""
+
+    def __init__(self, workers: int, stack: ExitStack):
+        self._workers = workers
+        self._stack = stack
+        self._executor = None
+
+    def map(self, fn, payloads) -> list:
+        if self._executor is None:
+            # a pool forks all its workers at the first submit, so never ask
+            # for more than there are cores or chunks to run
+            size = min(self._workers, os.cpu_count() or 1, len(payloads))
+            if size <= 1:
+                return [fn(p) for p in payloads]
+            self._executor = self._stack.enter_context(
+                ProcessPoolExecutor(max_workers=size)
+            )
+        return list(self._executor.map(fn, payloads))
+
+
+# each thread's innermost worker_pool; not a ContextVar, since any value set
+# in the context makes numpy's per-call lookup of its error state slower
+_active = threading.local()
+
+
+@contextmanager
+def worker_pool(workers: int):
+    """Run every estimate inside the block on one pool of worker processes.
+
+    The pool has min(``workers``, cores, chunks) workers, the chunks being
+    those of the first estimate that fans out, which forks them; until then,
+    and for good if ``workers`` <= 1, estimates run serially in this process.
+    The estimates' own ``workers`` is not read inside the block.  On exit the
+    pool shuts down and its workers are joined.
+    """
+    with ExitStack() as stack:
+        outer = getattr(_active, "pool", None)
+        _active.pool = _WorkerPool(workers, stack)
+        try:
+            yield
+        finally:
+            _active.pool = outer
+
+
 def _run_chunks(fn, payloads, workers: int):
-    # a pool forks all its workers at the first submit, so never ask for
-    # more than there are cores or chunks to run
-    workers = min(workers, os.cpu_count() or 1, len(payloads))
-    if workers <= 1:
-        results = [fn(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, payloads))
-    out = []
-    for r in results:
-        out.extend(r)
-    return out
+    pool = getattr(_active, "pool", None)
+    if pool is None:
+        with worker_pool(workers):
+            return _run_chunks(fn, payloads, workers)
+    return [x for r in pool.map(fn, payloads) for x in r]
 
 
-def _chunk_ranges(trials: int, workers: int) -> list[tuple[int, int]]:
+def _chunk_ranges(trials: int) -> list[tuple[int, int]]:
     # fixed-size chunks independent of the worker count keep the fan-out
     # deterministic and the per-task overhead amortized
     chunk = max(1, min(256, (trials + 31) // 32))
@@ -255,7 +300,7 @@ def estimate_theta(
     t0 = time.perf_counter()
     payloads = [
         (spec, p, master_seed, lo, hi, process_checks)
-        for lo, hi in _chunk_ranges(trials, workers)
+        for lo, hi in _chunk_ranges(trials)
     ]
     flags = _run_chunks(_theta_chunk, payloads, workers)
     successes = sum(flags)
@@ -365,7 +410,7 @@ def estimate_pc(
     t0 = time.perf_counter()
     payloads = [
         (spec, master_seed, lo, hi, process_checks)
-        for lo, hi in _chunk_ranges(trials, workers)
+        for lo, hi in _chunk_ranges(trials)
     ]
     rows = _run_chunks(_pc_chunk, payloads, workers)
     samples = np.sort(np.array([p for p, _ in rows], dtype=np.float64))

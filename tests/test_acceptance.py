@@ -11,6 +11,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from lineperc import (
     GridSpec,
@@ -26,7 +27,7 @@ from lineperc import (
     run_synchronous,
 )
 from lineperc.engine import closure_from_codes, percolation_run
-from lineperc.estimator import estimate_pc, estimate_theta, fit_exponent
+from lineperc.estimator import estimate_pc, estimate_theta, fit_exponent, worker_pool
 from lineperc.grid import decode_point, encode_point
 from lineperc.processes import plane_statistics
 from lineperc.sampling import TrialSeed, sample_codes
@@ -34,6 +35,13 @@ from lineperc.theory import check_binomial_bounds_grid
 
 SEED = 20250810
 WORKERS = 4
+
+
+@pytest.fixture(scope="module", autouse=True)
+def one_pool():
+    """Every estimate of the suite runs on one pool of WORKERS workers."""
+    with worker_pool(WORKERS):
+        yield
 
 
 def verdict(criterion: str, ok: bool, detail: str) -> None:

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 import tempfile
@@ -325,6 +327,49 @@ def test_bad_threads_env_exit_code(monkeypatch, capsys):
     assert dispatch(argv) == 1
     err = capsys.readouterr().err
     assert "LINEPERC_THREADS" in err and "Traceback" not in err
+
+
+_SWEEP_3N = ["sweep", "--d", "2", "--r", "2", "--n-list", "16,24,32", "--fit",
+             "--trials", "40", "--seed", "11"]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs 2 cores")
+def test_sweep_forks_one_pool_for_every_n(monkeypatch, capsys):
+    sizes, joins = [], []
+
+    class CountedPool(estimator.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+        def shutdown(self, wait=True, **kwargs):
+            super().shutdown(wait=wait, **kwargs)
+            joins.append(wait)
+
+    monkeypatch.setattr(estimator, "ProcessPoolExecutor", CountedPool)
+    assert dispatch(_SWEEP_3N + ["--threads", "2"]) == 0
+    assert (sizes, joins) == ([2], [True])
+    assert multiprocessing.active_children() == []
+    parallel = capsys.readouterr().out
+    assert dispatch(_SWEEP_3N + ["--threads", "1"]) == 0
+    assert capsys.readouterr().out == parallel
+    assert (sizes, joins) == ([2], [True])
+
+
+def _die(args):
+    os._exit(3)
+
+
+def test_dead_worker_exit_code(monkeypatch, capsys):
+    # two cores even on one, so the chunks never run in this process
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(estimator, "_pc_chunk", _die)
+    argv = ["pc", "--n", "16", "--d", "2", "--r", "2", "--trials", "20",
+            "--seed", "1", "--threads", "2"]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert multiprocessing.active_children() == []
 
 
 def test_search_space_refusal_exit_code():

@@ -189,6 +189,44 @@ def test_workers_clamped_to_cores_and_chunks(monkeypatch, requested, cores, pool
     assert est.outcomes == estimate_theta(spec, 0.1, 8, 3, workers=1).outcomes
 
 
+def test_worker_pool_serves_every_estimate_once_built(monkeypatch):
+    events = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: logs its life, starts nothing."""
+
+        def __init__(self, max_workers):
+            events.append(("start", max_workers))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            events.append("shutdown")
+            return False
+
+        def map(self, fn, payloads):
+            events.append("map")
+            return map(fn, payloads)
+
+    monkeypatch.setattr(estimator, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: 8)
+    spec = GridSpec.uniform(10, 2, 2)
+    serial = estimate_theta(spec, 0.1, 40, 3).outcomes
+    with estimator.worker_pool(4):
+        # one chunk runs here and builds nothing; the pool's size, not the
+        # estimate's workers, decides the rest
+        assert estimate_theta(spec, 0.1, 1, 3, workers=8).outcomes == serial[:1]
+        assert events == []
+        assert estimate_theta(spec, 0.1, 40, 3).outcomes == serial
+        assert estimate_pc(spec, 40, 3, workers=1).samples.size == 40
+        assert events == [("start", 4), "map", "map"]
+    assert events[-1] == "shutdown"
+    with estimator.worker_pool(1):
+        assert estimate_theta(spec, 0.1, 40, 3, workers=4).outcomes == serial
+    assert events == [("start", 4), "map", "map", "shutdown"]
+
+
 def test_ecdf_matches_independent_theta():
     # P(p* <= p) = theta_p under the coupling
     spec = GridSpec.uniform(24, 2, 2)
