@@ -22,6 +22,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,7 +32,13 @@ import numpy as np
 
 from . import __version__
 from .engine import percolates, percolation_run
-from .estimator import estimate_pc, estimate_theta, fit_exponent, worker_pool
+from .estimator import (
+    estimate_pc,
+    estimate_theta,
+    fit_exponent,
+    run_trials,
+    worker_pool,
+)
 from .grid import (
     GridSpec,
     InputError,
@@ -262,8 +269,6 @@ class SweepConfig:
             b <= a for a, b in zip(self.n_list, self.n_list[1:])
         ):
             raise InputError(f"n list must be non-empty ascending, got {self.n_list}")
-        if self.trials < 1:
-            raise InputError(f"trials must be >= 1, got {self.trials}")
 
     def spec_for(self, n: int) -> GridSpec:
         return GridSpec(n, self.d, self.thresholds)
@@ -387,28 +392,26 @@ def cmd_theory(args) -> int:
     return 0
 
 
+def _preface_trial(spec: GridSpec, seed: TrialSeed, p: float, s: int) -> tuple:
+    """(classification, preface, slow) of one stopped alternating run."""
+    codes = sample_codes(spec, p, seed)
+    _, lc = run_alternating_2d(spec, None, stop_rule=True, _codes=codes)
+    cls = classify_line_count(lc, spec.r)
+    if cls is LineCountClass.NO_PERCOLATION:
+        return cls.value, "", ""
+    pref = preface_of(lc, spec.r)
+    return cls.value, preface_text(pref), str(int(is_slow(pref, s)))
+
+
 def cmd_preface_stats(args) -> int:
-    if args.trials < 1:
-        raise InputError(f"--trials must be >= 1, got {args.trials}")
-    _seed(args.seed)
     spec = GridSpec.uniform(args.n, 2, args.r)
     p = parse_p_expression(args.p, spec.n)
     s = s_of_r(args.r) if args.r >= 2 else 0
-    tally: dict[tuple[str, str, str], int] = {}
-    for i in range(args.trials):
-        codes = sample_codes(spec, p, TrialSeed(args.seed, i))
-        _, lc = run_alternating_2d(spec, None, stop_rule=True, _codes=codes)
-        cls = classify_line_count(lc, args.r)
-        if cls is LineCountClass.NO_PERCOLATION:
-            key = (cls.value, "", "")
-        else:
-            pref = preface_of(lc, args.r)
-            key = (cls.value, preface_text(pref), str(int(is_slow(pref, s))))
-        tally[key] = tally.get(key, 0) + 1
+    keys = run_trials(_preface_trial, spec, args.trials, _seed(args.seed), p, s)
     rows = [
         [cls, pref, slow, cnt, cnt / args.trials]
         for (cls, pref, slow), cnt in sorted(
-            tally.items(), key=lambda kv: (-kv[1], kv[0])
+            Counter(keys).items(), key=lambda kv: (-kv[1], kv[0])
         )
     ]
     _emit_csv(
@@ -417,25 +420,25 @@ def cmd_preface_stats(args) -> int:
     return 0
 
 
+def _plane_trial(spec: GridSpec, seed: TrialSeed, p: float, kmax: int) -> tuple:
+    """N_1, ..., N_kmax of one cascade run to its fixed point."""
+    state = percolation_run(spec, sample_codes(spec, p, seed))
+    return plane_statistics(spec, state).n_k_profile(kmax)
+
+
 def cmd_plane_stats(args) -> int:
-    if args.trials < 1:
-        raise InputError(f"--trials must be >= 1, got {args.trials}")
-    _seed(args.seed)
     spec = GridSpec.uniform(args.n, 3, args.r)
     p = parse_p_expression(args.p, spec.n)
     g = float(gamma_of_r(args.r))
     s = s_of_r(args.r)
     kmax = s + 1
     bounds = [spec.n ** (1.0 - k * g / (args.r - g)) for k in range(1, kmax + 1)]
+    profiles = run_trials(_plane_trial, spec, args.trials, _seed(args.seed), p, kmax)
     within = np.zeros(kmax, dtype=np.int64)
     sums = np.zeros(kmax, dtype=np.float64)
     maxima = np.zeros(kmax, dtype=np.int64)
     all_within = 0
-    for i in range(args.trials):
-        codes = sample_codes(spec, p, TrialSeed(args.seed, i))
-        state = percolation_run(spec, codes)
-        stats = plane_statistics(spec, state)
-        prof = stats.n_k_profile(kmax)
+    for prof in profiles:
         ok = True
         for k in range(kmax):
             sums[k] += prof[k]

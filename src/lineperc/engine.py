@@ -85,9 +85,9 @@ from .grid import (
     _tables,
     decode_line,
     decode_point,
+    encode_point,
     encode_points,
     require_small_grid,
-    validate_point,
 )
 
 # points per batch of parallel lines, which bounds the (lines, n) temporaries
@@ -197,13 +197,10 @@ class _Cascade:
         return [decode_line(self.spec, int(i)) for i in np.flatnonzero(self.saturated)]
 
     def is_infected(self, p: Sequence[int]) -> bool:
-        t = self._t
-        p = validate_point(self.spec, p)
-        code = int(sum((c - 1) * s for c, s in zip(p, t.pstride)))
+        code = encode_point(self.spec, p)
         if code in self._initial_set:
             return True
-        digits = np.asarray([c - 1 for c in p], dtype=np.int64)
-        lids = digits @ t.W.T + t.off
+        lids = self._t.lids_of(np.array([code], dtype=np.int64))
         return bool(self.saturated[lids].any())
 
     def infected_mask(self) -> np.ndarray:
@@ -212,10 +209,7 @@ class _Cascade:
         mask = np.zeros(t.N, dtype=bool)
         mask[self._initial_codes] = True
         for lid in np.flatnonzero(self.saturated):
-            axis, g = t.line_digits(int(lid))
-            base = int(sum(gd * s for gd, s in zip(g, t.pstride)))
-            step = int(t.pstride[axis])
-            mask[base : base + step * t.n : step] = True
+            mask[t.line_slice(int(lid))] = True
         return mask
 
     def infected_codes(self) -> np.ndarray:

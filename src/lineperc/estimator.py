@@ -1,12 +1,11 @@
 """Monte Carlo estimation of theta_p and p_c, and scaling-exponent fits.
 
-Trials fan out over a process pool when ``workers`` > 1; each trial is a pure
-function of (master_seed, trial_index), and aggregation is positional, so
-results are bit-identical for every worker count.  Every estimate inside one
-``with worker_pool(workers):`` block runs on one pool, forked at the first
-estimate that fans out and joined when the block ends; the CLI runs each
-command in one such block.  An estimate outside a block gets a pool of its
-own.
+Every estimate is one ``run_trials`` call: trial i is a pure function of
+(master_seed, i), and aggregation is positional, so results are
+bit-identical for every worker count.  Inside a ``with worker_pool(workers):``
+block every estimate runs on one pool, forked at the first estimate that fans
+out and joined when the block ends; the CLI runs each command in one such
+block.  Outside a block, estimates run serially in this process.
 
 p_c is estimated as the median of the coupled per-sample p* values: under the
 coupling P(p* <= p) equals theta_p exactly, so one cascade pipeline per trial
@@ -50,15 +49,10 @@ __all__ = [
 
 _Z95 = 1.959963984540054
 
-# the estimators keep one result per trial and build every chunk payload up
-# front, so the trial count bounds their memory: a million pc trials hold
-# about 100 MB of results
+# run_trials keeps one result per trial and builds every chunk payload up
+# front, so the trial count bounds its memory: a million pc trials hold about
+# 100 MB of results
 MAX_TRIALS = 1_000_000
-
-
-def _check_trials(trials: int, least: int) -> None:
-    if not least <= trials <= MAX_TRIALS:
-        raise InputError(f"trials must lie in [{least}, {MAX_TRIALS}], got {trials}")
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -156,31 +150,28 @@ class SlopeFit:
 
 
 # ---------------------------------------------------------------------------
-# per-trial workers (top level for pickling)
+# trials (top level for pickling)
 # ---------------------------------------------------------------------------
 
 
-def _theta_chunk(args) -> list[bool]:
-    spec, p, master_seed, lo, hi, checks = args
-    out = []
-    for i in range(lo, hi):
-        codes = sample_codes(spec, p, TrialSeed(master_seed, i))
-        state = percolation_run(spec, codes)
-        if state.percolated and checks and spec.d == 2 and spec.is_uniform:
-            check_2d_process_properties(spec, codes)
-        out.append(bool(state.percolated))
-    return out
+def _theta_trial(spec: GridSpec, seed: TrialSeed, p: float) -> bool:
+    codes = sample_codes(spec, p, seed)
+    state = percolation_run(spec, codes)
+    if state.percolated and spec.d == 2 and spec.is_uniform:
+        check_2d_process_properties(spec, codes)
+    return bool(state.percolated)
 
 
-def _pc_chunk(args) -> list[tuple[float, bool]]:
-    spec, master_seed, lo, hi, checks = args
-    out = []
-    for i in range(lo, hi):
-        pc = critical_p_of_sample(spec, TrialSeed(master_seed, i))
-        if checks and not pc.degenerate and spec.d == 2 and spec.is_uniform:
-            check_2d_process_properties(spec, pc.witness._initial_codes)
-        out.append((pc.p_star, pc.degenerate))
-    return out
+def _pc_trial(spec: GridSpec, seed: TrialSeed) -> tuple[float, bool]:
+    pc = critical_p_of_sample(spec, seed)
+    if not pc.degenerate and spec.d == 2 and spec.is_uniform:
+        check_2d_process_properties(spec, pc.witness._initial_codes)
+    return pc.p_star, pc.degenerate
+
+
+def _chunk(args) -> list:
+    fn, spec, master_seed, lo, hi, extra = args
+    return [fn(spec, TrialSeed(master_seed, i), *extra) for i in range(lo, hi)]
 
 
 class _WorkerPool:
@@ -216,8 +207,7 @@ def worker_pool(workers: int):
     The pool has min(``workers``, cores, chunks) workers, the chunks being
     those of the first estimate that fans out, which forks them; until then,
     and for good if ``workers`` <= 1, estimates run serially in this process.
-    The estimates' own ``workers`` is not read inside the block.  On exit the
-    pool shuts down and its workers are joined.
+    On exit the pool shuts down and its workers are joined.
     """
     with ExitStack() as stack:
         outer = getattr(_active, "pool", None)
@@ -228,19 +218,33 @@ def worker_pool(workers: int):
             _active.pool = outer
 
 
-def _run_chunks(fn, payloads, workers: int):
-    pool = getattr(_active, "pool", None)
-    if pool is None:
-        with worker_pool(workers):
-            return _run_chunks(fn, payloads, workers)
-    return [x for r in pool.map(fn, payloads) for x in r]
-
-
 def _chunk_ranges(trials: int) -> list[tuple[int, int]]:
     # fixed-size chunks independent of the worker count keep the fan-out
     # deterministic and the per-task overhead amortized
     chunk = max(1, min(256, (trials + 31) // 32))
     return [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
+
+
+def run_trials(
+    fn, spec: GridSpec, trials: int, master_seed: int, *extra, least: int = 1
+) -> list:
+    """``fn(spec, TrialSeed(master_seed, i), *extra)`` for every trial i, in
+    trial order.
+
+    ``fn`` must be a top-level function, so that it pickles.  The trials run
+    on the active ``worker_pool``, or serially outside one.  A trial count
+    outside [``least``, MAX_TRIALS] and a master seed outside [0, 2^64) are
+    refused before any trial.
+    """
+    if not least <= trials <= MAX_TRIALS:
+        raise InputError(f"trials must lie in [{least}, {MAX_TRIALS}], got {trials}")
+    TrialSeed(master_seed, trials - 1)
+    payloads = [
+        (fn, spec, master_seed, lo, hi, extra) for lo, hi in _chunk_ranges(trials)
+    ]
+    pool = getattr(_active, "pool", None)
+    chunks = map(_chunk, payloads) if pool is None else pool.map(_chunk, payloads)
+    return [x for chunk in chunks for x in chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +292,12 @@ def estimate_theta(
     p: float,
     trials: int,
     master_seed: int,
-    *,
-    workers: int = 1,
-    process_checks: bool = True,
 ) -> ThetaEstimate:
     """Fraction of percolating Bernoulli(p) trials with a Wilson 95% CI."""
-    _check_trials(trials, 1)
     if not (0.0 <= p <= 1.0):
         raise InputError(f"p must lie in [0, 1], got {p}")
-    TrialSeed(master_seed, trials - 1)  # refuses a seed key before any trial
     t0 = time.perf_counter()
-    payloads = [
-        (spec, p, master_seed, lo, hi, process_checks)
-        for lo, hi in _chunk_ranges(trials)
-    ]
-    flags = _run_chunks(_theta_chunk, payloads, workers)
+    flags = run_trials(_theta_trial, spec, trials, master_seed, p)
     successes = sum(flags)
     lo, hi = wilson_interval(successes, trials)
     return ThetaEstimate(
@@ -400,19 +395,10 @@ def estimate_pc(
     spec: GridSpec,
     trials: int,
     master_seed: int,
-    *,
-    workers: int = 1,
-    process_checks: bool = True,
 ) -> PcEstimate:
     """Median of the coupled per-sample p* values, with an order-statistic CI."""
-    _check_trials(trials, 10)
-    TrialSeed(master_seed, trials - 1)  # refuses a seed key before any trial
     t0 = time.perf_counter()
-    payloads = [
-        (spec, master_seed, lo, hi, process_checks)
-        for lo, hi in _chunk_ranges(trials)
-    ]
-    rows = _run_chunks(_pc_chunk, payloads, workers)
+    rows = run_trials(_pc_trial, spec, trials, master_seed, least=10)
     samples = np.sort(np.array([p for p, _ in rows], dtype=np.float64))
     ci_low, ci_high = median_order_statistic_ci(samples)
     return PcEstimate(

@@ -195,6 +195,14 @@ class _SpecTables:
             rem, g[i] = divmod(rem, self.n)
         return axis, g
 
+    def line_slice(self, lid: int) -> slice:
+        """Codes of the n points of line ``lid``, as a slice of a per-code
+        array (``range(N)[slice]`` lists them)."""
+        axis, g = self.line_digits(lid)
+        base = int(sum(gd * s for gd, s in zip(g, self.pstride)))
+        step = int(self.pstride[axis])
+        return slice(base, base + step * self.n, step)
+
 
 @lru_cache(maxsize=64)
 def _tables(spec: GridSpec) -> _SpecTables:

@@ -16,11 +16,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from .engine import closure, percolates
-from .grid import GridSpec, InputError, Point, require_small_grid, validate_point
+from .grid import (
+    GridSpec,
+    InputError,
+    Point,
+    _tables,
+    decode_point,
+    require_small_grid,
+    validate_point,
+)
 
 SEARCH_SPACE_LIMIT = 10**7
 
@@ -187,8 +195,6 @@ def vanishing_polynomial(
 
 
 def _normalize(coeffs: list[Fraction]) -> list[Fraction]:
-    from math import gcd, lcm
-
     den = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
     ints = [int(c * den) for c in coeffs]
     g = gcd(*ints)
@@ -255,22 +261,17 @@ class _BitCascade:
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
-        n, d = spec.n, spec.d
         self.full = (1 << spec.num_sites) - 1
         self.masks: list[int] = []
         self.thrs: list[int] = []
-        from .grid import _tables
-
         t = _tables(spec)
+        codes = range(spec.num_sites)
         for lid in range(spec.num_lines):
-            axis, g = t.line_digits(lid)
-            base = int(sum(gd * s for gd, s in zip(g, t.pstride)))
-            step = int(t.pstride[axis])
             m = 0
-            for tt in range(n):
-                m |= 1 << (base + step * tt)
+            for c in codes[t.line_slice(lid)]:
+                m |= 1 << c
             self.masks.append(m)
-            self.thrs.append(spec.thresholds[axis])
+            self.thrs.append(spec.thresholds[lid // t.lines_per_axis])
 
     def percolates(self, bits: int) -> bool:
         if bits == self.full:
@@ -294,8 +295,6 @@ class _BitCascade:
 
 def _product_block_codes(spec: GridSpec) -> list[int]:
     """Codes of the corner block [r_1] x ... x [r_d]."""
-    from .grid import _tables
-
     t = _tables(spec)
     ranges = [range(thr) for thr in spec.thresholds]
     return [
@@ -359,6 +358,4 @@ def min_percolating_size(
 
 
 def _decode_codes(spec: GridSpec, codes) -> list[Point]:
-    from .grid import decode_point
-
     return [decode_point(spec, int(c)) for c in codes]

@@ -240,11 +240,8 @@ def plane_statistics_recount(spec: GridSpec, state: InfectionState) -> PlaneStat
     infected = np.zeros(t.N, dtype=bool)
     infected[state._initial_codes] = True
     for lid in state.trace.line_ids:
-        axis, g = t.line_digits(int(lid))
-        base = int(sum(gd * s for gd, s in zip(g, t.pstride)))
-        step = int(t.pstride[axis])
-        codes = base + step * np.arange(n, dtype=np.int64)
-        fresh = ~infected[codes]
-        boosted[axis, np.flatnonzero(fresh)] += 1
-        infected[codes] = True
+        axis = int(lid) // t.lines_per_axis
+        line = t.line_slice(int(lid))
+        boosted[axis, np.flatnonzero(~infected[line])] += 1
+        infected[line] = True
     return PlaneStats(n=n, max_parallel=paral.max(axis=2), boosted=boosted)

@@ -216,6 +216,24 @@ class BinomialBoundsReport:
         return all(c is not False for c in claims)
 
 
+def _pmf_sandwich(N: int, p: float, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per k in ``ks``: whether exp(-2 mu) (mu/k)^k <= P(X = k), and whether
+    P(X = k) <= exp(-mu) (2 e mu / k)^k, compared in log space (mu = N p).
+
+    At k = 0 the factors (.../k)^k are 1.  At mu = 0 the bounds of every
+    k >= 1 are 0, as is the pmf.
+    """
+    mu = N * p
+    log_pmf = log_binom_pmf(N, p, ks)
+    kpos = np.maximum(ks, 1).astype(np.float64)
+    log_mu = math.log(mu) if mu > 0 else -math.inf
+    log_2emu = math.log(2.0 * math.e * mu) if mu > 0 else -math.inf
+    log_k = np.log(kpos)
+    log_lower = np.where(ks == 0, -2.0 * mu, -2.0 * mu + kpos * (log_mu - log_k))
+    log_upper = np.where(ks == 0, -mu, -mu + kpos * (log_2emu - log_k))
+    return log_lower <= log_pmf, log_pmf <= log_upper
+
+
 def check_binomial_bounds(
     N: int, p: float, k: int, deltas: tuple[float, ...] = (0.1, 0.3, 0.5, 0.9)
 ) -> BinomialBoundsReport:
@@ -234,19 +252,11 @@ def check_binomial_bounds(
         raise InputError(f"k must lie in [0, {N}], got {k}")
     if not (0.0 <= p <= 1.0):
         raise InputError(f"p must lie in [0, 1], got {p}")
-    mu = N * p
     if p > 0.5:
         lower_ok = upper_ok = None
     else:
-        log_pmf = float(log_binom_pmf(N, p, k))
-        if k == 0:
-            log_lower = -2.0 * mu
-            log_upper = -mu
-        else:
-            log_lower = -2.0 * mu + k * (math.log(mu) - math.log(k)) if mu > 0 else -math.inf
-            log_upper = -mu + k * (math.log(2.0 * math.e * mu) - math.log(k)) if mu > 0 else math.inf
-        lower_ok = bool(log_lower <= log_pmf)
-        upper_ok = bool(log_pmf <= log_upper)
+        lower, upper = _pmf_sandwich(N, p, np.array([k], dtype=np.int64))
+        lower_ok, upper_ok = bool(lower[0]), bool(upper[0])
     chernoff = _chernoff_ok(N, p, deltas)
     return BinomialBoundsReport(N, p, k, lower_ok, upper_ok, chernoff)
 
@@ -274,20 +284,11 @@ def check_binomial_bounds_grid(
     """
     if not (0.0 < p <= 0.5):
         raise InputError(f"the pmf sandwich needs 0 < p <= 1/2, got {p}")
-    mu = N * p
     if k_max is None:
-        k_max = min(N, int(math.ceil(3 * mu)) + 10)
-    k_max = min(k_max, N)
-    ks = np.arange(k_max + 1, dtype=np.int64)
-    log_pmf = log_binom_pmf(N, p, ks)
-    kpos = ks[1:].astype(np.float64)
-    log_lower = np.empty(k_max + 1)
-    log_upper = np.empty(k_max + 1)
-    log_lower[0] = -2.0 * mu
-    log_upper[0] = -mu
-    log_lower[1:] = -2.0 * mu + kpos * (math.log(mu) - np.log(kpos))
-    log_upper[1:] = -mu + kpos * (math.log(2.0 * math.e * mu) - np.log(kpos))
-    bad = ks[(log_pmf < log_lower) | (log_pmf > log_upper)]
+        k_max = min(N, int(math.ceil(3 * (N * p))) + 10)
+    ks = np.arange(min(k_max, N) + 1, dtype=np.int64)
+    lower, upper = _pmf_sandwich(N, p, ks)
+    bad = ks[~(lower & upper)]
     return {"pmf_failures": bad.tolist(), "chernoff_ok": _chernoff_ok(N, p, deltas)}
 
 

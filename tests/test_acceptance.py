@@ -125,10 +125,7 @@ def test_criterion_04_theorem1_constant():
     devs = []
     cis = []
     for n in ns:
-        est = estimate_pc(
-            GridSpec.uniform(n, 2, 2), 4000, SEED, workers=WORKERS,
-            process_checks=True,
-        )
+        est = estimate_pc(GridSpec.uniform(n, 2, 2), 4000, SEED)
         scale = n**1.5
         devs.append(abs(est.median * scale - lam))
         cis.append((est.ci_low * scale, est.ci_high * scale))
@@ -152,9 +149,7 @@ def test_criterion_05_proposition41_levels():
     results = []
     for alpha in (0.5, 1.0, 2.0):
         p = alpha * 2048.0**-1.5
-        est = estimate_theta(
-            spec, p, 10_000, SEED, workers=WORKERS, process_checks=True
-        )
+        est = estimate_theta(spec, p, 10_000, SEED)
         target = 1.0 - math.exp(-2.0 * alpha**2 / 2.0)
         assert abs(est.point_estimate - target) <= 0.08, (
             alpha,
@@ -172,19 +167,13 @@ def test_criterion_05_proposition41_levels():
 def test_criterion_06_2d_critical_exponent():
     pts = []
     for n in [64, 128, 256, 512, 1024, 2048, 4096]:
-        est = estimate_pc(
-            GridSpec.uniform(n, 2, 2), 2500, SEED, workers=WORKERS,
-            process_checks=True,
-        )
+        est = estimate_pc(GridSpec.uniform(n, 2, 2), 2500, SEED)
         pts.append((n, est.median))
     fit2 = fit_exponent(pts)
     assert abs(fit2.slope - (-1.5)) <= 0.05, fit2.slope
     pts = []
     for n in [64, 128, 256, 512, 1024]:
-        est = estimate_pc(
-            GridSpec.uniform(n, 2, 3), 2500, SEED, workers=WORKERS,
-            process_checks=True,
-        )
+        est = estimate_pc(GridSpec.uniform(n, 2, 3), 2500, SEED)
         pts.append((n, est.median))
     fit3 = fit_exponent(pts)
     assert abs(fit3.slope - (-1.0 - 1.0 / 3.0)) <= 0.07, fit3.slope
@@ -199,14 +188,14 @@ def test_criterion_06_2d_critical_exponent():
 def test_criterion_07_3d_critical_exponent():
     pts = []
     for n in [32, 48, 64, 96, 128, 192, 256]:
-        est = estimate_pc(GridSpec.uniform(n, 3, 2), 600, SEED, workers=WORKERS)
+        est = estimate_pc(GridSpec.uniform(n, 3, 2), 600, SEED)
         pts.append((n, est.median))
     fit2 = fit_exponent(pts)
     assert abs(fit2.slope - (-2.0)) <= 0.15, fit2.slope
     # soft check at reduced trials
     pts = []
     for n in [32, 48, 64, 96, 128]:
-        est = estimate_pc(GridSpec.uniform(n, 3, 3), 300, SEED, workers=WORKERS)
+        est = estimate_pc(GridSpec.uniform(n, 3, 3), 300, SEED)
         pts.append((n, est.median))
     fit3 = fit_exponent(pts)
     predicted = -1.0 - 1.0 / (3.0 - float(gamma_of_r(3)))  # -11/7
@@ -223,10 +212,7 @@ def test_criterion_08_regime_exponent():
     pts = []
     for n in [128, 256, 512, 1024]:
         p = float(n) ** -1.7
-        est = estimate_theta(
-            GridSpec.uniform(n, 2, 2), p, 100_000, SEED, workers=WORKERS,
-            process_checks=True,
-        )
+        est = estimate_theta(GridSpec.uniform(n, 2, 2), p, 100_000, SEED)
         pts.append((n, est.point_estimate))
     fit = fit_exponent(pts)
     assert abs(fit.slope - (-0.4)) <= 0.12, fit.slope
@@ -238,8 +224,8 @@ def test_criterion_08_regime_exponent():
 def test_criterion_09_process_structure_properties():
     """Rounds <= 2r+1 and unique line-count class on every percolating run.
 
-    These are also asserted inside every criterion 4-8 estimator call via
-    process_checks=True; this test exercises them directly across the
+    Every 2D estimate of criteria 4-8 also asserts them on each percolating
+    trial; this test exercises them directly across the
     near-critical density range.
     """
     checked = 0
@@ -265,7 +251,7 @@ def test_criterion_09_process_structure_properties():
         "criterion 9",
         True,
         f"{checked} percolating runs: rounds <= 2r+1 and unique classification "
-        "(also asserted inside criteria 4-8 via process_checks)",
+        "(also asserted inside every 2D estimate of criteria 4-8)",
     )
 
 

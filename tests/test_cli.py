@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -23,6 +24,12 @@ def run_cli(args, stdin=""):
         text=True,
     )
     return proc
+
+
+def stdout_digest(stdout: str) -> str:
+    """sha256 of a command's stdout without its ``"build"`` line."""
+    kept = [ln for ln in stdout.splitlines(keepends=True) if '"build"' not in ln]
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
 
 
 def test_p_expression_grammar():
@@ -123,6 +130,10 @@ def test_preface_stats_csv():
     assert lines[0] == "classification,preface,slow,count,frequency"
     total = sum(int(row.split(",")[-2]) for row in lines[1:])
     assert total == 200
+    # pinned bytes of stdout, without the build line
+    assert stdout_digest(proc.stdout) == (
+        "5edd8c4fcf2b3dd32b7ea4d1815bfe7c1e5ba3175822a8fcbeadae7bd86e440f"
+    )
 
 
 def test_plane_stats_json():
@@ -134,6 +145,10 @@ def test_plane_stats_json():
     rec = json.loads(proc.stdout)
     assert 0.0 <= rec["frac_all_k_within"] <= 1.0
     assert rec["per_k"][0]["k"] == 1
+    # pinned bytes of stdout, without the build line
+    assert stdout_digest(proc.stdout) == (
+        "e8dd3feea42ca971e174b07e4a4a050ba6926a6a734794326bfa875bfd094636"
+    )
 
 
 def test_minset_search_json():
@@ -241,10 +256,24 @@ def test_oversized_dimension_exit_code(capsys):
         assert err.startswith("error: ") and reason in err, argv
 
 
-def test_trials_above_the_bound_exit_code(capsys):
-    for cmd in (["pc"], ["theta", "--p", "0.1"]):
-        argv = [*cmd, "--n", "8", "--d", "2", "--r", "2", "--trials", str(10**12),
-                "--seed", "1", "--threads", "1"]
+def test_trials_above_the_bound_exit_code(monkeypatch, capsys):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    for module in (cli, estimator):
+        monkeypatch.setattr(module, "sample_codes", no_trial)
+    monkeypatch.setattr(estimator, "critical_p_of_sample", no_trial)
+    many = ["--trials", str(10**12), "--seed", "1"]
+    cases = [
+        ["pc", "--n", "8", "--d", "2", "--r", "2", *many, "--threads", "1"],
+        ["theta", "--p", "0.1", "--n", "8", "--d", "2", "--r", "2", *many,
+         "--threads", "1"],
+        ["preface-stats", "--n", "8", "--r", "2", "--p", "0.1", *many],
+        ["plane-stats", "--n", "8", "--r", "2", "--p", "0.1", *many],
+        ["sweep", "--d", "2", "--r", "2", "--n-list", "8,12,16", *many,
+         "--threads", "1"],
+    ]
+    for argv in cases:
         assert dispatch(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(estimator.MAX_TRIALS) in err
@@ -356,14 +385,14 @@ def test_sweep_forks_one_pool_for_every_n(monkeypatch, capsys):
     assert (sizes, joins) == ([2], [True])
 
 
-def _die(args):
+def _die(*args):
     os._exit(3)
 
 
 def test_dead_worker_exit_code(monkeypatch, capsys):
     # two cores even on one, so the chunks never run in this process
     monkeypatch.setattr(estimator.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(estimator, "_pc_chunk", _die)
+    monkeypatch.setattr(estimator, "_pc_trial", _die)
     argv = ["pc", "--n", "16", "--d", "2", "--r", "2", "--trials", "20",
             "--seed", "1", "--threads", "2"]
     assert dispatch(argv) == 2
@@ -481,6 +510,8 @@ def test_nonpositive_trials_exit_code(capsys):
          "--seed", "1"],
         ["preface-stats", "--n", "8", "--r", "2", "--p", "0.1", "--trials", "0",
          "--seed", "1"],
+        ["sweep", "--d", "2", "--r", "2", "--n-list", "8,12,16", "--p-rule",
+         "n^-1.2", "--trials", "0", "--seed", "1", "--threads", "1"],
     ]
     for argv in cases:
         assert dispatch(argv) == 1, argv

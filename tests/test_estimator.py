@@ -85,12 +85,14 @@ def test_estimate_pc_median_and_ci():
 
 def test_estimate_pc_determinism_across_workers():
     spec = GridSpec.uniform(24, 2, 2)
-    a = estimate_pc(spec, 60, 123, workers=1)
-    b = estimate_pc(spec, 60, 123, workers=4)
+    a = estimate_pc(spec, 60, 123)
+    with estimator.worker_pool(4):
+        b = estimate_pc(spec, 60, 123)
     assert np.array_equal(a.samples, b.samples)
     assert a.median == b.median
-    ta = estimate_theta(spec, 0.01, 200, 9, workers=1)
-    tb = estimate_theta(spec, 0.01, 200, 9, workers=3)
+    ta = estimate_theta(spec, 0.01, 200, 9)
+    with estimator.worker_pool(3):
+        tb = estimate_theta(spec, 0.01, 200, 9)
     assert ta.successes == tb.successes
 
 
@@ -102,11 +104,12 @@ def test_seeds_outside_64_bits_refused_before_any_trial(monkeypatch):
     monkeypatch.setattr(estimator, "critical_p_of_sample", no_trial)
     monkeypatch.setattr(estimator, "sample_codes", no_trial)
     spec = GridSpec.uniform(64, 2, 2)
-    for seed in (-1, 2**64, 2**64 + 1):
-        with pytest.raises(InputError, match="master_seed"):
-            estimate_pc(spec, 10, seed, workers=2)
-        with pytest.raises(InputError, match="master_seed"):
-            estimate_theta(spec, 0.01, 10, seed, workers=2)
+    with estimator.worker_pool(2):
+        for seed in (-1, 2**64, 2**64 + 1):
+            with pytest.raises(InputError, match="master_seed"):
+                estimate_pc(spec, 10, seed)
+            with pytest.raises(InputError, match="master_seed"):
+                estimate_theta(spec, 0.01, 10, seed)
 
 
 def test_checked_pc_trial_opens_its_stream_once(monkeypatch):
@@ -119,7 +122,7 @@ def test_checked_pc_trial_opens_its_stream_once(monkeypatch):
         return generator(self)
 
     monkeypatch.setattr(TrialSeed, "generator", counted)
-    estimate_pc(GridSpec.uniform(24, 2, 2), 20, 5, workers=1, process_checks=True)
+    estimate_pc(GridSpec.uniform(24, 2, 2), 20, 5)
     assert sorted(opened) == list(range(20))
 
 
@@ -133,7 +136,7 @@ def test_process_checks_see_the_flip_prefix(monkeypatch):
         check(spec_, codes)
 
     monkeypatch.setattr(estimator, "check_2d_process_properties", recording)
-    estimate_pc(spec, 25, 123, workers=1)
+    estimate_pc(spec, 25, 123)
     assert len(seen) == 25
     for idx, codes in enumerate(seen):
         seed = TrialSeed(123, idx)
@@ -184,9 +187,10 @@ def test_workers_clamped_to_cores_and_chunks(monkeypatch, requested, cores, pool
     monkeypatch.setattr(estimator, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(estimator.os, "cpu_count", lambda: cores)
     spec = GridSpec.uniform(10, 2, 2)
-    est = estimate_theta(spec, 0.1, 8, 3, workers=requested)
+    with estimator.worker_pool(requested):
+        est = estimate_theta(spec, 0.1, 8, 3)
     assert sizes == ([] if pool_size is None else [pool_size])
-    assert est.outcomes == estimate_theta(spec, 0.1, 8, 3, workers=1).outcomes
+    assert est.outcomes == estimate_theta(spec, 0.1, 8, 3).outcomes
 
 
 def test_worker_pool_serves_every_estimate_once_built(monkeypatch):
@@ -214,16 +218,16 @@ def test_worker_pool_serves_every_estimate_once_built(monkeypatch):
     spec = GridSpec.uniform(10, 2, 2)
     serial = estimate_theta(spec, 0.1, 40, 3).outcomes
     with estimator.worker_pool(4):
-        # one chunk runs here and builds nothing; the pool's size, not the
-        # estimate's workers, decides the rest
-        assert estimate_theta(spec, 0.1, 1, 3, workers=8).outcomes == serial[:1]
+        # one chunk runs here and builds nothing; the pool's size decides the
+        # rest
+        assert estimate_theta(spec, 0.1, 1, 3).outcomes == serial[:1]
         assert events == []
         assert estimate_theta(spec, 0.1, 40, 3).outcomes == serial
-        assert estimate_pc(spec, 40, 3, workers=1).samples.size == 40
+        assert estimate_pc(spec, 40, 3).samples.size == 40
         assert events == [("start", 4), "map", "map"]
     assert events[-1] == "shutdown"
     with estimator.worker_pool(1):
-        assert estimate_theta(spec, 0.1, 40, 3, workers=4).outcomes == serial
+        assert estimate_theta(spec, 0.1, 40, 3).outcomes == serial
     assert events == [("start", 4), "map", "map", "shutdown"]
 
 
@@ -301,7 +305,7 @@ def test_trials_above_the_bound_refused_before_any_work(monkeypatch):
         raise AssertionError("chunks were built or a trial ran")
 
     monkeypatch.setattr(estimator, "_chunk_ranges", no_work)
-    monkeypatch.setattr(estimator, "_run_chunks", no_work)
+    monkeypatch.setattr(estimator, "_chunk", no_work)
     spec = GridSpec.uniform(8, 2, 2)
     for trials in (estimator.MAX_TRIALS + 1, 10**12):
         with pytest.raises(InputError, match="trials"):

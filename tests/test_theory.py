@@ -211,6 +211,31 @@ def test_chernoff_pointwise_and_grid_agree():
             assert all(grid.values()), (N, p, grid)
 
 
+@pytest.mark.parametrize("shift", [0.0, 4.0, -4.0])
+def test_pmf_sandwich_pointwise_and_grid_agree(monkeypatch, shift):
+    # shift != 0 moves the pmf of every third k across one of the bounds, so
+    # that the grid reports failures and the verdicts must agree on both sides
+    import lineperc.theory as theory
+
+    exact = theory.log_binom_pmf
+
+    def shifted(N, p, k):
+        out = np.array(exact(N, p, k), dtype=np.float64)
+        out[np.asarray(k) % 3 == 1] += shift
+        return out
+
+    monkeypatch.setattr(theory, "log_binom_pmf", shifted)
+    failures = 0
+    for N in (1, 5, 40, 300, 2000):
+        for p in (1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5):
+            bad = set(check_binomial_bounds_grid(N, p, deltas=())["pmf_failures"])
+            failures += len(bad)
+            for k in range(min(N, math.ceil(3 * (N * p)) + 10) + 1):
+                rep = check_binomial_bounds(N, p, k, deltas=())
+                assert (rep.pmf_lower_ok and rep.pmf_upper_ok) == (k not in bad)
+    assert (failures > 0) == (shift != 0.0)
+
+
 @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1])
 def test_chernoff_delta_outside_unit_interval_rejected(delta):
     with pytest.raises(InputError):
