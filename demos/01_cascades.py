@@ -7,7 +7,15 @@ columns saturate immediately, after which every other line crosses r
 saturated lines.
 """
 
-from lineperc import GridSpec, closure, lines_through, naive_closure, percolates
+from lineperc import (
+    GridSpec,
+    closure,
+    encode_points,
+    lines_through,
+    naive_closure,
+    percolates,
+    run_synchronous,
+)
 
 spec = GridSpec.uniform(8, 2, 3)
 block = [(x, y) for x in range(1, 4) for y in range(1, 4)]
@@ -17,6 +25,12 @@ print(f"grid [8]^2, r=3, seed = [3]^2 ({len(block)} points)")
 print(f"  percolates: {state.percolated}")
 print(f"  infected:   {state.infected_total} of {spec.num_sites}")
 print(f"  saturated:  {len(state.saturated_lines())} of {spec.num_lines} lines")
+
+# below closure and percolates, a seed set is an array of point codes
+codes = encode_points(spec, block)
+state, trace = run_synchronous(spec, codes)
+print(f"  as codes {codes.tolist()}: {trace.num_rounds} synchronous rounds, "
+      f"percolates={state.percolated}")
 
 # drop one corner point and the block is one short of the threshold pattern
 defect = [p for p in block if p != (3, 3)]

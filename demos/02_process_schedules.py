@@ -12,6 +12,7 @@ import numpy as np
 from lineperc import (
     GridSpec,
     classify_line_count,
+    encode_points,
     is_slow,
     preface_of,
     run_alternating_2d,
@@ -22,7 +23,8 @@ from lineperc import (
 from lineperc.sampling import TrialSeed, sample_codes
 
 spec = GridSpec.uniform(8, 2, 3)
-block = [(x, y) for x in range(1, 4) for y in range(1, 4)]
+# the runners take point codes; encode_points turns points into them
+block = encode_points(spec, [(x, y) for x in range(1, 4) for y in range(1, 4)])
 
 state, trace = run_synchronous(spec, block)
 print("synchronous from [3]^2 on [8]^2, r=3:")
@@ -38,7 +40,7 @@ spec = GridSpec.uniform(64, 2, 2)
 rng_seed = TrialSeed(424242, 7)
 p = 2.2 * 64.0**-1.5
 codes = sample_codes(spec, p, rng_seed)
-state, lc = run_alternating_2d(spec, None, _codes=codes)
+state, lc = run_alternating_2d(spec, codes)
 cls = classify_line_count(lc, 2)
 print(f"\nrandom seed at p={p:.4f} on [64]^2, r=2: h={lc.h} v={lc.v} -> {cls.value}")
 if cls.value != "none":
@@ -48,7 +50,9 @@ if cls.value != "none":
 
 # sequential: one line per step, cyclic order; the trace records inspections
 spec = GridSpec.uniform(5, 2, 2)
-state, trace = run_sequential(spec, [(1, 1), (2, 1), (1, 3), (2, 3), (4, 4)])
+state, trace = run_sequential(
+    spec, encode_points(spec, [(1, 1), (2, 1), (1, 3), (2, 3), (4, 4)])
+)
 print(f"\nsequential on [5]^2: {len(trace.line_ids)} saturations "
       f"at inspection steps {trace.steps}")
 print(f"  final infected: {state.infected_total} points")
@@ -60,9 +64,9 @@ agree = 0
 for i in range(200):
     k = int(rng.binomial(81, 0.2))
     codes = rng.choice(81, size=k, replace=False).astype(np.int64)
-    a, _ = run_synchronous(spec, None, _codes=codes)
-    b, _ = run_sequential(spec, None, _codes=codes)
-    c, _ = run_alternating_2d(spec, None, stop_rule=False, _codes=codes)
+    a, _ = run_synchronous(spec, codes)
+    b, _ = run_sequential(spec, codes)
+    c, _ = run_alternating_2d(spec, codes, stop_rule=False)
     sets = [set(s.infected_codes().tolist()) for s in (a, b, c)]
     agree += int(sets[0] == sets[1] == sets[2])
 print(f"\nschedule invariance on 200 random instances: {agree}/200 agree")

@@ -11,7 +11,7 @@ the plane).  Below the critical window these counters stay tiny.
 import numpy as np
 
 from lineperc import GridSpec, gamma_of_r, plane_statistics, s_of_r
-from lineperc.engine import closure_from_codes
+from lineperc.engine import new_state
 from lineperc.sampling import TrialSeed, sample_codes
 
 r = 2
@@ -23,9 +23,9 @@ n = 64
 spec = GridSpec.uniform(n, 3, r)
 
 # one saturated line lies in exactly two planes
-state = closure_from_codes(
+state = new_state(
     spec, np.array([0, n - 1], dtype=np.int64)  # two ends of one axis-2 line
-)
+).run_fifo()
 stats = plane_statistics(spec, state)
 print(f"\nsingle saturated line: N_1={stats.n_k(1)}, N_2={stats.n_k(2)}, "
       f"boosted={stats.boosted_total()}")
@@ -42,7 +42,7 @@ for c in (0.2, 0.5):
     trials = 300
     for i in range(trials):
         codes = sample_codes(spec, p, TrialSeed(606, i))
-        state = closure_from_codes(spec, codes)
+        state = new_state(spec, codes).run_fifo()
         if state.percolated:
             percolated += 1
             continue

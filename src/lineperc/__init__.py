@@ -39,6 +39,7 @@ from .grid import (
     decode_point,
     encode_line,
     encode_point,
+    encode_points,
     format_line,
     format_point,
     lines_through,
@@ -74,7 +75,7 @@ from .sampling import (
     PcSample,
     TrialSeed,
     critical_p_of_sample,
-    sample_initial,
+    sample_codes,
 )
 from .theory import (
     SUPERCRITICAL,

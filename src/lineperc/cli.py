@@ -43,6 +43,7 @@ from .grid import (
     GridSpec,
     InputError,
     decode_point,
+    encode_points,
     format_line,
     format_point,
     parse_point,
@@ -61,7 +62,7 @@ from .processes import (
     run_synchronous,
 )
 from .sampling import TrialSeed, sample_codes
-from .theory import gamma_of_r, s_of_r, theory_report
+from .theory import gamma_of_r, pc2_exponent, pc3_exponent, s_of_r, theory_report
 
 SCHEMA = "lineperc.v1"
 
@@ -203,7 +204,7 @@ def cmd_closure(args) -> int:
     else:
         lines = Path(args.points).read_text().splitlines()
     pts = [parse_point(spec, ln) for ln in lines if ln.strip()]
-    state, trace = run_synchronous(spec, pts)
+    state, trace = run_synchronous(spec, encode_points(spec, pts))
     rec = _base_record(spec, "closure")
     rec.update(
         {
@@ -269,6 +270,8 @@ class SweepConfig:
             b <= a for a, b in zip(self.n_list, self.n_list[1:])
         ):
             raise InputError(f"n list must be non-empty ascending, got {self.n_list}")
+        if self.fit and len(self.n_list) < 3:
+            raise InputError(f"a fit needs at least 3 n values, got {len(self.n_list)}")
 
     def spec_for(self, n: int) -> GridSpec:
         return GridSpec(n, self.d, self.thresholds)
@@ -278,17 +281,17 @@ class SweepConfig:
         if self.p_rule or len(set(self.thresholds)) != 1:
             return None
         r = self.thresholds[0]
-        if r < 2:
+        if r < 2 or self.d not in (2, 3):
             return None
-        if self.d == 2:
-            return -1.0 - 1.0 / r
-        if self.d == 3:
-            return -1.0 - 1.0 / (r - float(gamma_of_r(r)))
-        return None
+        return float(pc2_exponent(r) if self.d == 2 else pc3_exponent(r))
+
+
+CONFIG_KEYS = "d r thresholds n_list p_rule trials seed csv json fit".split()
+FIT_ON, FIT_OFF = ("1", "true", "yes"), ("0", "false", "no")
 
 
 def _read_config(path: str) -> dict:
-    """key = value lines; # comments; keys as in the sweep flags."""
+    """key = value lines; # comments; only the keys of the sweep flags."""
     out = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -297,7 +300,10 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise InputError(f"bad config line {raw!r} (expected key = value)")
         key, val = (part.strip() for part in line.split("=", 1))
-        out[key.replace("-", "_")] = val
+        key = key.replace("-", "_")
+        if key not in CONFIG_KEYS:
+            raise InputError(f"unknown config key {key!r}; keys are {CONFIG_KEYS}")
+        out[key] = val
     return out
 
 
@@ -319,6 +325,9 @@ def _sweep_config(args) -> SweepConfig:
     seed = pick(args.seed, "seed", _int)
     if d is None or n_list is None or trials is None or seed is None:
         raise InputError("sweep needs --d, --n-list, --trials, --seed")
+    fit = cfg.get("fit", "0")
+    if fit not in FIT_ON + FIT_OFF:
+        raise InputError(f"config fit must be one of {FIT_ON + FIT_OFF}: {fit!r}")
     if thresholds is not None:
         thr = tuple(_int_list(thresholds, "thresholds"))
     elif r is not None:
@@ -333,7 +342,7 @@ def _sweep_config(args) -> SweepConfig:
         trials=trials,
         master_seed=_seed(seed),
         p_rule=pick(args.p_rule, "p_rule"),
-        fit=args.fit or cfg.get("fit") in ("1", "true", "yes"),
+        fit=args.fit or fit in FIT_ON,
         csv_path=pick(args.csv, "csv"),
         fit_path=pick(args.fit_out, "json"),
     )
@@ -362,12 +371,13 @@ def cmd_sweep(args) -> int:
                       f"({est.wall_seconds:.2f}s)", file=sys.stderr)
                 rows.append([n, est.median, est.ci_low, est.ci_high])
                 fit_points.append((n, est.median))
+    # a theta sweep fits only its positive estimates, so fit before writing
+    fit = fit_exponent(fit_points) if sw.fit else None
     if sw.p_rule:
         _emit_csv(["n", "p", "theta", "ci_low", "ci_high"], rows, sw.csv_path)
     else:
         _emit_csv(["n", "median_pc", "ci_low", "ci_high"], rows, sw.csv_path)
-    if sw.fit:
-        fit = fit_exponent(fit_points)
+    if fit is not None:
         rec = {
             "schema": f"{SCHEMA}.fit",
             "build": build_id(),
@@ -395,7 +405,7 @@ def cmd_theory(args) -> int:
 def _preface_trial(spec: GridSpec, seed: TrialSeed, p: float, s: int) -> tuple:
     """(classification, preface, slow) of one stopped alternating run."""
     codes = sample_codes(spec, p, seed)
-    _, lc = run_alternating_2d(spec, None, stop_rule=True, _codes=codes)
+    _, lc = run_alternating_2d(spec, codes, stop_rule=True)
     cls = classify_line_count(lc, spec.r)
     if cls is LineCountClass.NO_PERCOLATION:
         return cls.value, "", ""

@@ -61,7 +61,9 @@ the lines that become ready are read from buckets of lines keyed by s.
 ``new_state`` picks the kernel from the spec alone: ``Cascade2D`` when d = 2,
 ``InfectionState`` otherwise.  Both kernels give the same trace, counters and
 queries on every schedule, and the dense kernel stays the 2D oracle next to
-``naive_closure``.
+``naive_closure``.  Seeds are point codes: the kernels, ``new_state`` and
+``grow`` take a 1-D integer array and refuse point tuples; only ``closure``,
+``percolates`` and ``naive_closure`` take points, through ``encode_points``.
 
 ``naive_closure`` is the deliberately simple fixed-point oracle (full rescan
 of every line each pass) used to cross-check the cascades.
@@ -148,23 +150,20 @@ class _Cascade:
     ``_saturate_run(axis, lids, sink, stop)`` with a batched equivalent.  The
     schedules alone write the trace.
 
-    Construction seeds the state from the initial set; one of the ``run_*``
-    methods then advances the cascade and returns the state.  Alternatively
+    Construction seeds the state from ``codes``, an array of point codes;
+    a ``run_*`` method then advances the cascade and returns the state.  Or
     a state built from no seeds takes them, in order, through ``grow``.  A
     single state is single-threaded; distinct states are independent.
     """
 
-    def __init__(self, spec: GridSpec, initial, _codes: np.ndarray | None = None):
+    def __init__(self, spec: GridSpec, codes):
         self.spec = spec
         t = _tables(spec)
         self._t = t
-        if _codes is None:
-            codes = encode_points(spec, initial)
-        else:
-            codes = np.unique(np.asarray(_codes, dtype=np.int64))
-            if codes.size and (codes[0] < 0 or codes[-1] >= t.N):
-                raise InputError("point code out of range")
-        self._codes = codes
+        self._codes = codes = np.unique(_code_array(codes))
+        if codes.size and (codes[0] < 0 or codes[-1] >= t.N):
+            bad = codes[0] if codes[0] < 0 else codes[-1]
+            raise InputError(f"point code {bad} out of range [0, {t.N})")
         self._grown: list[int] = []
         self._initial_set = set(codes.tolist())
         self.trace = Trace(spec)
@@ -381,7 +380,7 @@ class _Cascade:
         assert self._codes.size == 0 and not self.percolated
         assert self._grown or not self._ran
         t = self._t
-        codes = np.asarray(codes, dtype=np.int64)
+        codes = _code_array(codes)
         bad = (codes < 0) | (codes >= t.N)
         if bad.any():
             raise InputError(f"point code {codes[bad][0]} out of range [0, {t.N})")
@@ -452,8 +451,8 @@ class InfectionState(_Cascade):
     reads.
     """
 
-    def __init__(self, spec: GridSpec, initial, _codes: np.ndarray | None = None):
-        super().__init__(spec, initial, _codes)
+    def __init__(self, spec: GridSpec, codes):
+        super().__init__(spec, codes)
         t = self._t
         # line id -> varying-axis digits of the seeds on that line
         self._seeds_on: dict[int, list[int]] = {}
@@ -791,10 +790,10 @@ class Cascade2D(_Cascade):
     with s = 0, once per axis.
     """
 
-    def __init__(self, spec: GridSpec, initial, _codes: np.ndarray | None = None):
+    def __init__(self, spec: GridSpec, codes):
         if spec.d != 2:
             raise InputError(f"Cascade2D requires d = 2, got d = {spec.d}")
-        super().__init__(spec, initial, _codes)
+        super().__init__(spec, codes)
         n = spec.n
         self._sat_per_axis = [0, 0]
         self._sat: tuple[set[int], set[int]] = (set(), set())
@@ -959,6 +958,19 @@ class Cascade2D(_Cascade):
 # ---------------------------------------------------------------------------
 
 
+def _code_array(codes) -> np.ndarray:
+    """``codes`` as int64 point codes, in order; anything but a 1-D integer
+    array, such as point tuples, is refused.  The caller checks the range."""
+    try:
+        arr = np.asarray(codes)
+    except ValueError:  # ragged nesting, such as points of mixed length
+        arr = np.empty(())
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise InputError("seeds must be a 1-D integer array of point codes; "
+                         "encode points with encode_points(spec, points)")
+    return arr.astype(np.int64, copy=False)
+
+
 def _groups(base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Group equal values of ``base``, nonnegative ints: the stable order that
     puts each group together, and the start and size of each group in that
@@ -976,35 +988,28 @@ def _groups(base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | Non
     return order, bounds[:-1], bounds[1:] - bounds[:-1]
 
 
-def new_state(
-    spec: GridSpec, initial, _codes: np.ndarray | None = None
-) -> Cascade2D | InfectionState:
-    """A fresh cascade state on the kernel for ``spec``: ``Cascade2D`` when
-    d = 2, ``InfectionState`` otherwise."""
+def new_state(spec: GridSpec, codes) -> Cascade2D | InfectionState:
+    """A fresh cascade state seeded with the point codes ``codes``, on the
+    kernel for ``spec``: ``Cascade2D`` when d = 2, ``InfectionState`` else."""
     kernel = Cascade2D if spec.d == 2 else InfectionState
-    return kernel(spec, initial, _codes=_codes)
+    return kernel(spec, codes)
 
 
 def closure(
     spec: GridSpec, initial: Iterable[Sequence[int]]
 ) -> Cascade2D | InfectionState:
-    """The full infection closure [A], FIFO schedule, run to the fixed point."""
-    return new_state(spec, initial).run_fifo()
-
-
-def closure_from_codes(spec: GridSpec, codes: np.ndarray) -> Cascade2D | InfectionState:
-    return new_state(spec, None, _codes=codes).run_fifo()
+    """The closure [A] of the points ``initial``, FIFO, to the fixed point."""
+    return new_state(spec, encode_points(spec, initial)).run_fifo()
 
 
 def percolation_run(spec: GridSpec, codes: np.ndarray) -> Cascade2D | InfectionState:
     """Cascade with sound early stop; ``percolated`` is exact either way."""
-    return new_state(spec, None, _codes=codes).run_fifo(stop_on_percolation=True)
+    return new_state(spec, codes).run_fifo(stop_on_percolation=True)
 
 
 def percolates(spec: GridSpec, initial: Iterable[Sequence[int]]) -> bool:
-    """Whether [A] is the whole grid."""
-    state = new_state(spec, initial).run_fifo(stop_on_percolation=True)
-    return bool(state.percolated)
+    """Whether [A] is the whole grid, for the points ``initial``."""
+    return bool(percolation_run(spec, encode_points(spec, initial)).percolated)
 
 
 def naive_closure(spec: GridSpec, initial: Iterable[Sequence[int]]) -> set[Point]:

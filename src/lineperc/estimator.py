@@ -270,13 +270,13 @@ def check_2d_process_properties(spec: GridSpec, codes) -> None:
     r = spec.r
     if len(codes) == spec.num_sites:
         return
-    state, lc = run_alternating_2d(spec, None, stop_rule=True, _codes=codes)
+    state, lc = run_alternating_2d(spec, codes, stop_rule=True)
     cls = classify_line_count(lc, r)
     assert cls in (LineCountClass.HORIZONTAL, LineCountClass.VERTICAL), (
         f"percolating run classified {cls} with line-count {lc}"
     )
     if state.trace.num_rounds + 2 > 2 * r + 1:
-        _, trace = run_synchronous(spec, None, _codes=codes)
+        _, trace = run_synchronous(spec, codes)
         assert trace.num_rounds <= 2 * r + 1, (
             f"synchronous rounds {trace.num_rounds} > {2 * r + 1}"
         )

@@ -5,14 +5,15 @@ alternating horizontal/vertical process with its line-count record, and the
 one-line-at-a-time sequential scan.  All of them reach the same closure when
 run to termination; the alternating process additionally supports the
 stopped variant that halts once one direction holds enough parallel fully
-infected lines to force percolation.
+infected lines to force percolation.  Each runner takes the initial set as an
+array of point codes, as ``engine.new_state`` does (see ``encode_points``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,20 +93,19 @@ class PlaneStats:
 
 
 def run_synchronous(
-    spec: GridSpec, initial: Iterable[Sequence[int]], *, _codes=None
+    spec: GridSpec, codes: np.ndarray
 ) -> tuple[Cascade2D | InfectionState, Trace]:
     """Synchronous generations A^(m): all thresholded lines saturate together."""
-    state = new_state(spec, initial, _codes=_codes).run_rounds()
+    state = new_state(spec, codes).run_rounds()
     return state, state.trace
 
 
 def run_alternating_2d(
     spec: GridSpec,
-    initial: Iterable[Sequence[int]],
+    codes: np.ndarray,
     *,
     stop_rule: bool = True,
     start_axis: int = 0,
-    _codes=None,
 ) -> tuple[Cascade2D, LineCount2D]:
     """Alternating one-axis generations (d=2), horizontal first by default.
 
@@ -115,7 +115,7 @@ def run_alternating_2d(
     closure as every other schedule.  The line-count is read from the
     returned state's trace, whose round g is half-step g (from 0).
     """
-    state = new_state(spec, initial, _codes=_codes).run_half_steps(
+    state = new_state(spec, codes).run_half_steps(
         stop_rule=stop_rule, start_axis=start_axis
     )
     counts = [sum(row) for row in state.trace.round_axis_counts]
@@ -127,17 +127,13 @@ def run_alternating_2d(
 
 
 def run_sequential(
-    spec: GridSpec,
-    initial: Iterable[Sequence[int]],
-    order: Sequence[int] | None = None,
-    *,
-    _codes=None,
+    spec: GridSpec, codes: np.ndarray, order: Sequence[int] | None = None
 ) -> tuple[Cascade2D | InfectionState, Trace]:
     """Cyclic one-line-at-a-time scan; terminates after a full idle cycle.
 
     ``order`` is an optional permutation of all canonical line ids.
     """
-    state = new_state(spec, initial, _codes=_codes).run_sequential(order)
+    state = new_state(spec, codes).run_sequential(order)
     return state, state.trace
 
 

@@ -2,7 +2,8 @@
 
 Every trial owns a counter-based Philox stream keyed by
 (master_seed, trial_index), so results are a pure function of the seed pair
-and identical under any parallel schedule.
+and identical under any parallel schedule.  Samples are point codes, the
+seed format of every cascade (``grid.decode_point`` turns one into a point).
 
 The coupling assigns every site an i.i.d. uniform weight; A_p is the set of
 sites with weight <= p, which is monotone in p.  The per-sample critical
@@ -31,7 +32,7 @@ from numpy.random import Generator, Philox
 
 from . import theory
 from .engine import Cascade2D, InfectionState, new_state
-from .grid import GridSpec, InputError, Point, decode_point
+from .grid import GridSpec, InputError
 
 # sites one sample may draw: the draw peaks at about 150 bytes of RSS per code
 # and a theta trial on it at about 320 (measured at 1M and 4M codes, d = 1)
@@ -122,11 +123,6 @@ def sample_codes(spec: GridSpec, p: float, seed: TrialSeed) -> np.ndarray:
     if k == n_sites:
         return np.arange(n_sites, dtype=np.int64)
     return _draw_distinct_codes(rng, n_sites, k, set())
-
-
-def sample_initial(spec: GridSpec, p: float, seed: TrialSeed) -> set[Point]:
-    """A Bernoulli(p) random subset of [n]^d as a set of points."""
-    return {decode_point(spec, int(c)) for c in sample_codes(spec, p, seed)}
 
 
 def pc_guess(spec: GridSpec) -> float:

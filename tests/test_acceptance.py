@@ -26,7 +26,7 @@ from lineperc import (
     run_sequential,
     run_synchronous,
 )
-from lineperc.engine import closure_from_codes, percolation_run
+from lineperc.engine import new_state, percolation_run
 from lineperc.estimator import estimate_pc, estimate_theta, fit_exponent, worker_pool
 from lineperc.grid import decode_point, encode_point
 from lineperc.processes import plane_statistics
@@ -61,16 +61,16 @@ def test_criterion_01_oracle_equivalence():
         spec = GridSpec.uniform(n, d, r)
         k = int(rng.binomial(spec.num_sites, p))
         codes = rng.choice(spec.num_sites, size=k, replace=False).astype(np.int64)
-        base = set(closure_from_codes(spec, codes).infected_codes().tolist())
+        base = set(new_state(spec, codes).run_fifo().infected_codes().tolist())
         pts = {decode_point(spec, int(c)) for c in codes}
         naive = {encode_point(spec, q) for q in naive_closure(spec, pts)}
         assert naive == base, f"naive mismatch at trial {trial}"
-        sync, _ = run_synchronous(spec, None, _codes=codes)
+        sync, _ = run_synchronous(spec, codes)
         assert set(sync.infected_codes().tolist()) == base, trial
-        seq, _ = run_sequential(spec, None, _codes=codes)
+        seq, _ = run_sequential(spec, codes)
         assert set(seq.infected_codes().tolist()) == base, trial
         if d == 2:
-            alt, _ = run_alternating_2d(spec, None, stop_rule=False, _codes=codes)
+            alt, _ = run_alternating_2d(spec, codes, stop_rule=False)
             assert set(alt.infected_codes().tolist()) == base, trial
     dt = time.perf_counter() - t0
     assert dt < 60.0, f"criterion 1 runtime {dt:.1f}s exceeds 1 minute"
@@ -239,10 +239,10 @@ def test_criterion_09_process_structure_properties():
                 state = percolation_run(spec, codes)
                 if not state.percolated or codes.size == spec.num_sites:
                     continue
-                sync, trace = run_synchronous(spec, None, _codes=codes)
+                sync, trace = run_synchronous(spec, codes)
                 assert sync.percolated
                 assert trace.num_rounds <= 2 * r + 1, (r, n, p, trace.num_rounds)
-                _, lc = run_alternating_2d(spec, None, stop_rule=True, _codes=codes)
+                _, lc = run_alternating_2d(spec, codes, stop_rule=True)
                 cls = classify_line_count(lc, r)
                 assert cls in (LineCountClass.HORIZONTAL, LineCountClass.VERTICAL)
                 checked += 1
@@ -303,7 +303,7 @@ def test_criterion_11_plane_count_containment():
         ok = 0
         for i in range(1000):
             codes = sample_codes(spec, p, TrialSeed(SEED, i))
-            state = closure_from_codes(spec, codes)  # true termination
+            state = new_state(spec, codes).run_fifo()  # true termination
             stats = plane_statistics(spec, state)
             if all(
                 stats.n_k(k) <= n ** (1.0 - k * g / (r - g)) for k in range(1, 4)

@@ -74,8 +74,8 @@ def test_queue_rounds_and_scans_match_dense(instance):
         lambda s: s.run_sequential(order),
     ]
     for run in schedules:
-        fast = Cascade2D(spec, None, _codes=codes)
-        dense = InfectionState(spec, None, _codes=codes)
+        fast = Cascade2D(spec, codes)
+        dense = InfectionState(spec, codes)
         run(fast)
         run(dense)
         assert_same(fast, dense)
@@ -89,10 +89,10 @@ def test_half_steps_and_line_count_match_dense(instance):
     spec, codes = instance
     for stop_rule in (True, False):
         for start_axis in (0, 1):
-            kw = dict(stop_rule=stop_rule, start_axis=start_axis, _codes=codes)
-            fast, lc = run_alternating_2d(spec, None, **kw)
+            kw = dict(stop_rule=stop_rule, start_axis=start_axis)
+            fast, lc = run_alternating_2d(spec, codes, **kw)
             with mock.patch.object(processes, "new_state", InfectionState):
-                dense, dense_lc = run_alternating_2d(spec, None, **kw)
+                dense, dense_lc = run_alternating_2d(spec, codes, **kw)
             assert_same(fast, dense)
             assert lc == dense_lc
 

@@ -533,6 +533,68 @@ def test_bad_config_values_exit_code(tmp_path, capsys, line):
     assert err.startswith("error: ") and key in err
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [("fit = True", "fit"), ("fit = maybe", "fit"), ("p_rul = n^-1.5", "p_rul"),
+     ("cvs = out.csv", "cvs"), ("threads = 2", "threads")],
+)
+def test_unknown_config_keys_and_fit_values_exit_code(
+    tmp_path, monkeypatch, capsys, line, key
+):
+    # a typo in a sweep config would run a sweep it does not describe
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate ran")
+
+    monkeypatch.setattr(cli, "estimate_pc", no_estimate)
+    monkeypatch.setattr(cli, "estimate_theta", no_estimate)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"d = 2\nr = 2\nn_list = 8,12,16\ntrials = 10\nseed = 1\n{line}\n")
+    assert dispatch(["sweep", "--config", str(cfg), "--threads", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and key in err, err
+
+
+def test_sweep_fit_failures_write_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    pc = cli.estimate_pc
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return pc(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_pc", counted)
+    # too few n values for a fit: refused before any estimate
+    few = ["sweep", "--d", "2", "--r", "2", "--n-list", "8,16", "--trials", "10",
+           "--seed", "1", "--threads", "1", "--fit"]
+    for extra in ([], ["--csv", "pc.csv"]):
+        assert dispatch(few + extra) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "3 n values" in err and runs == []
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("d = 2\nr = 2\nn_list = 8,16\ntrials = 10\nseed = 1\nfit = yes\n")
+    assert dispatch(["sweep", "--config", str(cfg), "--threads", "1"]) == 1
+    assert capsys.readouterr().out == "" and runs == []
+    # a theta sweep that never percolates has no point to fit: the fit
+    # fails after the estimates, and no CSV is written
+    never = ["sweep", "--d", "2", "--r", "2", "--n-list", "8,12,16", "--p-rule",
+             "n^-3", "--trials", "10", "--seed", "1", "--threads", "1", "--fit"]
+    for extra in ([], ["--csv", "theta.csv"]):
+        assert dispatch(never + extra) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "need at least 3 points" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+
+def test_predicted_slope_is_theory_exponent():
+    # the sweep's fit record and ``theory`` print the same exponents
+    for r in range(2, 101):
+        report = cli.theory_report(r).to_json_dict()
+        for d in (2, 3):
+            sw = cli.SweepConfig(d, (r,) * d, [8, 16, 32], 10, 1)
+            assert sw.predicted_slope == report[f"pc{d}_exponent"], (d, r)
+
+
 # A valid small argv, then up to two of its flags replaced by hostile values
 # (ints just outside the valid range, junk text, magnitudes no grid takes) or
 # dropped.  Every valid draw finishes well within a second on one thread.

@@ -14,11 +14,17 @@ from lineperc import (
 from lineperc.engine import (
     Cascade2D,
     InfectionState,
-    closure_from_codes,
     new_state,
     percolation_run,
 )
-from lineperc.grid import _tables, decode_line, decode_point, encode_point, points_on
+from lineperc.grid import (
+    _tables,
+    decode_line,
+    decode_point,
+    encode_point,
+    encode_points,
+    points_on,
+)
 from lineperc.processes import run_alternating_2d, run_sequential, run_synchronous
 
 
@@ -113,11 +119,55 @@ def test_percolates_2d_early_stop():
     assert not percolates(spec, [(1, 1), (5, 5)])
 
 
+def test_points_where_codes_belong_are_refused():
+    # below the point-level entry points a seed set is a 1-D array of codes;
+    # point tuples, a set of them, ragged points or None must not pass as one
+    spec2, spec3 = GridSpec.uniform(4, 2, 2), GridSpec.uniform(4, 3, 2)
+    seeds = [block(2, 2), {(1, 1), (2, 2)}, [(1, 1), (2,)], None, [0.5, 1.5]]
+    calls = [
+        lambda x: Cascade2D(spec2, x),
+        lambda x: InfectionState(spec2, x),
+        lambda x: InfectionState(spec3, x),
+        lambda x: new_state(spec2, x),
+        lambda x: new_state(spec3, x),
+        lambda x: percolation_run(spec2, x),
+        lambda x: new_state(spec2, []).grow(x),
+        lambda x: run_synchronous(spec3, x),
+        lambda x: run_alternating_2d(spec2, x),
+        lambda x: run_sequential(spec3, x),
+    ]
+    for call in calls:
+        for x in seeds:
+            with pytest.raises(InputError, match="encode_points"):
+                call(x)
+    for kernel in (Cascade2D, InfectionState):
+        with pytest.raises(InputError, match="out of range"):
+            kernel(spec2, [0, 16])
+
+
+def test_point_entry_points_encode_once():
+    # closure and percolates take points and run exactly the cascade of
+    # their codes
+    rng = np.random.default_rng(71)
+    for _ in range(60):
+        spec, codes = random_instance(rng)
+        pts = [decode_point(spec, int(c)) for c in rng.permutation(codes)]
+        assert np.array_equal(encode_points(spec, pts), np.sort(codes))
+        got = closure(spec, pts)
+        ref = new_state(spec, encode_points(spec, pts)).run_fifo()
+        assert type(got) is type(ref)
+        assert np.array_equal(got.saturated, ref.saturated)
+        assert got.infected_total == ref.infected_total
+        assert got.trace == ref.trace and got.percolated == ref.percolated
+        stopped = percolation_run(spec, encode_points(spec, pts))
+        assert percolates(spec, pts) == stopped.percolated == ref.percolated
+
+
 def test_oracle_equivalence_randomized():
     rng = np.random.default_rng(7)
     for _ in range(150):
         spec, codes = random_instance(rng)
-        state = closure_from_codes(spec, codes)
+        state = new_state(spec, codes).run_fifo()
         pts = {decode_point(spec, int(c)) for c in codes}
         assert state.infected_points() == naive_closure(spec, pts)
         assert state.percolated == (state.infected_total == spec.num_sites)
@@ -130,8 +180,8 @@ def test_monotonicity():
         if codes.size == 0:
             continue
         sub = codes[rng.random(codes.size) < 0.6]
-        small = infected_set(closure_from_codes(spec, sub))
-        big = infected_set(closure_from_codes(spec, codes))
+        small = infected_set(new_state(spec, sub).run_fifo())
+        big = infected_set(new_state(spec, codes).run_fifo())
         assert small <= big
 
 
@@ -139,8 +189,8 @@ def test_idempotence():
     rng = np.random.default_rng(13)
     for _ in range(40):
         spec, codes = random_instance(rng)
-        once = closure_from_codes(spec, codes)
-        twice = closure_from_codes(spec, once.infected_codes())
+        once = new_state(spec, codes).run_fifo()
+        twice = new_state(spec, once.infected_codes()).run_fifo()
         assert infected_set(once) == infected_set(twice)
 
 
@@ -150,11 +200,11 @@ def test_sequential_order_agreement():
     rng = np.random.default_rng(17)
     for _ in range(60):
         spec, codes = random_instance(rng)
-        fifo = infected_set(closure_from_codes(spec, codes))
+        fifo = infected_set(new_state(spec, codes).run_fifo())
         for kernel in (new_state, InfectionState):
             for _ in range(3):
                 order = rng.permutation(spec.num_lines).tolist()
-                seq = kernel(spec, None, _codes=codes).run_sequential(order)
+                seq = kernel(spec, codes).run_sequential(order)
                 assert infected_set(seq) == fifo
 
 
@@ -203,7 +253,7 @@ def test_sequential_scan_matches_reference():
         for order in orders:
             expected = reference_scan(spec, codes, order or range(spec.num_lines))
             for kernel in (new_state, InfectionState):
-                state = kernel(spec, None, _codes=codes).run_sequential(order)
+                state = kernel(spec, codes).run_sequential(order)
                 tr = state.trace
                 got = (tr.line_ids, tr.steps, tr.round_of, tr.round_axis_counts)
                 assert got == expected, (spec, codes.tolist(), order)
@@ -232,7 +282,7 @@ def test_trace_semantics_on_every_schedule():
         spec, codes = random_instance(rng, dims=(1, 4), n_hi=6)
         for kernel in (new_state, InfectionState):
             def fresh():
-                return kernel(spec, None, _codes=codes)
+                return kernel(spec, codes)
 
             assert_rounds(spec, fresh().run_fifo().trace, 1)
             tr = fresh().run_fifo(stop_on_percolation=True).trace
@@ -259,7 +309,7 @@ def test_work_bound_counter():
     rng = np.random.default_rng(19)
     for _ in range(40):
         spec, codes = random_instance(rng)
-        state = closure_from_codes(spec, codes)
+        state = new_state(spec, codes).run_fifo()
         assert state.infected_total == len(infected_set(state))
 
 
@@ -271,12 +321,12 @@ def test_line_count_invariants():
     for _ in range(30):
         spec, codes = random_instance(rng)
         states = [
-            closure_from_codes(spec, codes),
-            run_synchronous(spec, None, _codes=codes)[0],
-            run_sequential(spec, None, _codes=codes)[0],
+            new_state(spec, codes).run_fifo(),
+            run_synchronous(spec, codes)[0],
+            run_sequential(spec, codes)[0],
         ]
         if spec.d == 2:
-            alt, _ = run_alternating_2d(spec, None, stop_rule=False, _codes=codes)
+            alt, _ = run_alternating_2d(spec, codes, stop_rule=False)
             states.append(alt)
         t = _tables(spec)
         for state in states:
@@ -329,7 +379,7 @@ def test_grown_state_matches_fresh_cascade():
                 assert not percolation_run(spec, codes[: k - 1]).percolated
                 assert np.array_equal(state._initial_codes, np.sort(codes[:k]))
                 break
-            fresh = closure_from_codes(spec, codes[:k])
+            fresh = new_state(spec, codes[:k]).run_fifo()
             assert not fresh.percolated and state.pending == []
             assert np.array_equal(state.saturated, fresh.saturated)
             assert np.array_equal(state.line_count, fresh.line_count)
@@ -498,7 +548,7 @@ def test_flat_proof_stops_early(d):
             pts = {decode_point(spec, int(c)) for c in prefix}
             return len(naive_closure(spec, pts)) == spec.num_sites
 
-        fifo = closure_from_codes(spec, codes)
+        fifo = new_state(spec, codes).run_fifo()
         stopped = percolation_run(spec, codes)
         assert stopped.percolated == fifo.percolated == percolating(codes)
         done = len(stopped.trace.line_ids)

@@ -18,7 +18,7 @@ from lineperc import (
     run_synchronous,
 )
 from lineperc import engine, processes
-from lineperc.engine import InfectionState, closure_from_codes, percolation_run
+from lineperc.engine import InfectionState, new_state, percolation_run
 from lineperc.grid import encode_points
 from lineperc.processes import plane_statistics_recount, preface_text
 
@@ -39,7 +39,7 @@ def random_instance(rng, dims=(1, 3)):
 
 def test_synchronous_figure1():
     spec = GridSpec.uniform(8, 2, 3)
-    state, trace = run_synchronous(spec, block(3, 2))
+    state, trace = run_synchronous(spec, encode_points(spec, block(3, 2)))
     assert trace.num_rounds == 2
     assert trace.round_axis_counts[0] == (3, 3)
     assert state.infected_total == 64
@@ -48,7 +48,7 @@ def test_synchronous_figure1():
 
 def test_synchronous_zero_rounds():
     spec = GridSpec.uniform(5, 2, 2)
-    state, trace = run_synchronous(spec, [(1, 1), (3, 3)])
+    state, trace = run_synchronous(spec, encode_points(spec, [(1, 1), (3, 3)]))
     assert trace.num_rounds == 0
     assert state.infected_points() == {(1, 1), (3, 3)}
 
@@ -58,7 +58,7 @@ def test_synchronous_round_bound_on_percolating_runs():
     checked = 0
     for _ in range(300):
         spec, codes = random_instance(rng, dims=(2, 2))
-        state, trace = run_synchronous(spec, None, _codes=codes)
+        state, trace = run_synchronous(spec, codes)
         if state.percolated and codes.size < spec.num_sites:
             assert trace.num_rounds <= 2 * spec.r + 1
             checked += 1
@@ -76,12 +76,12 @@ def test_synchronous_rounds_trail_alternating_half_steps():
         spec = GridSpec.uniform(n, 2, int(rng.integers(1, 6)))
         k = int(rng.binomial(spec.num_sites, rng.uniform(0.02, 0.5)))
         codes = rng.choice(spec.num_sites, size=k, replace=False).astype(np.int64)
-        sync, trace = run_synchronous(spec, None, _codes=codes)
+        sync, trace = run_synchronous(spec, codes)
         if not sync.percolated or k == spec.num_sites:
             continue
         for start_axis in (0, 1):
             alt, _ = run_alternating_2d(
-                spec, None, stop_rule=True, start_axis=start_axis, _codes=codes
+                spec, codes, stop_rule=True, start_axis=start_axis
             )
             assert alt.percolated
             h = alt.trace.num_rounds
@@ -98,14 +98,14 @@ def test_synchronous_rounds_trail_alternating_half_steps():
 
 def test_alternating_stop_rule_example():
     spec = GridSpec.uniform(8, 2, 3)
-    state, lc = run_alternating_2d(spec, block(3, 2))
+    state, lc = run_alternating_2d(spec, encode_points(spec, block(3, 2)))
     assert lc == LineCount2D(h=(3,), v=())
     assert state.percolated
 
 
 def test_alternating_trivial():
     spec = GridSpec.uniform(8, 2, 3)
-    state, lc = run_alternating_2d(spec, [(1, 1), (5, 5)])
+    state, lc = run_alternating_2d(spec, encode_points(spec, [(1, 1), (5, 5)]))
     assert lc == LineCount2D(h=(0,), v=())
     assert not state.percolated
 
@@ -114,8 +114,8 @@ def test_alternating_termination_equivalence():
     rng = np.random.default_rng(5)
     for _ in range(120):
         spec, codes = random_instance(rng, dims=(2, 2))
-        ref = closure_from_codes(spec, codes)
-        alt, _ = run_alternating_2d(spec, None, stop_rule=False, _codes=codes)
+        ref = new_state(spec, codes).run_fifo()
+        alt, _ = run_alternating_2d(spec, codes, stop_rule=False)
         assert set(alt.infected_codes().tolist()) == set(
             ref.infected_codes().tolist()
         )
@@ -131,17 +131,19 @@ def test_half_steps_refuse_a_start_axis_outside_0_1():
     spec = GridSpec.uniform(4, 2, 2)
     for kernel in (InfectionState, engine.Cascade2D):
         for start_axis in (-1, 2):
-            state = kernel(spec, block(2, 2))
+            state = kernel(spec, encode_points(spec, block(2, 2)))
             with pytest.raises(InputError, match="start_axis"):
                 state.run_half_steps(start_axis=start_axis)
             assert not state.trace.line_ids and state.percolated is None
         with pytest.raises(InputError, match="start_axis"):
-            run_alternating_2d(spec, block(2, 2), start_axis=2)
+            run_alternating_2d(spec, encode_points(spec, block(2, 2)), start_axis=2)
 
 
 def test_alternating_start_axis():
     spec = GridSpec.uniform(8, 2, 3)
-    state, lc = run_alternating_2d(spec, block(3, 2), start_axis=1)
+    state, lc = run_alternating_2d(
+        spec, encode_points(spec, block(3, 2)), start_axis=1
+    )
     assert lc.start_axis == 1
     assert state.percolated
     assert lc.v == (3,) and lc.h == ()
@@ -195,7 +197,7 @@ def test_stopped_runs_classify_uniquely():
     percolating = 0
     for _ in range(200):
         spec, codes = random_instance(rng, dims=(2, 2))
-        state, lc = run_alternating_2d(spec, None, stop_rule=True, _codes=codes)
+        state, lc = run_alternating_2d(spec, codes, stop_rule=True)
         cls = classify_line_count(lc, spec.r)
         if state.percolated and codes.size < spec.num_sites:
             assert cls in (LineCountClass.HORIZONTAL, LineCountClass.VERTICAL)
@@ -305,10 +307,10 @@ def test_batched_generations_match_one_line_at_a_time(monkeypatch):
         k = int(rng.binomial(spec.num_sites, rng.uniform(0.05, 0.5)))
         codes = rng.choice(spec.num_sites, size=k, replace=False).astype(np.int64)
 
-        batched = InfectionState(spec, None, _codes=codes).run_rounds()
-        ref = _OneLineAtATime(spec, None, _codes=codes).run_rounds()
+        batched = InfectionState(spec, codes).run_rounds()
+        ref = _OneLineAtATime(spec, codes).run_rounds()
         _same_run(batched, ref)
-        _same_run(run_synchronous(spec, None, _codes=codes)[0], ref)
+        _same_run(run_synchronous(spec, codes)[0], ref)
         # the next round is exactly what the per-line sinks collected
         rounds = {}
         for lid, g in zip(ref.trace.line_ids, ref.trace.round_of):
@@ -324,13 +326,13 @@ def test_batched_generations_match_one_line_at_a_time(monkeypatch):
             for stop_rule in (True, False):
                 for start_axis in (0, 1):
                     kw = dict(stop_rule=stop_rule, start_axis=start_axis)
-                    batched = InfectionState(spec, None, _codes=codes).run_half_steps(**kw)
-                    ref = _OneLineAtATime(spec, None, _codes=codes).run_half_steps(**kw)
+                    batched = InfectionState(spec, codes).run_half_steps(**kw)
+                    ref = _OneLineAtATime(spec, codes).run_half_steps(**kw)
                     _same_run(batched, ref)
-                    counted, lc = run_alternating_2d(spec, None, _codes=codes, **kw)
+                    counted, lc = run_alternating_2d(spec, codes, **kw)
                     with monkeypatch.context() as m:
                         m.setattr(processes, "new_state", _OneLineAtATime)
-                        ref, ref_lc = run_alternating_2d(spec, None, _codes=codes, **kw)
+                        ref, ref_lc = run_alternating_2d(spec, codes, **kw)
                     assert isinstance(ref, _OneLineAtATime)
                     _same_run(counted, ref)
                     assert lc == ref_lc
@@ -350,11 +352,11 @@ def test_sliced_batches_match_whole_batches(monkeypatch):
     for spec, codes in instances:
         rows = int(rng.integers(1, 3))
         first = len(calls)
-        whole = InfectionState(spec, None, _codes=codes).run_rounds()
+        whole = InfectionState(spec, codes).run_rounds()
         mid = len(calls)
         with monkeypatch.context() as m:
             m.setattr(engine, "BATCH_ELEMS", rows * spec.n)
-            sliced = InfectionState(spec, None, _codes=codes).run_rounds()
+            sliced = InfectionState(spec, codes).run_rounds()
         _same_run(sliced, whole)
         split += len(calls) - mid > mid - first
     assert split > 35
@@ -384,8 +386,8 @@ def test_drain_runs_match_one_line_at_a_time(monkeypatch):
             if rows:
                 m.setattr(engine, "BATCH_ELEMS", rows * n)
             for stop in (False, True):
-                batched = _Recorded(spec, None, _codes=codes)
-                ref = _OneLineAtATime(spec, None, _codes=codes)
+                batched = _Recorded(spec, codes)
+                ref = _OneLineAtATime(spec, codes)
                 batched.run_fifo(stop_on_percolation=stop)
                 ref.run_fifo(stop_on_percolation=stop)
                 _same_run(batched, ref)
@@ -404,8 +406,8 @@ def test_sequential_equivalence():
     rng = np.random.default_rng(13)
     for _ in range(100):
         spec, codes = random_instance(rng)
-        ref = closure_from_codes(spec, codes)
-        seq, trace = run_sequential(spec, None, _codes=codes)
+        ref = new_state(spec, codes).run_fifo()
+        seq, trace = run_sequential(spec, codes)
         assert set(seq.infected_codes().tolist()) == set(ref.infected_codes().tolist())
         trace.check()
 
@@ -414,14 +416,14 @@ def test_sequential_custom_order_matches_canonical():
     rng = np.random.default_rng(17)
     for _ in range(30):
         spec, codes = random_instance(rng, dims=(2, 3))
-        canonical, _ = run_sequential(spec, None, _codes=codes)
+        canonical, _ = run_sequential(spec, codes)
         order = list(range(spec.num_lines))
-        st_same, _ = run_sequential(spec, None, order, _codes=codes)
+        st_same, _ = run_sequential(spec, codes, order)
         assert set(st_same.infected_codes().tolist()) == set(
             canonical.infected_codes().tolist()
         )
         perm = rng.permutation(spec.num_lines).tolist()
-        st_perm, _ = run_sequential(spec, None, perm, _codes=codes)
+        st_perm, _ = run_sequential(spec, codes, perm)
         assert set(st_perm.infected_codes().tolist()) == set(
             canonical.infected_codes().tolist()
         )
@@ -430,20 +432,20 @@ def test_sequential_custom_order_matches_canonical():
 def test_sequential_rejects_bad_order():
     spec = GridSpec.uniform(3, 2, 2)
     with pytest.raises(InputError):
-        run_sequential(spec, [(1, 1)], [0, 1, 2])
+        run_sequential(spec, encode_points(spec, [(1, 1)]), [0, 1, 2])
 
 
 def test_schedule_invariance():
     rng = np.random.default_rng(31)
     for _ in range(120):
         spec, codes = random_instance(rng)
-        base = set(closure_from_codes(spec, codes).infected_codes().tolist())
-        sync, _ = run_synchronous(spec, None, _codes=codes)
+        base = set(new_state(spec, codes).run_fifo().infected_codes().tolist())
+        sync, _ = run_synchronous(spec, codes)
         assert set(sync.infected_codes().tolist()) == base
-        seq, _ = run_sequential(spec, None, _codes=codes)
+        seq, _ = run_sequential(spec, codes)
         assert set(seq.infected_codes().tolist()) == base
         if spec.d == 2:
-            alt, _ = run_alternating_2d(spec, None, stop_rule=False, _codes=codes)
+            alt, _ = run_alternating_2d(spec, codes, stop_rule=False)
             assert set(alt.infected_codes().tolist()) == base
 
 
@@ -473,7 +475,7 @@ def test_plane_stats_monotone_and_bounded():
     rng = np.random.default_rng(41)
     for _ in range(40):
         spec, codes = random_instance(rng, dims=(3, 3))
-        state = closure_from_codes(spec, codes)
+        state = new_state(spec, codes).run_fifo()
         stats = plane_statistics(spec, state)
         prof = stats.n_k_profile(spec.r + 1)
         assert all(a >= b for a, b in zip(prof, prof[1:]))
@@ -489,8 +491,8 @@ def test_plane_stats_recount_matches_incremental():
     for _ in range(40):
         spec, codes = random_instance(rng, dims=(3, 3))
         for state in (
-            closure_from_codes(spec, codes),
-            run_synchronous(spec, None, _codes=codes)[0],
+            new_state(spec, codes).run_fifo(),
+            run_synchronous(spec, codes)[0],
             percolation_run(spec, codes),
         ):
             fast = plane_statistics(spec, state)

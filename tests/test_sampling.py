@@ -4,17 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta
 
-from lineperc import GridSpec, InputError, TrialSeed, critical_p_of_sample, sample_initial
+from lineperc import GridSpec, InputError, TrialSeed, critical_p_of_sample
 from lineperc.engine import percolation_run
 from lineperc.sampling import MAX_DRAWN_SITES, realize_coupled, sample_codes
 
 
 def test_sample_extremes():
     spec = GridSpec.uniform(6, 2, 2)
-    assert sample_initial(spec, 0.0, TrialSeed(1, 0)) == set()
-    assert len(sample_initial(spec, 1.0, TrialSeed(1, 0))) == 36
+    assert sample_codes(spec, 0.0, TrialSeed(1, 0)).tolist() == []
+    assert sample_codes(spec, 1.0, TrialSeed(1, 0)).tolist() == list(range(36))
     with pytest.raises(InputError):
-        sample_initial(spec, 1.5, TrialSeed(1, 0))
+        sample_codes(spec, 1.5, TrialSeed(1, 0))
 
 
 def test_sample_size_bound():
