@@ -303,6 +303,8 @@ def _read_config(path: str) -> dict:
         key = key.replace("-", "_")
         if key not in CONFIG_KEYS:
             raise InputError(f"unknown config key {key!r}; keys are {CONFIG_KEYS}")
+        if key in out:
+            raise InputError(f"config key {key!r} given more than once")
         out[key] = val
     return out
 
@@ -431,7 +433,8 @@ def cmd_preface_stats(args) -> int:
 
 
 def _plane_trial(spec: GridSpec, seed: TrialSeed, p: float, kmax: int) -> tuple:
-    """N_1, ..., N_kmax of one cascade run to its fixed point."""
+    """N_1, ..., N_kmax of one cascade, run until percolation is proved or
+    to its fixed point."""
     state = percolation_run(spec, sample_codes(spec, p, seed))
     return plane_statistics(spec, state).n_k_profile(kmax)
 
@@ -444,20 +447,10 @@ def cmd_plane_stats(args) -> int:
     kmax = s + 1
     bounds = [spec.n ** (1.0 - k * g / (args.r - g)) for k in range(1, kmax + 1)]
     profiles = run_trials(_plane_trial, spec, args.trials, _seed(args.seed), p, kmax)
-    within = np.zeros(kmax, dtype=np.int64)
-    sums = np.zeros(kmax, dtype=np.float64)
-    maxima = np.zeros(kmax, dtype=np.int64)
-    all_within = 0
-    for prof in profiles:
-        ok = True
-        for k in range(kmax):
-            sums[k] += prof[k]
-            maxima[k] = max(maxima[k], prof[k])
-            if prof[k] <= bounds[k]:
-                within[k] += 1
-            else:
-                ok = False
-        all_within += int(ok)
+    nk = np.array(profiles, dtype=np.int64).reshape(args.trials, kmax)
+    ok = nk <= np.array(bounds)
+    within, sums, maxima = ok.sum(axis=0), nk.sum(axis=0), nk.max(axis=0)
+    all_within = int(ok.all(axis=1).sum())
     rec = _base_record(spec, "plane_stats")
     rec.update(
         {
@@ -640,7 +633,8 @@ def dispatch(argv: list[str]) -> int:
     try:
         args = ap.parse_args(argv)
         return args.fn(args)
-    except (InputError, OSError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
+        # a --points or --config file that is not text cannot be decoded
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -12,11 +12,14 @@ order and every line saturates at most once over the whole growth.  Every
 ``run_*`` returns the state, and ``run_rounds`` and ``run_half_steps`` share
 one generation body.  A kernel only counts: it supplies its counts and
 ``_ready_lines``, ``_is_ready``, ``_saturate(lid, sink)`` (one line),
-``_fill_line(lid)`` (the early proof) and ``_add_seeds(codes)`` (the grown
-seeds up to the first that makes a line ready); it may batch
-``_saturate_run(axis, lids, sink, stop)``, which by default takes a run of
-parallel lines one line at a time.  Only the schedules write the trace, the
-only record of a half-step run, whose rounds are numbered from 0.
+``_fill_line(lid)`` (the early proof) and ``_add_seeds(digits)`` (the digit
+rows of grown seeds, taken up to the first that makes a line ready); it may
+batch ``_saturate_run(axis, lids, sink, stop)``, which by default takes a
+run of parallel lines one line at a time.  ``seeds``, the sorted codes of
+every seed, given or grown, is the one seed store: ``grow`` derives digits
+once per call and merges each chunk a kernel takes into ``seeds`` before the
+drain.  Only the schedules write the trace, the only record of a half-step
+run, whose rounds are numbered from 0.
 
 Runs that stop on percolation (``run_fifo(stop_on_percolation=True)``,
 ``grow``) prove it by full flats in every d: a flat with free axes S is full
@@ -146,13 +149,14 @@ class _Cascade:
     ``saturated`` and ``line_count`` (arrays over line ids),
     ``infected_total`` and ``_sat_per_axis``; and the operations
     ``_ready_lines``, ``_is_ready``, ``_saturate(lid, sink)``,
-    ``_fill_line(lid)`` and ``_add_seeds(codes)``.  It may override
-    ``_saturate_run(axis, lids, sink, stop)`` with a batched equivalent.  The
-    schedules alone write the trace.
+    ``_fill_line(lid)`` and ``_add_seeds(digits)``, on the digit rows (k, d)
+    of new seeds.  It may override ``_saturate_run(axis, lids, sink, stop)``
+    with a batched equivalent.  The schedules alone write the trace.
 
     Construction seeds the state from ``codes``, an array of point codes;
     a ``run_*`` method then advances the cascade and returns the state.  Or
-    a state built from no seeds takes them, in order, through ``grow``.  A
+    a state built from no seeds takes them, in order, through ``grow``.
+    Either way ``seeds`` holds the sorted, distinct codes of every seed.  A
     single state is single-threaded; distinct states are independent.
     """
 
@@ -160,29 +164,17 @@ class _Cascade:
         self.spec = spec
         t = _tables(spec)
         self._t = t
-        self._codes = codes = np.unique(_code_array(codes))
-        if codes.size and (codes[0] < 0 or codes[-1] >= t.N):
-            bad = codes[0] if codes[0] < 0 else codes[-1]
-            raise InputError(f"point code {bad} out of range [0, {t.N})")
-        self._grown: list[int] = []
-        self._initial_set = set(codes.tolist())
+        self.seeds = _in_range(np.unique(_code_array(codes)), t.N)
         self.trace = Trace(spec)
         self.percolated: bool | None = None
-        self._ran = False
+        self._ran: bool | str = False  # True once a run_* ran, "grow" once grown
 
     # -- queries ------------------------------------------------------------
 
     @property
-    def _initial_codes(self) -> np.ndarray:
-        """Sorted codes of every seed, grown ones included."""
-        if self._grown:
-            return np.sort(np.asarray(self._grown, dtype=np.int64))
-        return self._codes
-
-    @property
     def explicit_infected(self) -> set[Point]:
         """Initial points that do not lie on any saturated line."""
-        codes = self._initial_codes
+        codes = self.seeds
         alone = ~self.saturated[self._t.lids_of(codes)].any(axis=1)
         return {decode_point(self.spec, int(c)) for c in codes[alone]}
 
@@ -197,7 +189,8 @@ class _Cascade:
 
     def is_infected(self, p: Sequence[int]) -> bool:
         code = encode_point(self.spec, p)
-        if code in self._initial_set:
+        at = int(np.searchsorted(self.seeds, code))
+        if at < self.seeds.size and self.seeds[at] == code:
             return True
         lids = self._t.lids_of(np.array([code], dtype=np.int64))
         return bool(self.saturated[lids].any())
@@ -206,7 +199,7 @@ class _Cascade:
         """Dense boolean mask over point codes (materializes n^d bools)."""
         t = self._t
         mask = np.zeros(t.N, dtype=bool)
-        mask[self._initial_codes] = True
+        mask[self.seeds] = True
         for lid in np.flatnonzero(self.saturated):
             mask[t.line_slice(int(lid))] = True
         return mask
@@ -377,32 +370,28 @@ class _Cascade:
         state takes no more seeds.  A code out of range is refused before
         any seed is added.
         """
-        assert self._codes.size == 0 and not self.percolated
-        assert self._grown or not self._ran
+        assert not self.percolated and self._ran in (False, "grow")
+        assert self._ran or not self.seeds.size  # built with no seeds
         t = self._t
         codes = _code_array(codes)
-        bad = (codes < 0) | (codes >= t.N)
-        if bad.any():
-            raise InputError(f"point code {codes[bad][0]} out of range [0, {t.N})")
-        seeded = self._initial_set
-        listed = codes.tolist()
-        at = None  # where each code not grown yet first stands, if not all do
-        if len(set(listed).difference(seeded)) < len(listed):
-            first: dict[int, int] = {}
-            for i, code in enumerate(listed):
-                if code not in seeded:
-                    first.setdefault(code, i)
-            at = np.fromiter(first.values(), dtype=np.int64, count=len(first))
+        # where each code first stands in the seeds and then ``codes``: a
+        # code grown before first stands among the seeds
+        s = self.seeds.size
+        new, at = np.unique(np.concatenate([self.seeds, codes]), return_index=True)
+        _in_range(new, t.N)
+        if new.size < s + codes.size:  # a code repeats, or was grown before
+            at = np.sort(at[at >= s]) - s
             codes = codes[at]
+        else:
+            at = None
+        digits = t.digits_of(codes)
         i = 0
         while i < codes.size:
             # a kernel call ends at the first seed that makes a line ready;
             # covered seeds join the seeds but count nowhere
-            self._ran = True
-            taken, ready = self._add_seeds(codes[i:])
-            grown = codes[i : i + taken].tolist()
-            seeded.update(grown)
-            self._grown.extend(grown)
+            self._ran = "grow"
+            taken, ready = self._add_seeds(digits[i:])
+            self.seeds = np.sort(np.concatenate([self.seeds, codes[i : i + taken]]))
             i += taken
             if self.infected_total == t.N or (
                 ready and self._drain(deque(ready), True)
@@ -460,9 +449,8 @@ class InfectionState(_Cascade):
         self.saturated = np.zeros(t.L, dtype=bool)
         self.infected_total = 0
         self._sat_per_axis = [0] * spec.d
-        if self._codes.size:
-            digits = t.digits_of(self._codes)
-            self._count_seeds(digits, digits @ t.W.T + t.off)
+        digits = t.digits_of(self.seeds)
+        self._count_seeds(digits, digits @ t.W.T + t.off)
         if spec.d == 3:
             # points per plane (normal, offset) first infected by a normal line
             self._boosted = np.zeros((3, spec.n), dtype=np.int64)
@@ -735,12 +723,12 @@ class InfectionState(_Cascade):
             count += np.bincount(z[: first + 1], minlength=count.size)
         return first
 
-    def _add_seeds(self, codes: np.ndarray) -> tuple[int, list[int]]:
-        """Count the new seeds ``codes``, in order, on their d lines, up to
-        the first one that brings a line to its threshold.  Returns how many
-        codes were taken and the lines that the last one made ready, in axis
-        order.  A seed already infected counts nowhere: its lines counted it
-        when it was infected.
+    def _add_seeds(self, digits: np.ndarray) -> tuple[int, list[int]]:
+        """Count the new seeds of digit rows ``digits`` (k, d), in order, on
+        their d lines, up to the first that brings a line to its threshold.
+        Returns how many were taken and the lines the last one made ready, in
+        axis order.  A seed already infected counts nowhere: its lines
+        counted it when it was infected.
 
         No line saturates between two seeds here, so the counter of a line
         after a seed is its count before plus the seed's 1-based rank among
@@ -751,11 +739,11 @@ class InfectionState(_Cascade):
         saturated and every point is a seed.
         """
         t = self._t
-        digits = t.digits_of(codes)
+        k = digits.shape[0]
         lids = digits @ t.W.T + t.off
         uncovered = np.flatnonzero(~self.saturated[lids].any(axis=1))
         m = uncovered.size
-        if m < codes.size:
+        if m < k:
             digits, lids = digits[uncovered], lids[uncovered]
         # seed by seed, its d lines; a line id names its axis too
         flat = lids.ravel()
@@ -766,7 +754,7 @@ class InfectionState(_Cascade):
             count[order] += np.arange(flat.size) - np.repeat(starts, sizes)
         hit = (count == t.thr_line[flat]).reshape(lids.shape)
         stop = int(hit.any(axis=1).argmax()) if hit.any() else m
-        taken, ready = codes.size, []
+        taken, ready = k, []
         if stop < m:
             taken, ready = int(uncovered[stop]) + 1, lids[stop][hit[stop]].tolist()
             m = stop + 1
@@ -800,11 +788,11 @@ class Cascade2D(_Cascade):
         self._s: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self._bucket: tuple[dict[int, set[int]], dict[int, set[int]]] = ({}, {})
         # seeds on no saturated line
-        self._uncovered = int(self._codes.size)
+        self._uncovered = int(self.seeds.size)
         # line id -> varying-axis digits of its seeds, which are the ids of
         # the perpendicular lines through them less that axis's offset
         self._seeds_on: dict[int, list[int]] = {}
-        for code in self._codes.tolist():
+        for code in self.seeds.tolist():
             g0, g1 = divmod(code, n)
             self._seeds_on.setdefault(g1, []).append(g0)
             self._seeds_on.setdefault(n + g0, []).append(g1)
@@ -925,19 +913,18 @@ class Cascade2D(_Cascade):
             free[[q - off for q in crossed]] = False
             sink.extend((off + np.flatnonzero(free)).tolist())
 
-    def _add_seeds(self, codes: np.ndarray) -> tuple[int, list[int]]:
-        """Count the new seeds ``codes``, in order, in s of their two lines, up
-        to the first one that brings a line to its threshold; return how many
-        were taken and the lines the last one made ready.  A seed already
-        infected counts nowhere.  As in the dense kernel, a seed that fills
-        the grid and makes no line ready is the last new code."""
+    def _add_seeds(self, digits: np.ndarray) -> tuple[int, list[int]]:
+        """Count the new seeds of digit rows ``digits`` (k, 2), in order, in s
+        of their two lines, up to the first that brings a line to its
+        threshold; return how many were taken and the lines the last one made
+        ready.  A seed already infected counts nowhere.  As in the dense
+        kernel, a seed that fills the grid and makes no line ready is last."""
         n = self._t.n
         C = self._sat_per_axis
         thr = self.spec.thresholds
         sat0, sat1 = self._sat
         seeds_on = self._seeds_on
-        for i, code in enumerate(codes.tolist()):
-            g0, g1 = divmod(code, n)
+        for i, (g0, g1) in enumerate(zip(*digits.T.tolist())):
             if g1 in sat0 or n + g0 in sat1:
                 continue
             self._uncovered += 1
@@ -950,7 +937,7 @@ class Cascade2D(_Cascade):
                     ready.append(lid)
             if ready:
                 return i + 1, ready
-        return codes.size, []
+        return len(digits), []
 
 
 # ---------------------------------------------------------------------------
@@ -969,6 +956,14 @@ def _code_array(codes) -> np.ndarray:
         raise InputError("seeds must be a 1-D integer array of point codes; "
                          "encode points with encode_points(spec, points)")
     return arr.astype(np.int64, copy=False)
+
+
+def _in_range(codes: np.ndarray, N: int) -> np.ndarray:
+    """``codes``, ascending, once none lies outside [0, N)."""
+    if codes.size and (codes[0] < 0 or codes[-1] >= N):
+        bad = codes[0] if codes[0] < 0 else codes[-1]
+        raise InputError(f"point code {bad} out of range [0, {N})")
+    return codes
 
 
 def _groups(base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:

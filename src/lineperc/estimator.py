@@ -165,7 +165,7 @@ def _theta_trial(spec: GridSpec, seed: TrialSeed, p: float) -> bool:
 def _pc_trial(spec: GridSpec, seed: TrialSeed) -> tuple[float, bool]:
     pc = critical_p_of_sample(spec, seed)
     if not pc.degenerate and spec.d == 2 and spec.is_uniform:
-        check_2d_process_properties(spec, pc.witness._initial_codes)
+        check_2d_process_properties(spec, pc.witness.seeds)
     return pc.p_star, pc.degenerate
 
 

@@ -234,7 +234,7 @@ def plane_statistics_recount(spec: GridSpec, state: InfectionState) -> PlaneStat
                 paral[b, g[b], axis] += 1
     boosted = np.zeros((3, n), dtype=np.int64)
     infected = np.zeros(t.N, dtype=bool)
-    infected[state._initial_codes] = True
+    infected[state.seeds] = True
     for lid in state.trace.line_ids:
         axis = int(lid) // t.lines_per_axis
         line = t.line_slice(int(lid))

@@ -185,7 +185,7 @@ def critical_p_of_sample(spec: GridSpec, seed: TrialSeed) -> PcSample:
     is the weight of the first site after which the grown cascade proves
     percolation; the state was at a non-percolating fixed point just before
     it, which certifies percolates(A_{p*}) and not percolates(A_{p*-eps}).
-    The grown state is returned as ``witness`` (its seeds are exactly
+    The grown state is returned as ``witness`` (its ``seeds`` are exactly
     A_{p*}), and ``n_probes`` counts the caps visited.
 
     When n is below every threshold no line can ever saturate, and the

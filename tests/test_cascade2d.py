@@ -26,7 +26,7 @@ def assert_same(fast, dense):
     assert fast.percolated == dense.percolated
     assert fast.pending == dense.pending
     assert fast.explicit_infected == dense.explicit_infected
-    assert np.array_equal(fast._initial_codes, dense._initial_codes)
+    assert np.array_equal(fast.seeds, dense.seeds)
 
 
 @st.composite

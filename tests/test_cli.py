@@ -526,17 +526,22 @@ def test_nonpositive_trials_exit_code(capsys):
 )
 def test_bad_config_values_exit_code(tmp_path, capsys, line):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(f"d = 2\nr = 2\nn_list = 8,12,16\ntrials = 10\nseed = 1\n{line}\n")
+    key = line.split(" =")[0]
+    # the bad line stands in for its key's line, as a repeated key is refused
+    base = ["d = 2", "r = 2", "n_list = 8,12,16", "trials = 10", "seed = 1"]
+    kept = [ln for ln in base if ln.split(" =")[0] != key]
+    cfg.write_text("\n".join(kept + [line]) + "\n")
     assert dispatch(["sweep", "--config", str(cfg), "--threads", "1"]) == 1
-    key = line.split(" =")[0].replace("_", " ")
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and key in err
+    assert err.startswith("error: ") and key.replace("_", " ") in err
+    assert "more than once" not in err
 
 
 @pytest.mark.parametrize(
     "line, key",
     [("fit = True", "fit"), ("fit = maybe", "fit"), ("p_rul = n^-1.5", "p_rul"),
-     ("cvs = out.csv", "cvs"), ("threads = 2", "threads")],
+     ("cvs = out.csv", "cvs"), ("threads = 2", "threads"),
+     ("trials = 20", "trials")],
 )
 def test_unknown_config_keys_and_fit_values_exit_code(
     tmp_path, monkeypatch, capsys, line, key
@@ -552,6 +557,20 @@ def test_unknown_config_keys_and_fit_values_exit_code(
     assert dispatch(["sweep", "--config", str(cfg), "--threads", "1"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and key in err, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["closure", "--n", "8", "--d", "2", "--r", "2", "--points"],
+     ["sweep", "--threads", "1", "--config"]],
+)
+def test_undecodable_input_file_exit_code(tmp_path, argv):
+    # the head of a binary file: an ELF header, then bytes that are not UTF-8
+    path = tmp_path / "binary"
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    proc = run_cli(argv + [str(path)])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_sweep_fit_failures_write_nothing(tmp_path, monkeypatch, capsys):

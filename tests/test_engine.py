@@ -363,34 +363,39 @@ def test_membership_and_explicit():
 
 def test_grown_state_matches_fresh_cascade():
     # below the flip, a state grown seed by seed sits at the fixed point of
-    # its prefix: every query agrees with a cascade built from that prefix
+    # its prefix: every query agrees with a cascade built from that prefix,
+    # on the dense kernel and on the kernel new_state picks (Cascade2D in 2D)
     rng = np.random.default_rng(29)
     flips = 0
     for _ in range(40):
         spec, codes = random_instance(rng, n_hi=6)
-        state = InfectionState(spec, ())
-        for k, code in enumerate(codes.tolist(), start=1):
-            proved = state.grow([code]) == 1
-            assert state.percolated == proved
-            state.trace.check()
-            if proved:
-                flips += 1
-                assert percolation_run(spec, codes[:k]).percolated
-                assert not percolation_run(spec, codes[: k - 1]).percolated
-                assert np.array_equal(state._initial_codes, np.sort(codes[:k]))
-                break
-            fresh = new_state(spec, codes[:k]).run_fifo()
-            assert not fresh.percolated and state.pending == []
-            assert np.array_equal(state.saturated, fresh.saturated)
-            assert np.array_equal(state.line_count, fresh.line_count)
-            assert state.infected_total == fresh.infected_total
-            assert np.array_equal(state.infected_mask(), fresh.infected_mask())
-            assert state.explicit_infected == fresh.explicit_infected
-            assert np.array_equal(state._initial_codes, fresh._initial_codes)
-            pts = {decode_point(spec, int(c)) for c in codes[:k]}
-            assert state.infected_points() == naive_closure(spec, pts)
-            assert all(state.is_infected(p) for p in pts)
-    assert flips >= 10
+        points = [decode_point(spec, c) for c in range(spec.num_sites)]
+        for kernel in (InfectionState, new_state):
+            state = kernel(spec, ())
+            for k, code in enumerate(codes.tolist(), start=1):
+                proved = state.grow([code]) == 1
+                assert state.percolated == proved
+                state.trace.check()
+                if proved:
+                    flips += 1
+                    assert percolation_run(spec, codes[:k]).percolated
+                    assert not percolation_run(spec, codes[: k - 1]).percolated
+                    assert np.array_equal(state.seeds, np.sort(codes[:k]))
+                    break
+                fresh = new_state(spec, codes[:k]).run_fifo()
+                assert not fresh.percolated and state.pending == []
+                assert np.array_equal(state.saturated, fresh.saturated)
+                assert np.array_equal(state.line_count, fresh.line_count)
+                assert state.infected_total == fresh.infected_total
+                assert np.array_equal(state.infected_mask(), fresh.infected_mask())
+                assert state.explicit_infected == fresh.explicit_infected
+                assert np.array_equal(state.seeds, fresh.seeds)
+                pts = {decode_point(spec, int(c)) for c in codes[:k]}
+                assert state.infected_points() == naive_closure(spec, pts)
+                infected = [state.is_infected(p) for p in points]
+                assert infected == [fresh.is_infected(p) for p in points]
+                assert all(infected[int(c)] for c in codes[:k])
+    assert flips >= 20
 
 
 def test_grow_proves_whole_grid_below_threshold():
@@ -406,16 +411,17 @@ def test_grow_proves_whole_grid_below_threshold():
 
 def test_grow_rejects_bad_codes_and_ignores_repeats():
     spec = GridSpec.uniform(4, 2, 2)
-    state = InfectionState(spec, ())
-    with pytest.raises(InputError):
-        state.grow([16])
-    assert state.grow([0]) == 0
-    assert state.grow([0]) == 0
-    assert state.infected_total == 1 and state._initial_codes.tolist() == [0]
-    # a bad code anywhere refuses the whole array before any seed is added
-    with pytest.raises(InputError):
-        state.grow([5, -1])
-    assert state.infected_total == 1 and state._initial_codes.tolist() == [0]
+    for kernel in (InfectionState, Cascade2D):
+        state = kernel(spec, ())
+        with pytest.raises(InputError):
+            state.grow([16])
+        assert state.grow([0]) == 0
+        assert state.grow([0]) == 0
+        assert state.infected_total == 1 and state.seeds.tolist() == [0]
+        # a bad code anywhere refuses the whole array before any seed is added
+        with pytest.raises(InputError):
+            state.grow([5, -1])
+        assert state.infected_total == 1 and state.seeds.tolist() == [0]
 
 
 class _OneSeedAtATime(InfectionState):
@@ -434,15 +440,14 @@ class _OneSeedAtATime(InfectionState):
         return 0
 
     def _grow_one(self, code):
-        assert self._codes.size == 0 and not self.percolated
+        assert not self.percolated
         t = self._t
         if not 0 <= code < t.N:
             raise InputError(f"point code {code} out of range [0, {t.N})")
         self._ran = True
-        if code in self._initial_set:
+        if code in self.seeds:
             return False
-        self._initial_set.add(code)
-        self._grown.append(code)
+        self.seeds = np.sort(np.append(self.seeds, code))
         digits = [code // s % t.n for s in t.pstride.tolist()]
         lids = [
             off + sum(g * w for g, w in zip(digits, row))
@@ -473,7 +478,7 @@ def _same_growth(state, ref):
     assert state.infected_total == ref.infected_total
     assert list(state._sat_per_axis) == ref._sat_per_axis
     assert state.percolated == ref.percolated
-    assert state._grown == ref._grown and state._initial_set == ref._initial_set
+    assert np.array_equal(state.seeds, ref.seeds)
     assert state._seeds_on == ref._seeds_on
     if isinstance(state, InfectionState):
         assert flat_tallies(state) == flat_tallies(ref)

@@ -88,7 +88,7 @@ def test_pstar_flip_and_monotone_coupling():
                 # the search hands back its cascade on exactly that prefix
                 assert pc.witness.percolated
                 assert np.array_equal(
-                    pc.witness._initial_codes, np.sort(sample.codes[:k])
+                    pc.witness.seeds, np.sort(sample.codes[:k])
                 )
                 # monotonicity: percolation is preserved above the flip
                 assert percolation_run(spec, sample.codes).percolated
@@ -142,7 +142,7 @@ def test_pstar_matches_linear_scan_oracle(spec, master_seed, trial_index):
     assert not pc.degenerate
     assert pc.p_star == sample.weights[flip - 1]
     assert pc.n_realized == sample.codes.size
-    assert np.array_equal(pc.witness._initial_codes, np.sort(sample.codes[:flip]))
+    assert np.array_equal(pc.witness.seeds, np.sort(sample.codes[:flip]))
     assert pc.witness.percolated
     pc.witness.trace.check()
 
