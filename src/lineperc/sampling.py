@@ -2,8 +2,11 @@
 
 Every trial owns a counter-based Philox stream keyed by
 (master_seed, trial_index), so results are a pure function of the seed pair
-and identical under any parallel schedule.  Samples are point codes, the
-seed format of every cascade (``grid.decode_point`` turns one into a point).
+and identical under any parallel schedule.  The two words are the whole
+Philox key and the counter starts at 0, so opening a stream draws no OS
+entropy (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11).  Samples are point codes, the seed format of every cascade
+(``grid.decode_point`` turns one into a point).
 
 The coupling assigns every site an i.i.d. uniform weight; A_p is the set of
 sites with weight <= p, which is monotone in p.  The per-sample critical
@@ -29,6 +32,7 @@ from typing import Iterator
 
 import numpy as np
 from numpy.random import Generator, Philox
+from numpy.random.bit_generator import ISeedSequence
 
 from . import theory
 from .engine import Cascade2D, InfectionState, new_state
@@ -44,7 +48,8 @@ class TrialSeed:
     """Key of one trial's random stream; fully determines every draw.
 
     Each number is one 64-bit Philox key word, so one outside [0, 2^64) is
-    refused: it would alias another.
+    refused: it would alias another.  The two words are the whole key, and
+    ``generator`` draws no OS entropy.
     """
 
     master_seed: int
@@ -57,8 +62,26 @@ class TrialSeed:
                 raise InputError(f"{name} must lie in [0, 2^64), got {value}")
 
     def generator(self) -> Generator:
-        key = np.array([self.master_seed, self.trial_index], dtype=np.uint64)
-        return Generator(Philox(key=key))
+        """A fresh generator at the start of this trial's stream."""
+        return Generator(Philox(_PhiloxKey(self.master_seed, self.trial_index)))
+
+
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox its two key words as they are.  ``Philox(key=...)`` would
+    first fill a ``SeedSequence`` from OS entropy and then discard it; given
+    a seed sequence, Philox asks it only for ``generate_state(2, uint64)``,
+    the key.  Any other request is refused, so a numpy that asked for more
+    would fail here rather than key the stream wrongly."""
+
+    def __init__(self, *words: int):
+        self.words = words
+
+    def generate_state(self, n_words, dtype):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise RuntimeError(
+                f"Philox asked for {n_words} words of {np.dtype(dtype)}, "
+                "not its 2 uint64 key words")
+        return np.array(self.words, dtype=np.uint64)
 
 
 @dataclass

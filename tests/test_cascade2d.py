@@ -111,6 +111,18 @@ def test_every_grow_prefix_matches_dense(instance):
             break
 
 
+def test_unsorted_codes_with_repeats_match_dense():
+    # ``instances`` draws distinct codes only; a repeat is one seed, counted
+    # once on each of its two lines
+    for spec, codes in ((GridSpec.uniform(4, 2, 2), [7, 3, 7, 0]),
+                        (GridSpec(5, 2, (2, 3)), [24, 6, 1, 6, 24, 11, 1])):
+        fast, dense = Cascade2D(spec, codes), InfectionState(spec, codes)
+        assert np.array_equal(fast.seeds, np.unique(codes))
+        assert_same(fast, dense)
+        assert fast.pending  # a line holds two of the distinct seeds
+        assert_same(fast.run_fifo(), dense.run_fifo())
+
+
 def test_new_state_picks_the_kernel_from_d():
     assert type(new_state(GridSpec.uniform(4, 2, 2), ())) is Cascade2D
     for d in (1, 3):

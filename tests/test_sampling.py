@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 from scipy.stats import beta
 
 from lineperc import GridSpec, InputError, TrialSeed, critical_p_of_sample
 from lineperc.engine import percolation_run
-from lineperc.sampling import MAX_DRAWN_SITES, realize_coupled, sample_codes
+from lineperc.sampling import MAX_DRAWN_SITES, _PhiloxKey, realize_coupled, sample_codes
 
 
 def test_sample_extremes():
@@ -55,6 +56,41 @@ def test_trial_seed_refuses_keys_outside_64_bits():
             TrialSeed(master, trial)
     top = TrialSeed(2**64 - 1, 2**64 - 1).generator().integers(0, 2**32, size=4)
     assert not np.array_equal(top, TrialSeed(0, 0).generator().integers(0, 2**32, size=4))
+
+
+@pytest.mark.parametrize("master, trial", [(0, 0), (5, 17), (2**63, 1),
+                                           (2**64 - 1, 2**64 - 1)])
+def test_trial_stream_is_philox_keyed_by_the_seed_pair(master, trial):
+    # the two words are the whole key: the same state and draws as Philox
+    # keyed directly
+    ours = TrialSeed(master, trial).generator()
+    ref = Generator(Philox(key=[master, trial]))
+    # key, counter, buffer and its position; arrays compare by their repr
+    assert repr(ours.bit_generator.state) == repr(ref.bit_generator.state)
+    draws = [(g.integers(0, 2**40, size=3).tolist(),
+              g.binomial(10**6, 0.3, size=2).tolist(), g.random(3).tolist())
+             for g in (ours, ref)]
+    assert draws[0] == draws[1]
+
+
+def test_each_call_opens_a_fresh_stream():
+    seed = TrialSeed(5, 17)
+    g, h = seed.generator(), seed.generator()
+    assert g is not h and g.bit_generator is not h.bit_generator
+    first = g.random(4)
+    g.random(100)
+    assert np.array_equal(h.random(4), first)
+
+
+def test_philox_key_refuses_any_other_request():
+    # it holds exactly the two 64-bit key words, so any other size or type
+    # of request would key a stream wrongly
+    key = _PhiloxKey(5, 17)
+    assert key.generate_state(2, np.uint64).tolist() == [5, 17]
+    for n_words, dtype in ((4, np.uint32), (2, np.uint32), (4, np.uint64),
+                           (1, np.uint64)):
+        with pytest.raises(RuntimeError):
+            key.generate_state(n_words, dtype)
 
 
 def test_coupled_realization_is_nested_and_sorted():
