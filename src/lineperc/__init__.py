@@ -71,7 +71,6 @@ from .processes import (
     run_synchronous,
 )
 from .sampling import (
-    CoupledSample,
     PcSample,
     TrialSeed,
     critical_p_of_sample,

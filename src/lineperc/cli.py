@@ -532,13 +532,12 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _add_spec_flags(p, *, with_thresholds=True):
+def _add_spec_flags(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, default=None)
-    if with_thresholds:
-        p.add_argument("--thresholds", type=str, default=None,
-                       help="comma-separated per-axis thresholds r1,r2,...")
+    p.add_argument("--thresholds", type=str, default=None,
+                   help="comma-separated per-axis thresholds r1,r2,...")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,9 +17,9 @@ rows of grown seeds, taken up to the first that makes a line ready); it may
 batch ``_saturate_run(axis, lids, sink, stop)``, which by default takes a
 run of parallel lines one line at a time.  ``seeds``, the sorted codes of
 every seed, given or grown, is the one seed store: ``grow`` derives digits
-once per call and merges each chunk a kernel takes into ``seeds`` before the
-drain.  Only the schedules write the trace, the only record of a half-step
-run, whose rounds are numbered from 0.
+once per call and sets ``seeds`` once, when it returns, since no drain
+reads it.  Only the schedules write the trace, the only record of a
+half-step run, whose rounds are numbered from 0.
 
 Runs that stop on percolation (``run_fifo(stop_on_percolation=True)``,
 ``grow``) prove it by full flats in every d: a flat with free axes S is full
@@ -367,8 +367,9 @@ class _Cascade:
         saturates at most once over the whole growth and ``percolated`` is
         exact after each call.  Returns the 1-based position in ``codes`` of
         the seed that proved percolation, or 0 if none did; once one has, the
-        state takes no more seeds.  A code out of range is refused before
-        any seed is added.
+        state takes no more seeds.  ``seeds`` takes the new seeds once, on
+        return: all of them, or those up to the proving one.  A code out of
+        range is refused before any seed is added.
         """
         assert not self.percolated and self._ran in (False, "grow")
         assert self._ran or not self.seeds.size  # built with no seeds
@@ -391,13 +392,14 @@ class _Cascade:
             # covered seeds join the seeds but count nowhere
             self._ran = "grow"
             taken, ready = self._add_seeds(digits[i:])
-            self.seeds = np.sort(np.concatenate([self.seeds, codes[i : i + taken]]))
             i += taken
             if self.infected_total == t.N or (
                 ready and self._drain(deque(ready), True)
             ):
+                self.seeds = np.sort(np.concatenate([self.seeds, codes[:i]]))
                 self.percolated = True
                 return i if at is None else int(at[i - 1]) + 1
+        self.seeds = new
         self.percolated = False
         return 0
 

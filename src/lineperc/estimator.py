@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import percolation_run
-from .grid import GridSpec, InputError
+from .grid import GridSpec, InputError, as_int
 from .processes import (
     LineCountClass,
     classify_line_count,
@@ -55,12 +55,13 @@ _Z95 = 1.959963984540054
 MAX_TRIALS = 1_000_000
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     if successes < 0 or successes > trials:
         raise InputError(f"successes {successes} out of range [0, {trials}]")
+    z = _Z95
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -139,14 +140,6 @@ class SlopeFit:
     slope: float
     intercept: float
     stderr: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "stderr": self.stderr,
-            "points": [list(pt) for pt in self.points],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +226,10 @@ def run_trials(
 
     ``fn`` must be a top-level function, so that it pickles.  The trials run
     on the active ``worker_pool``, or serially outside one.  A trial count
-    outside [``least``, MAX_TRIALS] and a master seed outside [0, 2^64) are
-    refused before any trial.
+    outside [``least``, MAX_TRIALS] and a master seed outside [0, 2^64), or
+    either of them no integer, are refused before any trial.
     """
-    if not least <= trials <= MAX_TRIALS:
+    if not least <= as_int(trials, "trials") <= MAX_TRIALS:
         raise InputError(f"trials must lie in [{least}, {MAX_TRIALS}], got {trials}")
     TrialSeed(master_seed, trials - 1)
     payloads = [
@@ -378,12 +371,10 @@ def _binom_half_ppf_exact(q: float, m: int) -> int:
     return _walk_cdf(m, half, t, lambda s: s * b >= target, operator.floordiv)[0]
 
 
-def median_order_statistic_ci(
-    sorted_samples: np.ndarray, level: float = 0.95
-) -> tuple[float, float]:
-    """Distribution-free CI for the median from binomial order statistics."""
+def median_order_statistic_ci(sorted_samples: np.ndarray) -> tuple[float, float]:
+    """Distribution-free 95% CI for the median from binomial order statistics."""
     m = len(sorted_samples)
-    alpha = 1.0 - level
+    alpha = 1.0 - 0.95  # a 95% interval
     lo_idx = _binom_half_ppf(alpha / 2, m)
     hi_idx = _binom_half_ppf(1.0 - alpha / 2, m)
     lo_idx = max(0, min(m - 1, lo_idx))
@@ -430,11 +421,7 @@ def fit_exponent(estimates: list[tuple[float, float]]) -> SlopeFit:
     slope = float(((x - xbar) * (y - y.mean())).sum() / sxx)
     intercept = float(y.mean() - slope * xbar)
     resid = y - (intercept + slope * x)
-    m = len(x)
-    if m > 2:
-        stderr = float(math.sqrt(float((resid**2).sum()) / (m - 2) / sxx))
-    else:
-        stderr = 0.0
+    stderr = float(math.sqrt(float((resid**2).sum()) / (len(x) - 2) / sxx))
     return SlopeFit(
         points=tuple(zip(x.tolist(), y.tolist())),
         slope=slope,

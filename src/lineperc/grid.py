@@ -9,6 +9,7 @@ d-1 coordinates it holds fixed, and carries a canonical integer id in
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -54,8 +55,11 @@ class GridSpec:
     thresholds: tuple[int, ...]
 
     def __post_init__(self):
-        require_dimension(self.d)
-        object.__setattr__(self, "thresholds", tuple(int(t) for t in self.thresholds))
+        object.__setattr__(self, "n", as_int(self.n, "side length"))
+        object.__setattr__(self, "d", require_dimension(self.d))
+        object.__setattr__(
+            self, "thresholds", tuple(as_int(t, "threshold") for t in self.thresholds)
+        )
         if self.n < 1:
             raise InputError(f"side length must be >= 1, got {self.n}")
         if len(self.thresholds) != self.d:
@@ -107,10 +111,22 @@ class GridSpec:
         return self.thresholds[0]
 
 
-def require_dimension(d: int) -> None:
-    """Refuse a dimension outside [1, MAX_DIMENSION]."""
+def as_int(value, what: str) -> int:
+    """``value`` as an int, or InputError if it is no integer: a float is
+    refused rather than truncated, and numpy integers are accepted."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
+
+
+def require_dimension(d: int) -> int:
+    """Refuse a dimension that is no integer or lies outside
+    [1, MAX_DIMENSION]; returns it as an int."""
+    d = as_int(d, "dimension")
     if not 1 <= d <= MAX_DIMENSION:
         raise InputError(f"dimension must lie in [1, {MAX_DIMENSION}], got {d}")
+    return d
 
 
 def require_small_grid(spec: GridSpec, what: str) -> None:

@@ -19,8 +19,9 @@ field exactly without touching all n^d sites.
 p* is found in one pass in weight order (the add-one-site sweep of Newman &
 Ziff, PRL 85, 4104 (2000)): the realized sites are fed, lightest first, into a
 single growing cascade, which stops at the first site after which
-percolation is proved.  Each cap's new sites are grown as one array, and the
-kernel counts the seeds between two cascades in one step.  Because the
+percolation is proved.  ``realize_coupled`` yields each cap's new sites
+alone, already in weight order; they are grown as one array, and the kernel
+counts the seeds between two cascades in one step.  Because the
 closure is monotone in the seed set, each line saturates at most once per
 trial.
 """
@@ -36,7 +37,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import theory
 from .engine import Cascade2D, InfectionState, new_state
-from .grid import GridSpec, InputError
+from .grid import GridSpec, InputError, as_int
 
 # sites one sample may draw: the draw peaks at about 150 bytes of RSS per code
 # and a theta trial on it at about 320 (measured at 1M and 4M codes, d = 1)
@@ -47,9 +48,9 @@ MAX_DRAWN_SITES = 1 << 22
 class TrialSeed:
     """Key of one trial's random stream; fully determines every draw.
 
-    Each number is one 64-bit Philox key word, so one outside [0, 2^64) is
-    refused: it would alias another.  The two words are the whole key, and
-    ``generator`` draws no OS entropy.
+    Each number is one 64-bit Philox key word, so one that is no integer or
+    lies outside [0, 2^64) is refused: it would alias another.  The two
+    words are the whole key, and ``generator`` draws no OS entropy.
     """
 
     master_seed: int
@@ -58,7 +59,7 @@ class TrialSeed:
     def __post_init__(self):
         for name, value in (("master_seed", self.master_seed),
                             ("trial_index", self.trial_index)):
-            if not 0 <= value < 2**64:
+            if not 0 <= as_int(value, name) < 2**64:
                 raise InputError(f"{name} must lie in [0, 2^64), got {value}")
 
     def generator(self) -> Generator:
@@ -84,25 +85,14 @@ class _PhiloxKey(ISeedSequence):
         return np.array(self.words, dtype=np.uint64)
 
 
-@dataclass
-class CoupledSample:
-    """Realized sites with weight below the cap, sorted by weight."""
-
-    spec: GridSpec
-    cap: float
-    codes: np.ndarray  # int64, sorted by weight
-    weights: np.ndarray  # float64, ascending
-
-
 @dataclass(frozen=True)
 class PcSample:
     """Per-sample critical probability from the coupling."""
 
     p_star: float
     degenerate: bool
-    trial: TrialSeed
     n_realized: int  # sites realized up to the cap that holds p*
-    n_probes: int  # caps visited, i.e. coupled samples drawn
+    n_probes: int  # caps visited
     # the cascade grown on A_{p*}, stopped at the proof that it percolates;
     # None for a degenerate sample
     witness: Cascade2D | InfectionState | None = field(
@@ -166,33 +156,30 @@ def pc_guess(spec: GridSpec) -> float:
 
 def realize_coupled(
     spec: GridSpec, seed: TrialSeed, *, cap0: float | None = None
-) -> Iterator[CoupledSample]:
-    """Yield CoupledSamples at caps cap0, 2*cap0, ..., 1.0 (one shared stream).
+) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+    """Yield ``(cap, codes, weights)`` at caps cap0, 2*cap0, ..., 1.0 (one
+    shared stream): the sites new in (previous cap, cap], sorted by weight,
+    then code.
 
-    Consecutive samples extend each other: previously realized sites keep
-    their codes and weights.
+    Every site is realized at exactly one cap, so no code repeats across
+    caps, and each cap's weights lie in [previous cap, cap].
     """
     rng = seed.generator()
     n_sites = spec.num_sites
     cap_prev = 0.0
     cap = min(1.0, cap0 if cap0 is not None else 2.0 * pc_guess(spec))
-    codes = np.zeros(0, dtype=np.int64)
-    weights = np.zeros(0, dtype=np.float64)
+    drawn = 0
     taken: set[int] = set()
     while True:
         q = (cap - cap_prev) / (1.0 - cap_prev)
-        remaining = n_sites - codes.size
+        remaining = n_sites - drawn
         k_new = int(rng.binomial(remaining, q)) if q < 1.0 else remaining
-        _check_drawn(codes.size + k_new)
-        if k_new:
-            new_codes = _draw_distinct_codes(rng, n_sites, k_new, taken)
-            new_w = cap_prev + (cap - cap_prev) * rng.random(k_new)
-            codes = np.concatenate([codes, new_codes])
-            weights = np.concatenate([weights, new_w])
-            order = np.lexsort((codes, weights))
-            codes = codes[order]
-            weights = weights[order]
-        yield CoupledSample(spec, cap, codes, weights)
+        drawn += k_new
+        _check_drawn(drawn)
+        codes = _draw_distinct_codes(rng, n_sites, k_new, taken)
+        weights = cap_prev + (cap - cap_prev) * rng.random(k_new)
+        order = np.lexsort((codes, weights))
+        yield cap, codes[order], weights[order]
         if cap >= 1.0:
             return
         cap_prev = cap
@@ -202,14 +189,15 @@ def realize_coupled(
 def critical_p_of_sample(spec: GridSpec, seed: TrialSeed) -> PcSample:
     """p* = the smallest realized weight w with A_w percolating.
 
-    Found in one pass in weight order: the caps of ``realize_coupled`` are
-    visited in turn, and each cap's new sites, all heavier than the sites
-    before them, are grown in weight order into a single cascade state.  p*
-    is the weight of the first site after which the grown cascade proves
+    Found in one pass in weight order: each cap's new sites from
+    ``realize_coupled``, all heavier than the sites before them, are grown
+    as they arrive, in weight order, into a single cascade state.  p* is the
+    weight of the first site after which the grown cascade proves
     percolation; the state was at a non-percolating fixed point just before
     it, which certifies percolates(A_{p*}) and not percolates(A_{p*-eps}).
     The grown state is returned as ``witness`` (its ``seeds`` are exactly
-    A_{p*}), and ``n_probes`` counts the caps visited.
+    A_{p*}); ``n_realized`` counts the sites of every cap visited, and
+    ``n_probes`` the caps.
 
     When n is below every threshold no line can ever saturate, and the
     conventional result is p* = 1 with ``degenerate`` set (the full grid is
@@ -218,17 +206,12 @@ def critical_p_of_sample(spec: GridSpec, seed: TrialSeed) -> PcSample:
     still saturate and fill the grid, so such a sample is not degenerate.
     """
     if spec.n < min(spec.thresholds):
-        return PcSample(1.0, True, seed, 0, 0)
+        return PcSample(1.0, True, 0, 0)
     state = new_state(spec, ())
-    fed = 0
-    caps = 0
-    for sample in realize_coupled(spec, seed):
-        caps += 1
-        k = state.grow(sample.codes[fed:])
+    realized = 0
+    for caps, (_, codes, weights) in enumerate(realize_coupled(spec, seed), 1):
+        realized += codes.size
+        k = state.grow(codes)
         if k:
-            return PcSample(
-                float(sample.weights[fed + k - 1]), False, seed,
-                int(sample.codes.size), caps, state,
-            )
-        fed = sample.codes.size
+            return PcSample(float(weights[k - 1]), False, realized, caps, state)
     raise AssertionError("the full grid always percolates at cap 1.0")

@@ -5,6 +5,10 @@ lambda = (r! * ln 2 / 2)^(1/r).  In 3D the critical exponent is
 -1 - 1/(r - gamma) with s the largest integer satisfying s(s+1) <= r and
 gamma = (r + s(s+1)) / (2(s+1)), kept as an exact rational so the boundary
 case gamma = s (exactly when r = s(s+1)) is detected without rounding.
+
+``check_binomial_bounds`` verifies the binomial pmf sandwich and the
+one-sided Chernoff tails used by the proofs numerically, in log space, and
+reports every failing k and delta.
 """
 
 from __future__ import annotations
@@ -191,31 +195,6 @@ def _chernoff_ok(N: int, p: float, deltas) -> dict[float, bool]:
     return out
 
 
-@dataclass(frozen=True)
-class BinomialBoundsReport:
-    """Outcome of the pointwise pmf sandwich and the Chernoff tail check.
-
-    ``chernoff_ok[delta]`` is True exactly when both one-sided Chernoff
-    bounds hold for X ~ Bin(N, p), mu = N p:
-    P(X >= (1+delta) mu) <= exp(-delta^2 mu / 3) and
-    P(X <= (1-delta) mu) <= exp(-delta^2 mu / 2).
-    """
-
-    N: int
-    p: float
-    k: int
-    pmf_lower_ok: bool | None  # None when p > 1/2 (bound not asserted there)
-    pmf_upper_ok: bool | None
-    chernoff_ok: dict[float, bool]
-
-    @property
-    def all_ok(self) -> bool:
-        claims = [self.pmf_lower_ok, self.pmf_upper_ok] + list(
-            self.chernoff_ok.values()
-        )
-        return all(c is not False for c in claims)
-
-
 def _pmf_sandwich(N: int, p: float, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per k in ``ks``: whether exp(-2 mu) (mu/k)^k <= P(X = k), and whether
     P(X = k) <= exp(-mu) (2 e mu / k)^k, compared in log space (mu = N p).
@@ -235,61 +214,43 @@ def _pmf_sandwich(N: int, p: float, ks: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def check_binomial_bounds(
-    N: int, p: float, k: int, deltas: tuple[float, ...] = (0.1, 0.3, 0.5, 0.9)
-) -> BinomialBoundsReport:
-    """Verify the pmf sandwich at (N, p, k) and the Chernoff tail for deltas.
+    N: int,
+    p: float,
+    *,
+    k_max: int | None = None,
+    deltas: tuple[float, ...] = (0.1, 0.3, 0.5, 0.9),
+) -> dict:
+    """Check the pmf sandwich for k = 0..k_max and the Chernoff tails of
+    X ~ Bin(N, p), mu = N p.
 
     For k >= 1 and p <= 1/2 the sandwich is
     exp(-2 mu) (mu/k)^k <= P(X = k) <= exp(-mu) (2 e mu / k)^k,
-    and for k = 0 it is exp(-2 mu) <= P(X = 0) <= exp(-mu).  The tail check
-    compares the exact upper tail P(X >= (1+delta) mu) with
-    exp(-delta^2 mu / 3) and the exact lower tail P(X <= (1-delta) mu) with
-    exp(-delta^2 mu / 2), each summed in log space; together they give
-    P(|X - mu| >= delta mu) <= 2 exp(-delta^2 mu / 3).  Every delta must lie
-    in (0, 1), else InputError.
+    and for k = 0 it is exp(-2 mu) <= P(X = 0) <= exp(-mu).  ``k_max``
+    defaults to min(N, ceil(3 mu) + 10).  ``chernoff_ok[delta]`` holds
+    exactly when P(X >= (1+delta) mu) <= exp(-delta^2 mu / 3) and
+    P(X <= (1-delta) mu) <= exp(-delta^2 mu / 2), both tails summed exactly
+    over k = 0..N in log space; together they give
+    P(|X - mu| >= delta mu) <= 2 exp(-delta^2 mu / 3).  p must lie in
+    [0, 1] and every delta in (0, 1), else InputError.
+
+    Returns {"pmf_failures": [k, ...], "chernoff_ok": {delta: bool}}, with
+    ``pmf_failures`` None when p > 1/2, where the sandwich is not asserted.
     """
-    if k < 0 or k > N:
-        raise InputError(f"k must lie in [0, {N}], got {k}")
     if not (0.0 <= p <= 1.0):
         raise InputError(f"p must lie in [0, 1], got {p}")
-    if p > 0.5:
-        lower_ok = upper_ok = None
-    else:
-        lower, upper = _pmf_sandwich(N, p, np.array([k], dtype=np.int64))
-        lower_ok, upper_ok = bool(lower[0]), bool(upper[0])
     chernoff = _chernoff_ok(N, p, deltas)
-    return BinomialBoundsReport(N, p, k, lower_ok, upper_ok, chernoff)
+    if p > 0.5:
+        return {"pmf_failures": None, "chernoff_ok": chernoff}
+    if k_max is None:
+        k_max = min(N, int(math.ceil(3 * (N * p))) + 10)
+    ks = np.arange(min(k_max, N) + 1, dtype=np.int64)
+    lower, upper = _pmf_sandwich(N, p, ks)
+    return {"pmf_failures": ks[~(lower & upper)].tolist(), "chernoff_ok": chernoff}
 
 
 # ---------------------------------------------------------------------------
 # consolidated report
 # ---------------------------------------------------------------------------
-
-
-def check_binomial_bounds_grid(
-    N: int,
-    p: float,
-    k_max: int | None = None,
-    deltas: tuple[float, ...] = (0.1, 0.3, 0.5, 0.9),
-) -> dict:
-    """Vectorized sweep of the pmf sandwich over k = 0..k_max plus the
-    Chernoff checks; the same inequalities as ``check_binomial_bounds``.
-
-    ``chernoff_ok[delta]`` holds exactly when P(X >= (1+delta) mu) <=
-    exp(-delta^2 mu / 3) and P(X <= (1-delta) mu) <= exp(-delta^2 mu / 2),
-    both tails summed exactly over k = 0..N.  Every delta must lie in
-    (0, 1), else InputError.
-
-    Returns {"pmf_failures": [k, ...], "chernoff_ok": {delta: bool}}.
-    """
-    if not (0.0 < p <= 0.5):
-        raise InputError(f"the pmf sandwich needs 0 < p <= 1/2, got {p}")
-    if k_max is None:
-        k_max = min(N, int(math.ceil(3 * (N * p))) + 10)
-    ks = np.arange(min(k_max, N) + 1, dtype=np.int64)
-    lower, upper = _pmf_sandwich(N, p, ks)
-    bad = ks[~(lower & upper)]
-    return {"pmf_failures": bad.tolist(), "chernoff_ok": _chernoff_ok(N, p, deltas)}
 
 
 @dataclass(frozen=True)

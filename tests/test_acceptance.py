@@ -31,7 +31,7 @@ from lineperc.estimator import estimate_pc, estimate_theta, fit_exponent, worker
 from lineperc.grid import decode_point, encode_point
 from lineperc.processes import plane_statistics
 from lineperc.sampling import TrialSeed, sample_codes
-from lineperc.theory import check_binomial_bounds_grid
+from lineperc.theory import check_binomial_bounds
 
 SEED = 20250810
 WORKERS = 4
@@ -259,7 +259,7 @@ def test_criterion_10_pmf_sandwich_grid():
     failures = []
     for N in (10, 100, 1000, 10000):
         for p in (0.001, 0.01, 0.1, 0.5):
-            rep = check_binomial_bounds_grid(N, p)
+            rep = check_binomial_bounds(N, p)
             if rep["pmf_failures"]:
                 failures.append((N, p, rep["pmf_failures"]))
     assert not failures, failures
@@ -281,7 +281,7 @@ def test_criterion_10_chernoff_full_grid():
     failures = []
     for N in (10, 100, 1000, 10000):
         for p in (0.001, 0.01, 0.1, 0.5):
-            rep = check_binomial_bounds_grid(N, p, deltas=(0.1, 0.3, 0.5, 0.9))
+            rep = check_binomial_bounds(N, p, deltas=(0.1, 0.3, 0.5, 0.9))
             bad = [d for d, ok in rep["chernoff_ok"].items() if not ok]
             if bad:
                 failures.append((N, p, N * p, bad))

@@ -15,13 +15,9 @@ from lineperc import (
 from lineperc import estimator
 from lineperc.engine import percolation_run
 from lineperc.estimator import median_order_statistic_ci
-from lineperc.sampling import (
-    TrialSeed,
-    critical_p_of_sample,
-    realize_coupled,
-    sample_codes,
-)
+from lineperc.sampling import TrialSeed, critical_p_of_sample, sample_codes
 from lineperc.theory import SUPERCRITICAL, regime_of
+from test_sampling import cumulative_caps
 
 
 def test_theta_extremes():
@@ -126,6 +122,18 @@ def test_checked_pc_trial_opens_its_stream_once(monkeypatch):
     assert sorted(opened) == list(range(20))
 
 
+def test_estimate_pc_refuses_a_fractional_master_seed():
+    # a master seed of 1.5 returned seed 1's estimate, labelled 1.5
+    with pytest.raises(InputError, match="master_seed must be an integer"):
+        estimate_pc(GridSpec.uniform(10, 2, 2), 20, 1.5)
+
+
+def test_estimate_theta_refuses_a_fractional_trial_count():
+    # 10.5 trials raised TypeError from range
+    with pytest.raises(InputError, match="trials must be an integer"):
+        estimate_theta(GridSpec.uniform(10, 2, 2), 0.1, 10.5, 1)
+
+
 def test_process_checks_see_the_flip_prefix(monkeypatch):
     spec = GridSpec.uniform(12, 2, 2)
     seen = []
@@ -141,10 +149,10 @@ def test_process_checks_see_the_flip_prefix(monkeypatch):
     for idx, codes in enumerate(seen):
         seed = TrialSeed(123, idx)
         pc = critical_p_of_sample(spec, seed)
-        for sample in realize_coupled(spec, seed):
-            if sample.cap >= pc.p_star or sample.cap >= 1.0:
-                k = int(np.searchsorted(sample.weights, pc.p_star, side="right"))
-                assert np.array_equal(codes, np.sort(sample.codes[:k]))
+        for cap, realized, weights in cumulative_caps(spec, seed):
+            if cap >= pc.p_star or cap >= 1.0:
+                k = int(np.searchsorted(weights, pc.p_star, side="right"))
+                assert np.array_equal(codes, np.sort(realized[:k]))
                 break
 
 

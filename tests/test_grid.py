@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,27 @@ def test_spec_validation():
     assert GridSpec.uniform(5, 3, 2).thresholds == (2, 2, 2)
     with pytest.raises(InputError):
         GridSpec(3, 2, (1, 2)).r  # noqa: B018
+
+
+def test_spec_refuses_fractional_thresholds():
+    # int() truncated a threshold of 2.7 to 2
+    with pytest.raises(InputError, match="threshold must be an integer"):
+        GridSpec(4, 2, (2.7, 2))
+
+
+def test_spec_refuses_fractional_side_and_dimension():
+    # n = 4.5 was accepted, and closure on it raised TypeError; d = 2.0 got
+    # as far as (2,) * 2.0
+    with pytest.raises(InputError, match="side length must be an integer"):
+        GridSpec(4.5, 2, (2, 2))
+    with pytest.raises(InputError, match="dimension must be an integer"):
+        GridSpec.uniform(4, 2.0, 2)
+
+
+def test_spec_takes_numpy_integers_as_ints():
+    spec = GridSpec(np.int64(4), np.int32(2), (np.int64(2), np.uint8(3)))
+    assert spec == GridSpec(4, 2, (2, 3))
+    assert all(type(v) is int for v in (spec.n, spec.d, *spec.thresholds))
 
 
 def test_spec_line_budget():

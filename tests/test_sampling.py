@@ -58,6 +58,17 @@ def test_trial_seed_refuses_keys_outside_64_bits():
     assert not np.array_equal(top, TrialSeed(0, 0).generator().integers(0, 2**32, size=4))
 
 
+def test_trial_seed_refuses_keys_that_are_no_integers():
+    # TrialSeed(1.5, 0) keyed the stream of TrialSeed(1, 0)
+    for master, trial in ((1.5, 0), (0, 2.0), ("1", 0)):
+        with pytest.raises(InputError, match="must be an integer"):
+            TrialSeed(master, trial)
+    # numpy integers key the same stream as the ints they hold
+    draws = [s.generator().random(3).tolist()
+             for s in (TrialSeed(np.uint64(5), np.int64(17)), TrialSeed(5, 17))]
+    assert draws[0] == draws[1]
+
+
 @pytest.mark.parametrize("master, trial", [(0, 0), (5, 17), (2**63, 1),
                                            (2**64 - 1, 2**64 - 1)])
 def test_trial_stream_is_philox_keyed_by_the_seed_pair(master, trial):
@@ -93,17 +104,50 @@ def test_philox_key_refuses_any_other_request():
             key.generate_state(n_words, dtype)
 
 
+def cumulative_caps(spec, seed, cap0=None):
+    """Yield (cap, codes, weights) of every site realized up to each cap of
+    ``realize_coupled``, sorted by weight, then code."""
+    codes = np.zeros(0, dtype=np.int64)
+    weights = np.zeros(0, dtype=np.float64)
+    for cap, new_codes, new_weights in realize_coupled(spec, seed, cap0=cap0):
+        codes = np.concatenate([codes, new_codes])
+        weights = np.concatenate([weights, new_weights])
+        order = np.lexsort((codes, weights))
+        codes, weights = codes[order], weights[order]
+        yield cap, codes, weights
+
+
+def test_each_cap_yields_only_its_new_sites_in_weight_order():
+    for spec, cap0 in ((GridSpec.uniform(16, 2, 2), 0.01),
+                       (GridSpec.uniform(5, 3, 2), None),
+                       (GridSpec.uniform(40, 1, 3), 0.2)):
+        seen = set()
+        cap_prev = 0.0
+        for cap, codes, weights in realize_coupled(spec, TrialSeed(4, 2), cap0=cap0):
+            assert codes.dtype == np.int64 and codes.shape == weights.shape
+            assert np.all(np.diff(weights) >= 0)
+            ties = np.diff(weights) == 0
+            assert np.all(np.diff(codes)[ties] > 0)
+            assert np.all((cap_prev <= weights) & (weights <= cap))
+            assert seen.isdisjoint(codes.tolist())
+            assert codes.size == np.unique(codes).size
+            seen.update(codes.tolist())
+            cap_prev = cap
+        # the caps together realize every site once
+        assert cap == 1.0 and seen == set(range(spec.num_sites))
+
+
 def test_coupled_realization_is_nested_and_sorted():
     spec = GridSpec.uniform(16, 2, 2)
     seed = TrialSeed(4, 2)
     prev = None
-    for i, sample in enumerate(realize_coupled(spec, seed, cap0=0.01)):
-        assert np.all(np.diff(sample.weights) >= 0)
-        assert np.all(sample.weights < sample.cap)
-        assert sample.codes.size == np.unique(sample.codes).size
+    for i, (cap, codes, weights) in enumerate(cumulative_caps(spec, seed, cap0=0.01)):
+        assert np.all(np.diff(weights) >= 0)
+        assert np.all(weights < cap)
+        assert codes.size == np.unique(codes).size
         if prev is not None:
-            assert set(prev.codes.tolist()) <= set(sample.codes.tolist())
-        prev = sample
+            assert set(prev.tolist()) <= set(codes.tolist())
+        prev = codes
         if i >= 4:
             break
 
@@ -115,19 +159,17 @@ def test_pstar_flip_and_monotone_coupling():
         pc = critical_p_of_sample(spec, seed)
         assert 0 < pc.p_star <= 1
         # re-realize and verify the flip property directly
-        for sample in realize_coupled(spec, seed):
-            if sample.cap >= pc.p_star or sample.cap >= 1.0:
-                k = int(np.searchsorted(sample.weights, pc.p_star, side="right"))
-                assert sample.weights[k - 1] == pc.p_star
-                assert percolation_run(spec, sample.codes[:k]).percolated
-                assert not percolation_run(spec, sample.codes[: k - 1]).percolated
+        for cap, codes, weights in cumulative_caps(spec, seed):
+            if cap >= pc.p_star or cap >= 1.0:
+                k = int(np.searchsorted(weights, pc.p_star, side="right"))
+                assert weights[k - 1] == pc.p_star
+                assert percolation_run(spec, codes[:k]).percolated
+                assert not percolation_run(spec, codes[: k - 1]).percolated
                 # the search hands back its cascade on exactly that prefix
                 assert pc.witness.percolated
-                assert np.array_equal(
-                    pc.witness.seeds, np.sort(sample.codes[:k])
-                )
+                assert np.array_equal(pc.witness.seeds, np.sort(codes[:k]))
                 # monotonicity: percolation is preserved above the flip
-                assert percolation_run(spec, sample.codes).percolated
+                assert percolation_run(spec, codes).percolated
                 break
 
 
@@ -144,21 +186,21 @@ def small_specs(draw):
 
 def _linear_scan(spec, seed):
     """Oracle: a fresh cascade on every prefix of the weight order, in turn.
-    Returns the coupled sample holding the first percolating prefix and
-    that prefix's length."""
+    Returns the realized codes and weights up to the cap holding the first
+    percolating prefix, and that prefix's length."""
     scanned = 0
-    for sample in realize_coupled(spec, seed):
+    for _, codes, weights in cumulative_caps(spec, seed):
         flip = next(
             (
                 k
-                for k in range(scanned + 1, sample.codes.size + 1)
-                if percolation_run(spec, sample.codes[:k]).percolated
+                for k in range(scanned + 1, codes.size + 1)
+                if percolation_run(spec, codes[:k]).percolated
             ),
             None,
         )
         if flip is not None:
-            return sample, flip
-        scanned = sample.codes.size
+            return codes, weights, flip
+        scanned = codes.size
     raise AssertionError("the full grid always percolates")
 
 
@@ -174,11 +216,11 @@ def test_pstar_matches_linear_scan_oracle(spec, master_seed, trial_index):
     if spec.n < min(spec.thresholds):
         assert pc.degenerate and pc.p_star == 1.0
         return
-    sample, flip = _linear_scan(spec, seed)
+    codes, weights, flip = _linear_scan(spec, seed)
     assert not pc.degenerate
-    assert pc.p_star == sample.weights[flip - 1]
-    assert pc.n_realized == sample.codes.size
-    assert np.array_equal(pc.witness.seeds, np.sort(sample.codes[:flip]))
+    assert pc.p_star == weights[flip - 1]
+    assert pc.n_realized == codes.size
+    assert np.array_equal(pc.witness.seeds, np.sort(codes[:flip]))
     assert pc.witness.percolated
     pc.witness.trace.check()
 
@@ -189,16 +231,16 @@ def test_pstar_single_flip_along_weight_order():
     for idx in range(8):
         seed = TrialSeed(55, idx)
         pc = critical_p_of_sample(spec, seed)
-        for sample in realize_coupled(spec, seed):
-            if sample.cap >= pc.p_star or sample.cap >= 1.0:
+        for cap, codes, weights in cumulative_caps(spec, seed):
+            if cap >= pc.p_star or cap >= 1.0:
                 flags = [
-                    percolation_run(spec, sample.codes[:k]).percolated
-                    for k in range(sample.codes.size + 1)
+                    percolation_run(spec, codes[:k]).percolated
+                    for k in range(codes.size + 1)
                 ]
                 flip = flags.index(True)
                 assert all(not f for f in flags[:flip])
                 assert all(flags[flip:])
-                assert sample.weights[flip - 1] == pc.p_star
+                assert weights[flip - 1] == pc.p_star
                 break
 
 
@@ -227,10 +269,10 @@ def test_pstar_mixed_thresholds_above_n_are_not_degenerate():
     spec = GridSpec(4, 2, (2, 5))
     seed = TrialSeed(1, 0)
     pc = critical_p_of_sample(spec, seed)
-    sample, flip = _linear_scan(spec, seed)
+    _, weights, flip = _linear_scan(spec, seed)
     assert flip == 10 and spec.num_sites == 16
     assert not pc.degenerate
-    assert pc.p_star == sample.weights[flip - 1] == 0.37649343144715874
+    assert pc.p_star == weights[flip - 1] == 0.37649343144715874
 
 
 def test_pstar_degenerate():

@@ -18,7 +18,6 @@ from lineperc import (
 from lineperc.theory import (
     _logsumexp,
     _log_tails,
-    check_binomial_bounds_grid,
     log_binom_pmf,
     pc2_exponent,
     pc3_exponent,
@@ -131,26 +130,26 @@ def test_log_binom_pmf_degenerate_p_is_exact_and_silent(p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = log_binom_pmf(10, p, range(11))
-        check_binomial_bounds(10, p, 10)
+        check_binomial_bounds(10, p, k_max=10)
     expected = np.full(11, -np.inf)
     expected[int(10 * p)] = 0.0
     assert np.array_equal(out, expected)
 
 
 def test_binomial_bounds_examples():
-    rep = check_binomial_bounds(100, 0.1, 10)
-    assert rep.pmf_lower_ok and rep.pmf_upper_ok and rep.all_ok
-    rep = check_binomial_bounds(50, 0.5, 0)
-    assert rep.pmf_lower_ok and rep.pmf_upper_ok
-    rep = check_binomial_bounds(1000, 0.01, 5, deltas=(0.5,))
-    assert rep.chernoff_ok[0.5]
+    rep = check_binomial_bounds(100, 0.1)
+    assert rep["pmf_failures"] == [] and all(rep["chernoff_ok"].values())
+    assert check_binomial_bounds(50, 0.5, k_max=0)["pmf_failures"] == []
+    rep = check_binomial_bounds(1000, 0.01, deltas=(0.5,))
+    assert rep["chernoff_ok"] == {0.5: True}
     # p > 1/2: the pmf sandwich is not asserted
-    rep = check_binomial_bounds(10, 0.7, 3)
-    assert rep.pmf_lower_ok is None and rep.all_ok
+    rep = check_binomial_bounds(10, 0.7)
+    assert rep["pmf_failures"] is None and all(rep["chernoff_ok"].values())
+    for p in (-0.1, 1.5):
+        with pytest.raises(InputError):
+            check_binomial_bounds(10, p)
     with pytest.raises(InputError):
-        check_binomial_bounds(10, 0.1, 11)
-    with pytest.raises(InputError):
-        check_binomial_bounds(10, 0.1, 2, deltas=(1.5,))
+        check_binomial_bounds(10, 0.1, deltas=(1.5,))
 
 
 def test_unfactored_two_sided_tail_is_whole_space_at_small_mean():
@@ -165,7 +164,8 @@ def test_unfactored_two_sided_tail_is_whole_space_at_small_mean():
         assert mu < 1.0 / (1.0 + delta)
         log_tail = _logsumexp(log_all[np.abs(ks - mu) > delta * mu])
         assert abs(log_tail) < 1e-12
-    assert check_binomial_bounds(10, 0.01, 0).all_ok
+    rep = check_binomial_bounds(10, 0.01)
+    assert rep["pmf_failures"] == [] and all(rep["chernoff_ok"].values())
 
 
 def test_chernoff_tails_include_the_boundary_k():
@@ -199,22 +199,14 @@ def test_chernoff_verdict_needs_both_tails(monkeypatch, tails):
     import lineperc.theory as theory
 
     monkeypatch.setattr(theory, "_log_tails", lambda log_all, mu, delta: tails)
-    assert check_binomial_bounds(100, 0.1, 3, deltas=(0.5,)).chernoff_ok == {0.5: False}
-
-
-def test_chernoff_pointwise_and_grid_agree():
-    deltas = (0.1, 0.3, 0.5, 0.9)
-    for N in (10, 100, 1000, 10000):
-        for p in (0.001, 0.01, 0.1, 0.5):
-            grid = check_binomial_bounds_grid(N, p, deltas=deltas)["chernoff_ok"]
-            assert grid == check_binomial_bounds(N, p, 0, deltas=deltas).chernoff_ok
-            assert all(grid.values()), (N, p, grid)
+    assert check_binomial_bounds(100, 0.1, deltas=(0.5,))["chernoff_ok"] == {0.5: False}
 
 
 @pytest.mark.parametrize("shift", [0.0, 4.0, -4.0])
-def test_pmf_sandwich_pointwise_and_grid_agree(monkeypatch, shift):
-    # shift != 0 moves the pmf of every third k across one of the bounds, so
-    # that the grid reports failures and the verdicts must agree on both sides
+def test_pmf_failures_match_a_per_k_oracle(monkeypatch, shift):
+    # each k's two inequalities, evaluated in plain floats through
+    # math.lgamma; shift != 0 moves the pmf of every third k across one of
+    # the bounds, so that failures are reported and must match
     import lineperc.theory as theory
 
     exact = theory.log_binom_pmf
@@ -224,24 +216,32 @@ def test_pmf_sandwich_pointwise_and_grid_agree(monkeypatch, shift):
         out[np.asarray(k) % 3 == 1] += shift
         return out
 
+    def fails(N, p, k):
+        mu = N * p
+        log_pmf = (math.lgamma(N + 1) - math.lgamma(k + 1) - math.lgamma(N - k + 1)
+                   + k * math.log(p) + (N - k) * math.log1p(-p))
+        log_pmf += shift if k % 3 == 1 else 0.0
+        if k == 0:
+            return not (-2.0 * mu <= log_pmf <= -mu)
+        lower = -2.0 * mu + k * (math.log(mu) - math.log(k))
+        upper = -mu + k * (math.log(2.0 * math.e * mu) - math.log(k))
+        return not (lower <= log_pmf <= upper)
+
     monkeypatch.setattr(theory, "log_binom_pmf", shifted)
     failures = 0
     for N in (1, 5, 40, 300, 2000):
         for p in (1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5):
-            bad = set(check_binomial_bounds_grid(N, p, deltas=())["pmf_failures"])
+            bad = check_binomial_bounds(N, p, deltas=())["pmf_failures"]
+            k_max = min(N, math.ceil(3 * (N * p)) + 10)
+            assert bad == [k for k in range(k_max + 1) if fails(N, p, k)], (N, p)
             failures += len(bad)
-            for k in range(min(N, math.ceil(3 * (N * p)) + 10) + 1):
-                rep = check_binomial_bounds(N, p, k, deltas=())
-                assert (rep.pmf_lower_ok and rep.pmf_upper_ok) == (k not in bad)
     assert (failures > 0) == (shift != 0.0)
 
 
 @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1])
 def test_chernoff_delta_outside_unit_interval_rejected(delta):
     with pytest.raises(InputError):
-        check_binomial_bounds_grid(100, 0.1, deltas=(delta,))
-    with pytest.raises(InputError):
-        check_binomial_bounds(100, 0.1, 3, deltas=(delta,))
+        check_binomial_bounds(100, 0.1, deltas=(delta,))
 
 
 def test_theory_report_fields():
