@@ -11,7 +11,8 @@ closure is monotone in the seed set, so ``grow`` adds an array of seeds in
 order and every line saturates at most once over the whole growth.  Every
 ``run_*`` returns the state, and ``run_rounds`` and ``run_half_steps`` share
 one generation body.  A kernel only counts: it supplies its counts and
-``_ready_lines``, ``_is_ready``, ``_saturate(lid, sink)`` (one line),
+``_ready_lines(axis=None)`` (the unsaturated lines at threshold, of every
+axis or of one), ``_is_ready``, ``_saturate(lid, sink)`` (one line),
 ``_fill_line(lid)`` (the early proof) and ``_add_seeds(digits)`` (the digit
 rows of grown seeds, taken up to the first that makes a line ready); it may
 batch ``_saturate_run(axis, lids, sink, stop)``, which by default takes a
@@ -19,7 +20,7 @@ run of parallel lines one line at a time.  ``seeds``, the sorted codes of
 every seed, given or grown, is the one seed store: ``grow`` derives digits
 once per call and sets ``seeds`` once, when it returns, since no drain
 reads it.  Only the schedules write the trace, the only record of a
-half-step run, whose rounds are numbered from 0.
+half-step run; every schedule numbers its rounds from 1.
 
 Runs that stop on percolation (``run_fifo(stop_on_percolation=True)``,
 ``grow``) prove it by full flats in every d: a flat with free axes S is full
@@ -109,9 +110,11 @@ class Trace:
     Only the schedules write it, the events through ``record`` once per
     kernel call.  ``steps`` is strictly increasing; its meaning depends on
     the schedule (saturation index for queue/round runs, inspection index for
-    sequential runs).  ``round_axis_counts[g][a]`` is the number of axis-a
-    lines saturated in round g+1, and ``round_of`` is g+1 (the half-step g
-    in alternating runs, the pass in sequential ones).
+    sequential runs).  Every schedule numbers its rounds from 1: event i
+    saturated in round ``round_of[i]`` = g+1, and ``round_axis_counts[g][a]``
+    is the number of axis-a lines saturated in round g+1 (a FIFO round, a
+    generation, a half-step).  A sequential scan's round is its pass, and
+    its one row counts the whole scan.
     """
 
     spec: GridSpec
@@ -148,7 +151,9 @@ class _Cascade:
     schedules, ``grow`` among them.  A kernel supplies the counts:
     ``saturated`` and ``line_count`` (arrays over line ids),
     ``infected_total`` and ``_sat_per_axis``; and the operations
-    ``_ready_lines``, ``_is_ready``, ``_saturate(lid, sink)``,
+    ``_ready_lines(axis=None)``, the ascending ids of the unsaturated lines
+    at or above threshold (of every axis, or of ``axis`` alone),
+    ``_is_ready``, ``_saturate(lid, sink)``,
     ``_fill_line(lid)`` and ``_add_seeds(digits)``, on the digit rows (k, d)
     of new seeds.  It may override ``_saturate_run(axis, lids, sink, stop)``
     with a batched equivalent.  The schedules alone write the trace.
@@ -269,12 +274,13 @@ class _Cascade:
             self.percolated = proved or self.infected_total == self._t.N
         return self
 
-    def _generation(self, ready: np.ndarray, round_idx: int) -> None:
-        """Saturate ``ready``, ascending lines at threshold, together as round
-        ``round_idx``: one axis at a time, each as one run of parallel lines.
-        That is canonical id order, which fixes the attribution of points
-        lying on two simultaneously saturating lines."""
+    def _generation(self, ready: np.ndarray) -> None:
+        """Saturate ``ready``, ascending lines at threshold, together as the
+        trace's next round: one axis at a time, each as one run of parallel
+        lines.  That is canonical id order, which fixes the attribution of
+        points lying on two simultaneously saturating lines."""
         t = self._t
+        round_idx = self.trace.num_rounds + 1
         per_round = [0] * t.d
         ready = ready.tolist()
         lo = 0
@@ -297,7 +303,7 @@ class _Cascade:
         assert not self._ran
         self._ran = True
         while (ready := self._ready_lines()).size:
-            self._generation(ready, self.trace.num_rounds + 1)
+            self._generation(ready)
         self.percolated = self.infected_total == self._t.N
         return self
 
@@ -324,7 +330,7 @@ class _Cascade:
             lid = order[step % t.L]
             if self._is_ready(lid):
                 self._saturate(lid, None)
-                self.trace.record([lid], step // t.L, [step])
+                self.trace.record([lid], step // t.L + 1, [step])
                 idle = 0
             else:
                 idle += 1
@@ -403,26 +409,24 @@ class _Cascade:
         self.percolated = False
         return 0
 
-    def run_half_steps(self, *, stop_rule: bool = True, start_axis: int = 0):
-        """Alternating single-axis generations (d=2 only), from ``start_axis``.
+    def run_half_steps(self, *, stop_rule: bool = True):
+        """Alternating single-axis generations (d=2 only), horizontal first.
 
-        Half-step g (from 0) saturates every line of its axis already at
-        threshold as round g, which may be empty; the returned state's trace
-        is the only record.  With ``stop_rule`` the run halts as soon as one
-        axis holds enough parallel saturated lines to force full percolation.
+        Half-step g (from 1) saturates every line of axis (g - 1) % 2 already
+        at threshold as round g, which may be empty; the returned state's
+        trace is the only record.  With ``stop_rule`` the run halts as soon
+        as one axis holds enough parallel saturated lines to force full
+        percolation.  A vertical start is the run on the transposed seeds.
         """
         assert not self._ran
         t = self._t
         if t.d != 2:
             raise InputError("alternating process requires d = 2")
-        if start_axis not in (0, 1):
-            raise InputError(f"start_axis must be 0 or 1, got {start_axis}")
         self._ran = True
-        axis, idle = start_axis, 0
+        axis, idle = 0, 0
         while idle < 2:
-            lo = axis * t.lines_per_axis
-            ready = self._ready_lines(lo, lo + t.lines_per_axis)
-            self._generation(ready, self.trace.num_rounds)
+            ready = self._ready_lines(axis)
+            self._generation(ready)
             if stop_rule and self._sat_per_axis[axis] >= self.spec.thresholds[1 - axis]:
                 self.percolated = True
                 return self
@@ -471,11 +475,11 @@ class InfectionState(_Cascade):
         for lid, digit in zip(lids.ravel().tolist(), digits.ravel().tolist()):
             seeds_on.setdefault(lid, []).append(digit)
 
-    def _ready_lines(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Ids in [lo, hi) of the unsaturated lines at or above threshold,
-        ascending."""
-        sl = slice(lo, hi)
-        ready = (self.line_count[sl] >= self._t.thr_line[sl]) & ~self.saturated[sl]
+    def _ready_lines(self, axis: int | None = None) -> np.ndarray:
+        t = self._t
+        m = t.lines_per_axis
+        lo, hi = (0, t.L) if axis is None else (axis * m, axis * m + m)
+        ready = (self.line_count[lo:hi] >= t.thr_line[lo:hi]) & ~self.saturated[lo:hi]
         return lo + np.flatnonzero(ready)
 
     def _is_ready(self, lid: int) -> bool:
@@ -840,24 +844,17 @@ class Cascade2D(_Cascade):
         if v:
             bucket.setdefault(v, set()).add(lid)
 
-    def _ready_lines(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Ids in [lo, hi) of the unsaturated lines at or above threshold,
-        ascending."""
+    def _ready_lines(self, axis: int | None = None) -> np.ndarray:
         n = self._t.n
-        hi = self._t.L if hi is None else hi
         ready: list[int] = []
-        for a in (0, 1):
-            a_lo, a_hi = max(lo, a * n), min(hi, a * n + n)
-            if a_lo >= a_hi:
-                continue
+        for a in (0, 1) if axis is None else (axis,):
             k = self.spec.thresholds[a] - self._sat_per_axis[1 - a]
             if k <= 0:
                 sat = self._sat[a]
-                ready.extend(q for q in range(a_lo, a_hi) if q not in sat)
+                ready.extend(q for q in range(a * n, a * n + n) if q not in sat)
             else:
                 ready.extend(sorted(
-                    q for v, lids in self._bucket[a].items() if v >= k
-                    for q in lids if a_lo <= q < a_hi
+                    q for v, lids in self._bucket[a].items() if v >= k for q in lids
                 ))
         return np.array(ready, dtype=np.int64)
 

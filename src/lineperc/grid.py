@@ -231,7 +231,7 @@ def _tables(spec: GridSpec) -> _SpecTables:
 
 
 def validate_point(spec: GridSpec, p: Sequence[int]) -> Point:
-    p = tuple(int(c) for c in p)
+    p = tuple(as_int(c, "a point coordinate") for c in p)
     if len(p) != spec.d:
         raise InputError(f"point {p} has {len(p)} coordinates, expected {spec.d}")
     if any(c < 1 or c > spec.n for c in p):
@@ -259,18 +259,20 @@ def encode_points(spec: GridSpec, points: Iterable[Sequence[int]]) -> np.ndarray
 
 
 def encode_line(spec: GridSpec, line: LineId) -> int:
-    if line.axis < 0 or line.axis >= spec.d:
-        raise InputError(f"axis {line.axis} out of range [0, {spec.d})")
-    if len(line.fixed) != spec.d - 1:
+    axis = as_int(line.axis, "a line axis")
+    fixed = [as_int(c, "a line coordinate") for c in line.fixed]
+    if axis < 0 or axis >= spec.d:
+        raise InputError(f"axis {axis} out of range [0, {spec.d})")
+    if len(fixed) != spec.d - 1:
         raise InputError(
-            f"line {line} has {len(line.fixed)} fixed coordinates, expected {spec.d - 1}"
+            f"line {line} has {len(fixed)} fixed coordinates, expected {spec.d - 1}"
         )
-    if any(c < 1 or c > spec.n for c in line.fixed):
+    if any(c < 1 or c > spec.n for c in fixed):
         raise InputError(f"line {line} fixed coordinates out of range [1, {spec.n}]")
     val = 0
-    for c in line.fixed:
+    for c in fixed:
         val = val * spec.n + (c - 1)
-    return line.axis * spec.lines_per_axis + val
+    return axis * spec.lines_per_axis + val
 
 
 def decode_line(spec: GridSpec, lid: int) -> LineId:

@@ -25,6 +25,7 @@ from .grid import (
     InputError,
     Point,
     _tables,
+    as_int,
     decode_point,
     require_small_grid,
     validate_point,
@@ -45,13 +46,17 @@ def eval_matrix(points: Sequence[Sequence[int]], r: int, d: int) -> list[list[in
     alphas = exponent_tuples(r, d)
     rows = []
     for p in points:
-        p = tuple(int(c) for c in p)
+        p = _as_point(p)
         if len(p) != d:
             raise InputError(f"point {p} has {len(p)} coordinates, expected {d}")
         if any(c < 1 for c in p):
             raise InputError(f"point {p} has non-positive coordinates")
         rows.append([_monomial(p, a) for a in alphas])
     return rows
+
+
+def _as_point(p: Sequence[int]) -> tuple[int, ...]:
+    return tuple(as_int(c, "a point coordinate") for c in p)
 
 
 def _monomial(p: tuple[int, ...], alpha: tuple[int, ...]) -> int:
@@ -101,18 +106,18 @@ def _row_echelon_bareiss(matrix: list[list[int]]) -> tuple[int, list[int], list[
 
 def eval_rank(points: Iterable[Sequence[int]], r: int, d: int) -> int:
     """Exact rank of the evaluation matrix over the rationals."""
-    pts = _dedupe(points, d)
+    pts = _dedupe(points)
     if not pts:
         return 0
     rank, _, _ = _row_echelon_bareiss(eval_matrix(pts, r, d))
     return rank
 
 
-def _dedupe(points: Iterable[Sequence[int]], d: int) -> list[tuple[int, ...]]:
+def _dedupe(points: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
     seen = set()
     out = []
     for p in points:
-        p = tuple(int(c) for c in p)
+        p = _as_point(p)
         if p not in seen:
             seen.add(p)
             out.append(p)
@@ -136,7 +141,7 @@ class VanishingPolynomial:
 
     def evaluate(self, p: Sequence[int]) -> Fraction:
         alphas = exponent_tuples(self.r, self.d)
-        p = tuple(int(c) for c in p)
+        p = _as_point(p)
         return sum(
             (c * _monomial(p, a) for c, a in zip(self.coefficients, alphas)),
             start=Fraction(0),
@@ -168,7 +173,7 @@ def vanishing_polynomial(
     column, normalized to coprime integer coefficients with positive leading
     sign.  Verified by exact evaluation at every input point.
     """
-    pts = _dedupe(points, d)
+    pts = _dedupe(points)
     n_cols = r**d
     if not pts:
         coeffs = [Fraction(0)] * n_cols
@@ -228,7 +233,7 @@ def certify_non_percolation(
     if spec.n < r:
         raise InputError(f"certificate argument needs n >= r, got n={spec.n} < r={r}")
     pts = [validate_point(spec, p) for p in points]
-    pts = _dedupe(pts, spec.d)
+    pts = _dedupe(pts)
     if len(pts) >= r**spec.d:
         raise InputError(
             f"no certificate for |A| = {len(pts)} >= r^d = {r**spec.d}"

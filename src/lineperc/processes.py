@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -29,27 +30,17 @@ class LineCountClass(enum.Enum):
 
 @dataclass(frozen=True)
 class LineCount2D:
-    """Per-half-step counts of newly saturated lines in the alternating run.
+    """Per-half-step counts of newly saturated lines in the alternating run,
+    which runs horizontal first: the line-count (h_1, v_1, h_2, ...).
 
-    ``h[i]`` counts horizontal (axis 0) lines saturated in half-step 2i,
-    ``v[i]`` vertical (axis 1) lines in half-step 2i+1, for the default
-    horizontal start.  Trailing idle half-steps are trimmed, but at least one
-    ``h`` entry is kept so a run that dies immediately records h=(0,).
+    ``h[i]`` counts horizontal (axis 0) lines saturated in half-step 2i+1,
+    ``v[i]`` vertical (axis 1) lines in half-step 2i+2.  Trailing idle
+    half-steps are trimmed, but at least one ``h`` entry is kept so a run
+    that dies immediately records h=(0,).
     """
 
     h: tuple[int, ...]
     v: tuple[int, ...]
-    start_axis: int = 0
-
-    def interleaved(self) -> list[tuple[int, int]]:
-        """[(axis, count), ...] in execution order, zero-padded to alternate."""
-        first = list(self.h) if self.start_axis == 0 else list(self.v)
-        second = list(self.v) if self.start_axis == 0 else list(self.h)
-        out = []
-        for i in range(max(len(first), len(second))):
-            out.append((self.start_axis, first[i] if i < len(first) else 0))
-            out.append((1 - self.start_axis, second[i] if i < len(second) else 0))
-        return out
 
 
 @dataclass(frozen=True)
@@ -101,29 +92,22 @@ def run_synchronous(
 
 
 def run_alternating_2d(
-    spec: GridSpec,
-    codes: np.ndarray,
-    *,
-    stop_rule: bool = True,
-    start_axis: int = 0,
+    spec: GridSpec, codes: np.ndarray, *, stop_rule: bool = True
 ) -> tuple[Cascade2D, LineCount2D]:
-    """Alternating one-axis generations (d=2), horizontal first by default.
+    """Alternating one-axis generations (d=2), horizontal first.
 
     With ``stop_rule`` the process halts as soon as one direction has
     accumulated enough parallel fully infected lines to guarantee percolation
     (the perpendicular axis threshold); without it the run reaches the same
     closure as every other schedule.  The line-count is read from the
-    returned state's trace, whose round g is half-step g (from 0).
+    returned state's trace, whose round g is half-step g (from 1).  A
+    vertical start is the run on the transposed seeds.
     """
-    state = new_state(spec, codes).run_half_steps(
-        stop_rule=stop_rule, start_axis=start_axis
-    )
+    state = new_state(spec, codes).run_half_steps(stop_rule=stop_rule)
     counts = [sum(row) for row in state.trace.round_axis_counts]
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
-    first, second = tuple(counts[0::2]), tuple(counts[1::2])
-    h, v = (first, second) if start_axis == 0 else (second, first)
-    return state, LineCount2D(h, v, start_axis=start_axis)
+    return state, LineCount2D(tuple(counts[0::2]), tuple(counts[1::2]))
 
 
 def run_sequential(
@@ -142,11 +126,6 @@ def run_sequential(
 # ---------------------------------------------------------------------------
 
 
-def _validate_lc(lc: LineCount2D) -> None:
-    if any(x < 0 for x in lc.h) or any(x < 0 for x in lc.v):
-        raise InputError(f"negative line-count entries: {lc}")
-
-
 def classify_line_count(lc: LineCount2D, r: int) -> LineCountClass:
     """Which direction first accumulated r parallel fully infected lines.
 
@@ -154,12 +133,14 @@ def classify_line_count(lc: LineCount2D, r: int) -> LineCountClass:
     cumulative count reaches r wins.  Under the stopped process at most one
     direction can ever reach r.
     """
-    _validate_lc(lc)
-    cum = {0: 0, 1: 0}
-    for axis, c in lc.interleaved():
-        cum[axis] += c
-        if cum[axis] >= r:
-            return LineCountClass.HORIZONTAL if axis == 0 else LineCountClass.VERTICAL
+    if min((*lc.h, *lc.v), default=0) < 0:
+        raise InputError(f"negative line-count entries: {lc}")
+    cum = [0, 0]
+    for pair in zip_longest(lc.h, lc.v, fillvalue=0):
+        for axis, c in enumerate(pair):
+            cum[axis] += c
+            if cum[axis] >= r:
+                return LineCountClass.HORIZONTAL if axis == 0 else LineCountClass.VERTICAL
     return LineCountClass.NO_PERCOLATION
 
 

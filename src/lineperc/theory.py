@@ -123,9 +123,6 @@ def predicted_theta2(n: int, p: float, r: int) -> float:
 
 def log_binom_pmf(N: int, p: float, k) -> np.ndarray:
     """log P(Bin(N, p) = k), vectorized over k, computed via lgamma."""
-    # imported here so that only the binomial checks load scipy, not the CLI
-    from scipy.special import gammaln
-
     k = np.asarray(k, dtype=np.int64)
     if np.any((k < 0) | (k > N)):
         raise InputError("k out of range [0, N]")
@@ -133,8 +130,9 @@ def log_binom_pmf(N: int, p: float, k) -> np.ndarray:
         raise InputError(f"p must lie in [0, 1], got {p}")
     log_p = math.log(p) if p > 0 else -math.inf
     log_q = math.log1p(-p) if p < 1 else -math.inf
+    gammaln = np.vectorize(math.lgamma, otypes=[float])
     out = (
-        gammaln(N + 1)
+        math.lgamma(N + 1)
         - gammaln(k + 1)
         - gammaln(N - k + 1)
         + _times_log(k, log_p)

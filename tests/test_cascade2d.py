@@ -14,6 +14,7 @@ from lineperc import GridSpec, processes, sampling
 from lineperc.engine import Cascade2D, InfectionState, new_state
 from lineperc.processes import run_alternating_2d
 from lineperc.sampling import TrialSeed, critical_p_of_sample
+from test_processes import transposed
 
 
 def assert_same(fast, dense):
@@ -86,13 +87,12 @@ def test_queue_rounds_and_scans_match_dense(instance):
 @with_examples
 @given(instances())
 def test_half_steps_and_line_count_match_dense(instance):
-    spec, codes = instance
+    # both starts: the transposed seeds start vertical
     for stop_rule in (True, False):
-        for start_axis in (0, 1):
-            kw = dict(stop_rule=stop_rule, start_axis=start_axis)
-            fast, lc = run_alternating_2d(spec, codes, **kw)
+        for seeds in (instance, transposed(*instance)):
+            fast, lc = run_alternating_2d(*seeds, stop_rule=stop_rule)
             with mock.patch.object(processes, "new_state", InfectionState):
-                dense, dense_lc = run_alternating_2d(spec, codes, **kw)
+                dense, dense_lc = run_alternating_2d(*seeds, stop_rule=stop_rule)
             assert_same(fast, dense)
             assert lc == dense_lc
 

@@ -331,8 +331,8 @@ assert not any(k.split(".")[0] == "scipy" for k in sys.modules)
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.stats was most of every CLI call's start-up; only the binomial
-    # checks in theory.py load scipy now
+    # scipy.stats was most of every CLI call's start-up; no module of the
+    # library loads scipy now, which the tests keep as an oracle
     one = ["--threads", "1", "--trials", "20", "--seed", "1"]
     runs = [
         [],

@@ -26,6 +26,7 @@ from lineperc.grid import (
     points_on,
 )
 from lineperc.processes import run_alternating_2d, run_sequential, run_synchronous
+from test_processes import transposed
 
 
 def block(r, d):
@@ -214,13 +215,14 @@ def reference_scan(spec, codes, order):
     Pass after pass over ``order``, each inspection recounts the inspected
     line's infected points and saturates the line iff the count reaches its
     threshold; the scan ends after a pass that changes nothing.  Returns the
-    trace lists ``line_ids``, ``steps``, ``round_of``, ``round_axis_counts``.
+    trace lists ``line_ids``, ``steps``, ``round_of``, ``round_axis_counts``,
+    with passes numbered from 1.
     """
     lines = [points_on(spec, decode_line(spec, lid)) for lid in range(spec.num_lines)]
     infected = {decode_point(spec, int(c)) for c in codes}
     saturated = set()
     line_ids, steps, round_of = [], [], []
-    for scan in itertools.count():
+    for scan in itertools.count(1):
         changed = False
         for pos, lid in enumerate(order):
             if lid in saturated:
@@ -230,7 +232,7 @@ def reference_scan(spec, codes, order):
                 saturated.add(lid)
                 infected.update(lines[lid])
                 line_ids.append(lid)
-                steps.append(scan * spec.num_lines + pos)
+                steps.append((scan - 1) * spec.num_lines + pos)
                 round_of.append(scan)
                 changed = True
         if not changed:
@@ -258,21 +260,21 @@ def test_sequential_scan_matches_reference():
                 got = (tr.line_ids, tr.steps, tr.round_of, tr.round_axis_counts)
                 assert got == expected, (spec, codes.tolist(), order)
                 kernels_seen.add(type(state).__name__)
-            multi_pass += max(expected[2], default=0) > 0
+            multi_pass += max(expected[2], default=0) > 1
     assert kernels_seen == {"Cascade2D", "InfectionState"}
     assert multi_pass > 30
 
 
-def assert_rounds(spec, trace, first):
+def assert_rounds(spec, trace):
     """``steps`` number the events, and ``round_of[i]`` is the index, counted
-    from ``first``, of the ``round_axis_counts`` entry that counts event i."""
+    from 1, of the ``round_axis_counts`` entry that counts event i."""
     assert trace.steps == list(range(len(trace.line_ids)))
-    rows = enumerate(trace.round_axis_counts, start=first)
+    rows = enumerate(trace.round_axis_counts, start=1)
     assert trace.round_of == [g for g, row in rows for _ in range(sum(row))]
     tally = Counter(
         (g, lid // spec.lines_per_axis) for g, lid in zip(trace.round_of, trace.line_ids)
     )
-    for g, row in enumerate(trace.round_axis_counts, start=first):
+    for g, row in enumerate(trace.round_axis_counts, start=1):
         assert tuple(tally[g, a] for a in range(spec.d)) == row
 
 
@@ -284,24 +286,62 @@ def test_trace_semantics_on_every_schedule():
             def fresh():
                 return kernel(spec, codes)
 
-            assert_rounds(spec, fresh().run_fifo().trace, 1)
+            assert_rounds(spec, fresh().run_fifo().trace)
             tr = fresh().run_fifo(stop_on_percolation=True).trace
-            assert_rounds(spec, tr, 1)
+            assert_rounds(spec, tr)
             assert tr.num_rounds == (tr.round_of[-1] if tr.round_of else 0)
-            assert_rounds(spec, fresh().run_rounds().trace, 1)
+            assert_rounds(spec, fresh().run_rounds().trace)
             if spec.d == 2:
-                for stop_rule, start_axis in itertools.product((True, False), (0, 1)):
-                    state = fresh().run_half_steps(stop_rule=stop_rule, start_axis=start_axis)
-                    assert_rounds(spec, state.trace, 0)
+                # both starts: the transposed seeds start vertical
+                for stop_rule in (True, False):
+                    for t_spec, seeds in ((spec, codes), transposed(spec, codes)):
+                        state = kernel(t_spec, seeds).run_half_steps(stop_rule=stop_rule)
+                        assert_rounds(t_spec, state.trace)
             order = rng.permutation(spec.num_lines).tolist()
             tr = fresh().run_sequential(order).trace
-            assert tr.round_of == [s // spec.num_lines for s in tr.steps]
+            assert tr.round_of == [s // spec.num_lines + 1 for s in tr.steps]
             grown = kernel(spec, ())
             for code in rng.permutation(spec.num_sites).tolist():
                 grown.grow([code])
-                assert_rounds(spec, grown.trace, 1)
+                assert_rounds(spec, grown.trace)
                 if grown.percolated:
                     break
+
+
+def test_ready_lines_of_one_axis_are_its_slice_of_all(monkeypatch):
+    # the schedules ask a kernel for every ready line or for one axis's:
+    # before every run of parallel lines, and so at mid-run states, the two
+    # must agree on both kernels
+    seen = Counter()
+
+    def checking(saturate_run):
+        def run(self, axis, lids, sink, stop):
+            every = self._ready_lines()
+            per_axis = self.spec.lines_per_axis
+            for a in range(self.spec.d):
+                got = self._ready_lines(a)
+                assert got.dtype == np.int64
+                assert got.tolist() == [q for q in every.tolist() if q // per_axis == a]
+            seen[type(self).__name__] += 1
+            # the count kernel's other branch: an axis all of whose
+            # unsaturated lines are ready, by the count of the others
+            seen["full"] += isinstance(self, Cascade2D) and any(
+                self._sat_per_axis[1 - a] >= self.spec.thresholds[a] for a in (0, 1)
+            )
+            return saturate_run(self, axis, lids, sink, stop)
+        return run
+
+    for kernel in (Cascade2D, InfectionState):
+        monkeypatch.setattr(kernel, "_saturate_run", checking(kernel._saturate_run))
+    rng = np.random.default_rng(83)
+    for _ in range(60):
+        spec, codes = random_instance(rng, dims=(1, 3), n_hi=7)
+        for kernel in (new_state, InfectionState):
+            kernel(spec, codes).run_fifo()
+            kernel(spec, codes).run_rounds()
+            if spec.d == 2:
+                kernel(spec, codes).run_half_steps(stop_rule=False)
+    assert min(seen["Cascade2D"], seen["InfectionState"], seen["full"]) > 20, seen
 
 
 def test_work_bound_counter():

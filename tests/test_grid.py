@@ -8,6 +8,7 @@ from lineperc import (
     InputError,
     LineId,
     all_lines,
+    closure,
     decode_line,
     decode_point,
     encode_line,
@@ -56,6 +57,32 @@ def test_spec_takes_numpy_integers_as_ints():
     spec = GridSpec(np.int64(4), np.int32(2), (np.int64(2), np.uint8(3)))
     assert spec == GridSpec(4, 2, (2, 3))
     assert all(type(v) is int for v in (spec.n, spec.d, *spec.thresholds))
+
+
+def test_encode_point_refuses_fractional_coordinates():
+    # int() truncated (1.9, 1) to (1, 1), code 0
+    spec = GridSpec.uniform(4, 2, 2)
+    with pytest.raises(InputError, match="coordinate must be an integer"):
+        encode_point(spec, (1.9, 1))
+    assert encode_point(spec, (np.int64(2), np.int32(1))) == 4
+
+
+def test_closure_refuses_fractional_points():
+    # the cascade ran on (1, 1) and (1, 2)
+    spec = GridSpec.uniform(4, 2, 2)
+    with pytest.raises(InputError, match="coordinate must be an integer"):
+        closure(spec, [(1.5, 1.5), (1, 2.7)])
+
+
+def test_encode_line_refuses_a_fractional_axis_or_coordinate():
+    # LineId(0.5, (1,)) encoded as 2.0
+    spec = GridSpec.uniform(4, 2, 2)
+    with pytest.raises(InputError, match="axis must be an integer"):
+        encode_line(spec, LineId(0.5, (1,)))
+    with pytest.raises(InputError, match="coordinate must be an integer"):
+        encode_line(spec, LineId(1, (2.5,)))
+    lid = encode_line(spec, LineId(np.int64(1), (np.int64(2),)))
+    assert type(lid) is int and lid == 5
 
 
 def test_spec_line_budget():

@@ -44,6 +44,27 @@ def test_rank_edges():
     )
 
 
+def test_eval_rank_refuses_fractional_points():
+    # (1.5, 1) was read as (1, 1), a duplicate, so the rank was 1
+    with pytest.raises(InputError, match="coordinate must be an integer"):
+        eval_rank([(1.5, 1), (1, 1)], 2, 2)
+    assert eval_rank([(np.int64(2), 1), (1, 1)], 2, 2) == 2
+
+
+def test_eval_matrix_refuses_fractional_points():
+    # (1.5, 2) built the row of (1, 2)
+    with pytest.raises(InputError, match="coordinate must be an integer"):
+        eval_matrix([(1.5, 2)], 2, 2)
+    assert eval_matrix([(np.int64(1), 2)], 2, 2) == eval_matrix([(1, 2)], 2, 2)
+
+
+def test_polynomial_evaluation_refuses_fractional_points():
+    poly = vanishing_polynomial([(1, 1)], 2, 2)
+    with pytest.raises(InputError, match="coordinate must be an integer"):
+        poly.evaluate((1.5, 1))
+    assert poly.evaluate((np.int64(1), 1)) == 0
+
+
 def test_rank_below_full_for_small_sets():
     rng = np.random.default_rng(1)
     for r, d, n in [(2, 2, 6), (3, 2, 6), (2, 3, 4)]:

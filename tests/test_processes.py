@@ -27,6 +27,14 @@ def block(r, d):
     return list(itertools.product(range(1, r + 1), repeat=d))
 
 
+def transposed(spec, codes):
+    """The 2D spec and seed codes mirrored in the diagonal: the run on
+    them is the run on ``spec`` and ``codes`` with the axes swapped, so the
+    alternating run on them starts with the vertical lines of ``codes``."""
+    g0, g1 = np.divmod(np.asarray(codes, dtype=np.int64), spec.n)
+    return GridSpec(spec.n, 2, spec.thresholds[::-1]), g1 * spec.n + g0
+
+
 def random_instance(rng, dims=(1, 3)):
     d = int(rng.integers(dims[0], dims[1] + 1))
     n = int(rng.integers(2, 11))
@@ -76,21 +84,20 @@ def test_synchronous_rounds_trail_alternating_half_steps():
         spec = GridSpec.uniform(n, 2, int(rng.integers(1, 6)))
         k = int(rng.binomial(spec.num_sites, rng.uniform(0.02, 0.5)))
         codes = rng.choice(spec.num_sites, size=k, replace=False).astype(np.int64)
-        sync, trace = run_synchronous(spec, codes)
-        if not sync.percolated or k == spec.num_sites:
+        if not run_synchronous(spec, codes)[0].percolated or k == spec.num_sites:
             continue
-        for start_axis in (0, 1):
-            alt, _ = run_alternating_2d(
-                spec, codes, stop_rule=True, start_axis=start_axis
-            )
+        # both starts: the transposed seeds start with the vertical lines
+        for seeds in (codes, transposed(spec, codes)[1]):
+            _, trace = run_synchronous(spec, seeds)
+            alt, _ = run_alternating_2d(spec, seeds, stop_rule=True)
             assert alt.percolated
             h = alt.trace.num_rounds
             assert trace.num_rounds <= h + 2
-            # half-steps are numbered from 0, generations from 1
+            # half-steps and generations are both numbered from 1
             alt_events = list(zip(alt.trace.line_ids, alt.trace.round_of))
             sync_events = list(zip(trace.line_ids, trace.round_of))
             for half in range(1, h + 1):
-                done = {q for q, g in alt_events if g < half}
+                done = {q for q, g in alt_events if g <= half}
                 assert done <= {q for q, g in sync_events if g <= half}
         checked += 1
     assert checked > 100
@@ -126,27 +133,21 @@ def test_alternating_requires_2d():
         run_alternating_2d(GridSpec.uniform(3, 3, 2), [])
 
 
-def test_half_steps_refuse_a_start_axis_outside_0_1():
-    # checked by the schedule itself, on both kernels, before any line moves
-    spec = GridSpec.uniform(4, 2, 2)
-    for kernel in (InfectionState, engine.Cascade2D):
-        for start_axis in (-1, 2):
-            state = kernel(spec, encode_points(spec, block(2, 2)))
-            with pytest.raises(InputError, match="start_axis"):
-                state.run_half_steps(start_axis=start_axis)
-            assert not state.trace.line_ids and state.percolated is None
-        with pytest.raises(InputError, match="start_axis"):
-            run_alternating_2d(spec, encode_points(spec, block(2, 2)), start_axis=2)
-
-
-def test_alternating_start_axis():
+def test_alternating_runs_horizontal_first():
+    # one vertical line at threshold: the first half-step, horizontal, is
+    # idle, and the second saturates it; on the transposed seeds it is a
+    # horizontal line, which the first half-step takes
     spec = GridSpec.uniform(8, 2, 3)
-    state, lc = run_alternating_2d(
-        spec, encode_points(spec, block(3, 2)), start_axis=1
-    )
-    assert lc.start_axis == 1
-    assert state.percolated
-    assert lc.v == (3,) and lc.h == ()
+    codes = encode_points(spec, [(1, 1), (1, 2), (1, 3)])
+    for kernel in (InfectionState, engine.Cascade2D):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(processes, "new_state", kernel)
+            state, lc = run_alternating_2d(spec, codes)
+            assert lc == LineCount2D(h=(0,), v=(1,)) and not state.percolated
+            assert state.trace.round_of == [2]
+            state, lc = run_alternating_2d(*transposed(spec, codes))
+            assert lc == LineCount2D(h=(1,), v=()) and not state.percolated
+            assert state.trace.round_of == [1]
 
 
 def test_classify_examples():
@@ -322,17 +323,17 @@ def test_batched_generations_match_one_line_at_a_time(monkeypatch):
 
         if d == 2:
             # the dense kernel, and the 2D count kernel behind
-            # ``run_alternating_2d``, against the one-line reference
+            # ``run_alternating_2d``, against the one-line reference, from
+            # both starts (the transposed seeds start vertical)
             for stop_rule in (True, False):
-                for start_axis in (0, 1):
-                    kw = dict(stop_rule=stop_rule, start_axis=start_axis)
-                    batched = InfectionState(spec, codes).run_half_steps(**kw)
-                    ref = _OneLineAtATime(spec, codes).run_half_steps(**kw)
+                for seeds in ((spec, codes), transposed(spec, codes)):
+                    batched = InfectionState(*seeds).run_half_steps(stop_rule=stop_rule)
+                    ref = _OneLineAtATime(*seeds).run_half_steps(stop_rule=stop_rule)
                     _same_run(batched, ref)
-                    counted, lc = run_alternating_2d(spec, codes, **kw)
+                    counted, lc = run_alternating_2d(*seeds, stop_rule=stop_rule)
                     with monkeypatch.context() as m:
                         m.setattr(processes, "new_state", _OneLineAtATime)
-                        ref, ref_lc = run_alternating_2d(spec, codes, **kw)
+                        ref, ref_lc = run_alternating_2d(*seeds, stop_rule=stop_rule)
                     assert isinstance(ref, _OneLineAtATime)
                     _same_run(counted, ref)
                     assert lc == ref_lc

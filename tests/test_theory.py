@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -134,6 +136,18 @@ def test_log_binom_pmf_degenerate_p_is_exact_and_silent(p):
     expected = np.full(11, -np.inf)
     expected[int(10 * p)] = 0.0
     assert np.array_equal(out, expected)
+
+
+def test_binomial_checks_run_without_scipy():
+    # scipy is a test-only oracle: with every scipy import refused, the
+    # binomial checks still run, on criterion 10's largest N
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from lineperc.theory import check_binomial_bounds\n"
+        "rep = check_binomial_bounds(10000, 0.01)\n"
+        "assert rep['pmf_failures'] == [] and all(rep['chernoff_ok'].values())\n"
+    )
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_binomial_bounds_examples():

@@ -1,12 +1,15 @@
 """The CI workflow is valid YAML, the files its steps run exist, and it
-checks the output digests of every benchmark workload.
+checks the output digests of every benchmark workload; the package declares
+exactly the third-party modules it imports.
 
 A workflow file that does not parse switches every CI job off without a
 failing check, so this is the one local check that it still parses.
 """
 
+import ast
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,20 @@ def test_ci_digest_loop_names_every_benchmark_workload():
     assert sorted(loop.group(1).split()) == sorted(
         w["name"] for w in benchmark["workloads"]
     )
+
+
+def test_declared_dependencies_are_the_imported_third_party_modules():
+    # CI installs the package from its metadata, so a third-party import
+    # missing from [project].dependencies fails there; a declared one that
+    # nothing imports, such as a test oracle, belongs in the test extra
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", dep).group(0) for dep in project["dependencies"]}
+    imported = set()
+    for path in (ROOT / "src/lineperc").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == declared
