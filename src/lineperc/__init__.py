@@ -34,18 +34,14 @@ from .grid import (
     InputError,
     LineId,
     Point,
-    all_lines,
     decode_line,
     decode_point,
-    encode_line,
     encode_point,
     encode_points,
     format_line,
     format_point,
     lines_through,
-    parse_line,
     parse_point,
-    points_on,
 )
 from .minset import (
     MinSetResult,

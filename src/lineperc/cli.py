@@ -136,19 +136,10 @@ def _spec_from_args(args) -> GridSpec:
 
 
 def _resolve_threads(args) -> int:
-    t = getattr(args, "threads", None)
-    if t is None:
-        env = os.environ.get("LINEPERC_THREADS")
-        try:
-            t = int(env) if env else 0
-        except ValueError:
-            raise InputError(
-                f"LINEPERC_THREADS must be an integer, got {env!r}"
-            ) from None
-    t = int(t)
-    if t <= 0:
-        t = os.cpu_count() or 1
-    return t
+    """``--threads``, or every core when it is absent or not positive."""
+    if args.threads is None or args.threads <= 0:
+        return os.cpu_count() or 1
+    return args.threads
 
 
 def _to_stdout(path: str | None) -> bool:
@@ -272,9 +263,16 @@ class SweepConfig:
             raise InputError(f"n list must be non-empty ascending, got {self.n_list}")
         if self.fit and len(self.n_list) < 3:
             raise InputError(f"a fit needs at least 3 n values, got {len(self.n_list)}")
+        # every n's grid, and a theta sweep's density, is checked before the
+        # first estimate runs
+        self._specs = {n: GridSpec(n, self.d, self.thresholds) for n in self.n_list}
+        self.p_of = {n: parse_p_expression(self.p_rule, n) for n in self.n_list if self.p_rule}
+        bad = {n: p for n, p in self.p_of.items() if not 0.0 <= p <= 1.0}
+        if bad:
+            raise InputError(f"p rule {self.p_rule!r} gives p outside [0, 1]: {bad}")
 
     def spec_for(self, n: int) -> GridSpec:
-        return GridSpec(n, self.d, self.thresholds)
+        return self._specs[n]
 
     @property
     def predicted_slope(self) -> float | None:
@@ -360,7 +358,7 @@ def cmd_sweep(args) -> int:
         for n in sw.n_list:
             spec = sw.spec_for(n)
             if sw.p_rule:
-                p = parse_p_expression(sw.p_rule, n)
+                p = sw.p_of[n]
                 est = estimate_theta(spec, p, sw.trials, sw.master_seed)
                 print(f"n={n}: theta={est.point_estimate:.5f} "
                       f"({est.wall_seconds:.2f}s)", file=sys.stderr)

@@ -89,6 +89,7 @@ from .grid import (
     LineId,
     Point,
     _tables,
+    as_int,
     decode_line,
     decode_point,
     encode_point,
@@ -147,8 +148,10 @@ class Trace:
 class _Cascade:
     """One cascade run on a grid: what both kernels share.
 
-    That is the seeds, the event trace, the read-only queries and the
-    schedules, ``grow`` among them.  A kernel supplies the counts:
+    That is the seeds, the event trace, the read-only queries
+    (``saturated_lines``, ``is_infected``, ``infected_mask``,
+    ``infected_codes`` and ``infected_points``) and the schedules, ``grow``
+    among them.  A kernel supplies the counts:
     ``saturated`` and ``line_count`` (arrays over line ids),
     ``infected_total`` and ``_sat_per_axis``; and the operations
     ``_ready_lines(axis=None)``, the ascending ids of the unsaturated lines
@@ -175,19 +178,6 @@ class _Cascade:
         self._ran: bool | str = False  # True once a run_* ran, "grow" once grown
 
     # -- queries ------------------------------------------------------------
-
-    @property
-    def explicit_infected(self) -> set[Point]:
-        """Initial points that do not lie on any saturated line."""
-        codes = self.seeds
-        alone = ~self.saturated[self._t.lids_of(codes)].any(axis=1)
-        return {decode_point(self.spec, int(c)) for c in codes[alone]}
-
-    @property
-    def pending(self) -> list[LineId]:
-        """Lines at or above threshold that have not saturated (empty at a
-        fixed point)."""
-        return [decode_line(self.spec, int(i)) for i in self._ready_lines()]
 
     def saturated_lines(self) -> list[LineId]:
         return [decode_line(self.spec, int(i)) for i in np.flatnonzero(self.saturated)]
@@ -321,7 +311,7 @@ class _Cascade:
         if order is None:
             order = range(t.L)
         else:
-            order = [int(x) for x in order]
+            order = [as_int(x, "a line id") for x in order]
             if sorted(order) != list(range(t.L)):
                 raise InputError("order must be a permutation of all line ids")
         idle = 0

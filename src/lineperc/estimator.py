@@ -136,9 +136,7 @@ class PcEstimate:
 
 @dataclass(frozen=True)
 class SlopeFit:
-    points: tuple[tuple[float, float], ...]  # (log n, log value)
     slope: float
-    intercept: float
     stderr: float
 
 
@@ -422,9 +420,4 @@ def fit_exponent(estimates: list[tuple[float, float]]) -> SlopeFit:
     intercept = float(y.mean() - slope * xbar)
     resid = y - (intercept + slope * x)
     stderr = float(math.sqrt(float((resid**2).sum()) / (len(x) - 2) / sxx))
-    return SlopeFit(
-        points=tuple(zip(x.tolist(), y.tolist())),
-        slope=slope,
-        intercept=intercept,
-        stderr=stderr,
-    )
+    return SlopeFit(slope=slope, stderr=stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 # np.unique reads np.ma, which numpy loads on first use: load it with the
@@ -246,6 +246,7 @@ def encode_point(spec: GridSpec, p: Sequence[int]) -> int:
 
 
 def decode_point(spec: GridSpec, code: int) -> Point:
+    code = as_int(code, "a point code")
     if code < 0 or code >= spec.num_sites:
         raise InputError(f"point code {code} out of range [0, {spec.num_sites})")
     t = _tables(spec)
@@ -258,38 +259,16 @@ def encode_points(spec: GridSpec, points: Iterable[Sequence[int]]) -> np.ndarray
     return np.unique(np.asarray(codes, dtype=np.int64))
 
 
-def encode_line(spec: GridSpec, line: LineId) -> int:
-    axis = as_int(line.axis, "a line axis")
-    fixed = [as_int(c, "a line coordinate") for c in line.fixed]
-    if axis < 0 or axis >= spec.d:
-        raise InputError(f"axis {axis} out of range [0, {spec.d})")
-    if len(fixed) != spec.d - 1:
-        raise InputError(
-            f"line {line} has {len(fixed)} fixed coordinates, expected {spec.d - 1}"
-        )
-    if any(c < 1 or c > spec.n for c in fixed):
-        raise InputError(f"line {line} fixed coordinates out of range [1, {spec.n}]")
-    val = 0
-    for c in fixed:
-        val = val * spec.n + (c - 1)
-    return axis * spec.lines_per_axis + val
-
-
 def decode_line(spec: GridSpec, lid: int) -> LineId:
+    lid = as_int(lid, "a line id")
     if lid < 0 or lid >= spec.num_lines:
         raise InputError(f"line id {lid} out of range [0, {spec.num_lines})")
-    axis, rem = divmod(int(lid), spec.lines_per_axis)
+    axis, rem = divmod(lid, spec.lines_per_axis)
     fixed = []
     for _ in range(spec.d - 1):
         rem, dig = divmod(rem, spec.n)
         fixed.append(dig + 1)
     return LineId(axis, tuple(reversed(fixed)))
-
-
-def all_lines(spec: GridSpec) -> Iterator[LineId]:
-    """All d*n^(d-1) lines in canonical (axis-major, lexicographic) order."""
-    for lid in range(spec.num_lines):
-        yield decode_line(spec, lid)
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +283,6 @@ def lines_through(spec: GridSpec, p: Sequence[int]) -> list[LineId]:
     for axis in range(spec.d):
         fixed = tuple(c for i, c in enumerate(p) if i != axis)
         out.append(LineId(axis, fixed))
-    return out
-
-
-def points_on(spec: GridSpec, line: LineId) -> list[Point]:
-    """The n points of a line, ordered by the varying coordinate."""
-    encode_line(spec, line)  # validates
-    out = []
-    for t in range(1, spec.n + 1):
-        coords = list(line.fixed)
-        coords.insert(line.axis, t)
-        out.append(tuple(coords))
     return out
 
 
@@ -338,15 +306,3 @@ def parse_point(spec: GridSpec, text: str) -> Point:
 
 def format_line(line: LineId) -> str:
     return f"{line.axis}:" + ",".join(str(c) for c in line.fixed)
-
-
-def parse_line(spec: GridSpec, text: str) -> LineId:
-    head, _, rest = text.strip().partition(":")
-    try:
-        axis = int(head)
-        fixed = tuple(int(x) for x in rest.split(",") if x != "")
-    except ValueError as exc:
-        raise InputError(f"cannot parse line {text!r}") from exc
-    line = LineId(axis, fixed)
-    encode_line(spec, line)  # validates
-    return line

@@ -257,7 +257,6 @@ def certify_non_percolation(
 class MinSetResult:
     min_size: int | None
     witness: tuple[Point, ...] | None
-    sizes_searched: tuple[int, ...]
     subsets_tested: int
 
 
@@ -330,7 +329,6 @@ def min_percolating_size(
     block = _product_block_codes(spec)
     block_size = len(block)
     tested = 0
-    sizes = []
     site_bits = [1 << c for c in range(n_sites)]
     for m in range(1, cap + 1):
         space = comb(n_sites, m)
@@ -339,7 +337,6 @@ def min_percolating_size(
                 f"search space C({n_sites}, {m}) = {space} exceeds "
                 f"limit {SEARCH_SPACE_LIMIT}"
             )
-        sizes.append(m)
         if m < min(spec.thresholds) and m < n_sites:
             tested += space
             continue
@@ -350,7 +347,7 @@ def min_percolating_size(
             tested += 1
             if cascade.percolates(bits):
                 witness = tuple(sorted(_decode_codes(spec, block)))
-                return MinSetResult(m, witness, tuple(sizes), tested)
+                return MinSetResult(m, witness, tested)
         for combo in itertools.combinations(range(n_sites), m):
             bits = 0
             for c in combo:
@@ -358,8 +355,8 @@ def min_percolating_size(
             tested += 1
             if cascade.percolates(bits):
                 witness = tuple(sorted(_decode_codes(spec, combo)))
-                return MinSetResult(m, witness, tuple(sizes), tested)
-    return MinSetResult(None, None, tuple(sizes), tested)
+                return MinSetResult(m, witness, tested)
+    return MinSetResult(None, None, tested)
 
 
 def _decode_codes(spec: GridSpec, codes) -> list[Point]:

@@ -155,11 +155,11 @@ def pc_guess(spec: GridSpec) -> float:
 
 
 def realize_coupled(
-    spec: GridSpec, seed: TrialSeed, *, cap0: float | None = None
+    spec: GridSpec, seed: TrialSeed
 ) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
-    """Yield ``(cap, codes, weights)`` at caps cap0, 2*cap0, ..., 1.0 (one
-    shared stream): the sites new in (previous cap, cap], sorted by weight,
-    then code.
+    """Yield ``(cap, codes, weights)`` at caps c, 2c, ..., 1.0, starting at
+    c = 2 * ``pc_guess(spec)`` (one shared stream): the sites new in
+    (previous cap, cap], sorted by weight, then code.
 
     Every site is realized at exactly one cap, so no code repeats across
     caps, and each cap's weights lie in [previous cap, cap].
@@ -167,7 +167,7 @@ def realize_coupled(
     rng = seed.generator()
     n_sites = spec.num_sites
     cap_prev = 0.0
-    cap = min(1.0, cap0 if cap0 is not None else 2.0 * pc_guess(spec))
+    cap = min(1.0, 2.0 * pc_guess(spec))
     drawn = 0
     taken: set[int] = set()
     while True:

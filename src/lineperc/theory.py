@@ -45,11 +45,6 @@ def s_of_r(r: int) -> int:
     return s
 
 
-def s_of_r_floor(r: int) -> int:
-    """The equivalent floor form floor(sqrt(r + 1/4) - 1/2), in exact integers."""
-    return (math.isqrt(4 * r + 1) - 1) // 2
-
-
 def gamma_of_r(r: int) -> Fraction:
     """Effective threshold reduction (r + s(s+1)) / (2(s+1)), exact."""
     s = s_of_r(r)

@@ -203,6 +203,27 @@ def test_oversized_grid_exit_code(monkeypatch, capsys):
         assert err.startswith("error: ") and reason in err, argv
 
 
+def test_sweep_refuses_a_bad_n_or_p_before_any_estimate(monkeypatch, capsys):
+    # the n = 64 and n = 128 estimates ran before n = 10^8 was refused
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate ran")
+
+    monkeypatch.setattr(cli, "estimate_pc", no_estimate)
+    monkeypatch.setattr(cli, "estimate_theta", no_estimate)
+    argv = ["sweep", "--d", "2", "--r", "2", "--trials", "200", "--seed", "1",
+            "--threads", "1"]
+    cases = [
+        (["--n-list", "64,128,100000000"],
+         "side length 100000000 is more than the supported 16777216"),
+        # p = 2 at n = 4
+        (["--n-list", "1,2,4", "--p-rule", "0.5*n^1"], "outside [0, 1]: {4: 2.0}"),
+    ]
+    for extra, reason in cases:
+        assert dispatch(argv + extra) == 1, extra
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and reason in err, err
+
+
 def test_oversized_sample_exit_code(capsys):
     # a grid the line bound accepts, at a p that would draw about 6.4e12
     # sites: refused before any code is drawn
@@ -344,18 +365,6 @@ def test_cli_import_loads_no_scipy():
     for run in runs:
         code = _NO_SCIPY.format(runs=[run] if run else [])
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0, run
-
-
-def test_bad_threads_env_exit_code(monkeypatch, capsys):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(estimator, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setenv("LINEPERC_THREADS", "abc")
-    argv = ["pc", "--n", "16", "--d", "2", "--r", "2", "--trials", "10", "--seed", "1"]
-    assert dispatch(argv) == 1
-    err = capsys.readouterr().err
-    assert "LINEPERC_THREADS" in err and "Traceback" not in err
 
 
 _SWEEP_3N = ["sweep", "--d", "2", "--r", "2", "--n-list", "16,24,32", "--fit",

@@ -7,6 +7,7 @@ import pytest
 from lineperc import (
     GridSpec,
     InputError,
+    LineId,
     closure,
     naive_closure,
     percolates,
@@ -23,9 +24,9 @@ from lineperc.grid import (
     decode_point,
     encode_point,
     encode_points,
-    points_on,
 )
 from lineperc.processes import run_alternating_2d, run_sequential, run_synchronous
+from test_grid import points_on
 from test_processes import transposed
 
 
@@ -61,7 +62,7 @@ def test_closure_frozen():
     state = closure(spec, [(1, 1), (2, 2)])
     assert state.infected_points() == {(1, 1), (2, 2)}
     assert not state.percolated
-    assert state.pending == []
+    assert state._ready_lines().size == 0
 
 
 def test_closure_l_shape():
@@ -396,9 +397,8 @@ def test_membership_and_explicit():
     assert state.is_infected((3, 1))
     assert not state.is_infected((3, 3))
     # (1,1),(2,1) sit on the saturated row, (1,2) on the saturated column
-    assert state.explicit_infected == set()
-    frozen = closure(spec, [(1, 1), (2, 2)])
-    assert frozen.explicit_infected == {(1, 1), (2, 2)}
+    assert state.saturated_lines() == [LineId(0, (1,)), LineId(1, (1,))]
+    assert closure(spec, [(1, 1), (2, 2)]).saturated_lines() == []
 
 
 def test_grown_state_matches_fresh_cascade():
@@ -423,12 +423,11 @@ def test_grown_state_matches_fresh_cascade():
                     assert np.array_equal(state.seeds, np.sort(codes[:k]))
                     break
                 fresh = new_state(spec, codes[:k]).run_fifo()
-                assert not fresh.percolated and state.pending == []
+                assert not fresh.percolated and state._ready_lines().size == 0
                 assert np.array_equal(state.saturated, fresh.saturated)
                 assert np.array_equal(state.line_count, fresh.line_count)
                 assert state.infected_total == fresh.infected_total
                 assert np.array_equal(state.infected_mask(), fresh.infected_mask())
-                assert state.explicit_infected == fresh.explicit_infected
                 assert np.array_equal(state.seeds, fresh.seeds)
                 pts = {decode_point(spec, int(c)) for c in codes[:k]}
                 assert state.infected_points() == naive_closure(spec, pts)

@@ -7,20 +7,42 @@ from lineperc import (
     GridSpec,
     InputError,
     LineId,
-    all_lines,
     closure,
     decode_line,
     decode_point,
-    encode_line,
     encode_point,
     format_line,
     format_point,
     lines_through,
-    parse_line,
     parse_point,
-    points_on,
 )
 from lineperc.grid import MAX_DIMENSION, MAX_LINES
+
+
+# Geometry oracles written from the definitions alone: a line is its free
+# axis plus its fixed coordinates, and its id counts the fixed coordinates
+# in base n within its axis's block of n^(d-1) ids.
+
+
+def encode_line(spec, line):
+    """The canonical id of ``line``."""
+    assert 0 <= line.axis < spec.d and len(line.fixed) == spec.d - 1
+    assert all(1 <= c <= spec.n for c in line.fixed)
+    val = 0
+    for c in line.fixed:
+        val = val * spec.n + (c - 1)
+    return line.axis * spec.lines_per_axis + val
+
+
+def points_on(spec, line):
+    """The n points of a line, ordered by the varying coordinate."""
+    encode_line(spec, line)  # checks the line lies in the grid
+    out = []
+    for t in range(1, spec.n + 1):
+        coords = list(line.fixed)
+        coords.insert(line.axis, t)
+        out.append(tuple(coords))
+    return out
 
 
 def test_spec_validation():
@@ -74,15 +96,16 @@ def test_closure_refuses_fractional_points():
         closure(spec, [(1.5, 1.5), (1, 2.7)])
 
 
-def test_encode_line_refuses_a_fractional_axis_or_coordinate():
-    # LineId(0.5, (1,)) encoded as 2.0
+def test_decode_refuses_a_fractional_code_or_line_id():
+    # decode_point(spec, 1.5) gave (1, 2), the point of code 1, and
+    # decode_line(spec, 2.7) gave the line of id 2
     spec = GridSpec.uniform(4, 2, 2)
-    with pytest.raises(InputError, match="axis must be an integer"):
-        encode_line(spec, LineId(0.5, (1,)))
-    with pytest.raises(InputError, match="coordinate must be an integer"):
-        encode_line(spec, LineId(1, (2.5,)))
-    lid = encode_line(spec, LineId(np.int64(1), (np.int64(2),)))
-    assert type(lid) is int and lid == 5
+    with pytest.raises(InputError, match="point code must be an integer"):
+        decode_point(spec, 1.5)
+    with pytest.raises(InputError, match="line id must be an integer"):
+        decode_line(spec, 2.7)
+    assert decode_point(spec, np.int64(1)) == (1, 2)
+    assert decode_line(spec, np.int32(5)) == LineId(1, (2,))
 
 
 def test_spec_line_budget():
@@ -144,7 +167,8 @@ def test_points_on_examples():
 
 def test_incidence_round_trip():
     spec = GridSpec.uniform(3, 3, 2)
-    for line in all_lines(spec):
+    for lid in range(spec.num_lines):
+        line = decode_line(spec, lid)
         for q in points_on(spec, line):
             assert line in lines_through(spec, q)
 
@@ -168,7 +192,7 @@ def test_encode_decode_bijection_exhaustive(n, d):
 
 def test_counting_invariants():
     spec = GridSpec.uniform(4, 3, 2)
-    lines = list(all_lines(spec))
+    lines = [decode_line(spec, lid) for lid in range(spec.num_lines)]
     assert len(lines) == 3 * 16
     for line in lines:
         assert len(points_on(spec, line)) == spec.n
@@ -184,13 +208,9 @@ def test_input_errors():
     with pytest.raises(InputError):
         lines_through(spec, (1, 5))
     with pytest.raises(InputError):
-        points_on(spec, LineId(2, (1,)))
-    with pytest.raises(InputError):
         decode_line(spec, 8)
     with pytest.raises(InputError):
         decode_point(spec, 16)
-    with pytest.raises(InputError):
-        encode_line(spec, LineId(0, (1, 1)))
 
 
 @settings(deadline=None, max_examples=60)
@@ -220,11 +240,6 @@ def test_text_formats():
     assert format_point((3, 5)) == "3,5"
     assert parse_point(spec, " 3,5 ") == (3, 5)
     assert format_line(LineId(1, (3,))) == "1:3"
-    assert parse_line(spec, "1:3") == LineId(1, (3,))
-    spec1 = GridSpec.uniform(4, 1, 1)
     assert format_line(LineId(0, ())) == "0:"
-    assert parse_line(spec1, "0:") == LineId(0, ())
     with pytest.raises(InputError):
         parse_point(spec, "3,x")
-    with pytest.raises(InputError):
-        parse_line(spec, "9:1")

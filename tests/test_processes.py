@@ -432,8 +432,13 @@ def test_sequential_custom_order_matches_canonical():
 
 def test_sequential_rejects_bad_order():
     spec = GridSpec.uniform(3, 2, 2)
+    codes = encode_points(spec, [(1, 1)])
     with pytest.raises(InputError):
-        run_sequential(spec, encode_points(spec, [(1, 1)]), [0, 1, 2])
+        run_sequential(spec, codes, [0, 1, 2])
+    # int() read 0.5 as line 0, which made this a permutation
+    with pytest.raises(InputError, match="line id must be an integer"):
+        run_sequential(spec, codes, [0.5, 1, 2, 3, 4, 5])
+    assert run_sequential(spec, codes, np.arange(6))[1].line_ids == []
 
 
 def test_schedule_invariance():

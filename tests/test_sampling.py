@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy.stats import beta
 
-from lineperc import GridSpec, InputError, TrialSeed, critical_p_of_sample
+from lineperc import GridSpec, InputError, TrialSeed, critical_p_of_sample, sampling
 from lineperc.engine import percolation_run
 from lineperc.sampling import MAX_DRAWN_SITES, _PhiloxKey, realize_coupled, sample_codes
 
@@ -18,15 +18,17 @@ def test_sample_extremes():
         sample_codes(spec, 1.5, TrialSeed(1, 0))
 
 
-def test_sample_size_bound():
-    # refused before the draw, the whole-grid ``arange`` included
+def test_sample_size_bound(monkeypatch):
+    # refused before the draw, the whole-grid ``arange`` included; the first
+    # cap of ``realize_coupled``, 2 * pc_guess, is set to p
     seed = TrialSeed(1, 0)
     for spec, p in ((GridSpec.uniform(8_000_000, 2, 2), 0.1),
                     (GridSpec.uniform(MAX_DRAWN_SITES + 1, 1, 1), 1.0)):
         with pytest.raises(InputError, match="sites"):
             sample_codes(spec, p, seed)
+        monkeypatch.setattr(sampling, "pc_guess", lambda spec: p / 2)
         with pytest.raises(InputError, match="sites"):
-            next(realize_coupled(spec, seed, cap0=p))
+            next(realize_coupled(spec, seed))
 
 
 def test_sample_mean_matches_binomial():
@@ -104,12 +106,12 @@ def test_philox_key_refuses_any_other_request():
             key.generate_state(n_words, dtype)
 
 
-def cumulative_caps(spec, seed, cap0=None):
+def cumulative_caps(spec, seed):
     """Yield (cap, codes, weights) of every site realized up to each cap of
     ``realize_coupled``, sorted by weight, then code."""
     codes = np.zeros(0, dtype=np.int64)
     weights = np.zeros(0, dtype=np.float64)
-    for cap, new_codes, new_weights in realize_coupled(spec, seed, cap0=cap0):
+    for cap, new_codes, new_weights in realize_coupled(spec, seed):
         codes = np.concatenate([codes, new_codes])
         weights = np.concatenate([weights, new_weights])
         order = np.lexsort((codes, weights))
@@ -118,12 +120,13 @@ def cumulative_caps(spec, seed, cap0=None):
 
 
 def test_each_cap_yields_only_its_new_sites_in_weight_order():
-    for spec, cap0 in ((GridSpec.uniform(16, 2, 2), 0.01),
-                       (GridSpec.uniform(5, 3, 2), None),
-                       (GridSpec.uniform(40, 1, 3), 0.2)):
+    # caps start at 2 * pc_guess: 7 caps from 0.026 and 5 from 0.08; on the
+    # last spec r >= n/3 at d = 1, so pc_guess is 1 and the one cap is 1.0
+    for spec in (GridSpec.uniform(16, 2, 2), GridSpec.uniform(5, 3, 2),
+                 GridSpec.uniform(9, 1, 3)):
         seen = set()
         cap_prev = 0.0
-        for cap, codes, weights in realize_coupled(spec, TrialSeed(4, 2), cap0=cap0):
+        for cap, codes, weights in realize_coupled(spec, TrialSeed(4, 2)):
             assert codes.dtype == np.int64 and codes.shape == weights.shape
             assert np.all(np.diff(weights) >= 0)
             ties = np.diff(weights) == 0
@@ -141,7 +144,7 @@ def test_coupled_realization_is_nested_and_sorted():
     spec = GridSpec.uniform(16, 2, 2)
     seed = TrialSeed(4, 2)
     prev = None
-    for i, (cap, codes, weights) in enumerate(cumulative_caps(spec, seed, cap0=0.01)):
+    for i, (cap, codes, weights) in enumerate(cumulative_caps(spec, seed)):
         assert np.all(np.diff(weights) >= 0)
         assert np.all(weights < cap)
         assert codes.size == np.unique(codes).size

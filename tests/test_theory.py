@@ -23,9 +23,13 @@ from lineperc.theory import (
     log_binom_pmf,
     pc2_exponent,
     pc3_exponent,
-    s_of_r_floor,
     theta2_regime_exponents,
 )
+
+
+def s_of_r_floor(r):
+    """The floor form floor(sqrt(r + 1/4) - 1/2) of s(r), in exact integers."""
+    return (math.isqrt(4 * r + 1) - 1) // 2
 
 
 def test_lambda_values():

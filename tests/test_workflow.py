@@ -63,3 +63,35 @@ def test_declared_dependencies_are_the_imported_third_party_modules():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported - set(sys.stdlib_module_names) == declared
+
+
+# Exported names that only the tests read: they state the paper's 2D theta
+# regimes and the binomial lemmas that acceptance criterion 10 checks.
+PAPER_STATEMENTS = {"check_binomial_bounds", "predicted_theta2"}
+
+
+def test_every_exported_name_has_a_reader():
+    # a name stays public when a demo, the CLI or the paper's statements need
+    # it, so each one the package exports is read somewhere in the library or
+    # the demos, other than in its own definition
+    init = ast.parse((ROOT / "src/lineperc/__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    read = set()
+    for path in [*(ROOT / "src/lineperc").glob("*.py"), *(ROOT / "demos").glob("*.py")]:
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    assert exported - read == PAPER_STATEMENTS
