@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import percolates, percolation_run
+from .engine import _closed, percolates, percolation_run
 from .estimator import (
     estimate_pc,
     estimate_theta,
@@ -405,6 +405,8 @@ def cmd_theory(args) -> int:
 def _preface_trial(spec: GridSpec, seed: TrialSeed, p: float, s: int) -> tuple:
     """(classification, preface, slow) of one stopped alternating run."""
     codes = sample_codes(spec, p, seed)
+    if _closed(spec, codes):  # no line saturates: the line-count is h = (0,)
+        return LineCountClass.NO_PERCOLATION.value, "", ""
     _, lc = run_alternating_2d(spec, codes, stop_rule=True)
     cls = classify_line_count(lc, spec.r)
     if cls is LineCountClass.NO_PERCOLATION:

@@ -3,7 +3,10 @@
 The cascade never materializes the infected point set.  A point is infected
 iff it is an initial point or lies on a saturated line, so a state needs only
 the seeds, which lines are saturated, and enough counts to tell when a line
-reaches its threshold.  Two kernels keep those counts.
+reaches its threshold.  Two kernels keep those counts.  The infection starts
+only on a line that holds its threshold of seeds, so a set with no such line
+is closed: it is its own closure, and percolates only as the whole grid.
+``_closed`` decides that before a trial builds a kernel.
 
 The schedules live once, on the base ``_Cascade``: ``run_fifo``,
 ``run_rounds``, ``run_half_steps``, ``run_sequential`` and ``grow``.  The
@@ -989,6 +992,22 @@ def closure(
 def percolation_run(spec: GridSpec, codes: np.ndarray) -> Cascade2D | InfectionState:
     """Cascade with sound early stop; ``percolated`` is exact either way."""
     return new_state(spec, codes).run_fifo(stop_on_percolation=True)
+
+
+def _closed(spec: GridSpec, codes: np.ndarray) -> bool:
+    """Whether no line holds its threshold of the distinct ``codes``.  A
+    code's axis-b line drops its digit b, of stride n^(d-1-b).  Plain ints:
+    at a sparse trial's few seeds, numpy's per-call cost exceeds the count."""
+    n, codes, stride = spec.n, codes.tolist(), spec.n**spec.d
+    for thr in spec.thresholds:
+        block, stride = stride, stride // n
+        held: dict[int, int] = {}
+        for code in codes:
+            lid = code // block * stride + code % stride
+            held[lid] = k = held.get(lid, 0) + 1
+            if k >= thr:
+                return False
+    return True
 
 
 def percolates(spec: GridSpec, initial: Iterable[Sequence[int]]) -> bool:

@@ -10,6 +10,9 @@ block.  Outside a block, estimates run serially in this process.
 p_c is estimated as the median of the coupled per-sample p* values: under the
 coupling P(p* <= p) equals theta_p exactly, so one cascade pipeline per trial
 yields the whole curve.
+
+A theta trial builds a kernel only for a seed set that is not closed (see
+``engine``); below p_c, most sets are closed.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import percolation_run
+from .engine import _closed, percolation_run
 from .grid import GridSpec, InputError, as_int
 from .processes import (
     LineCountClass,
@@ -147,6 +150,8 @@ class SlopeFit:
 
 def _theta_trial(spec: GridSpec, seed: TrialSeed, p: float) -> bool:
     codes = sample_codes(spec, p, seed)
+    if codes.size < spec.num_sites and _closed(spec, codes):
+        return False
     state = percolation_run(spec, codes)
     if state.percolated and spec.d == 2 and spec.is_uniform:
         check_2d_process_properties(spec, codes)

@@ -6,14 +6,25 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lineperc import InputError, cli, estimator, grid
+from lineperc import GridSpec, InputError, cli, estimator, grid
 from lineperc.cli import dispatch, parse_p_expression
+from lineperc.engine import _closed
+from lineperc.processes import (
+    LineCountClass,
+    classify_line_count,
+    is_slow,
+    preface_of,
+    preface_text,
+    run_alternating_2d,
+)
+from lineperc.sampling import TrialSeed, sample_codes
 
 
 def run_cli(args, stdin=""):
@@ -118,6 +129,26 @@ def test_sweep_theta_rule(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = csv_out.read_text().splitlines()
     assert rows[0] == "n,p,theta,ci_low,ci_high"
+
+
+@pytest.mark.parametrize("r, p", [(2, 16**-1.5), (3, 16 ** (-4 / 3))])
+def test_preface_trial_matches_stopped_alternating_run(r, p):
+    # a closed set skips the run: its line-count h = (0,) classifies as none
+    spec = GridSpec.uniform(16, 2, r)
+    kinds = Counter()
+    for i in range(200):
+        seed = TrialSeed(5, i)
+        codes = sample_codes(spec, p, seed)
+        _, lc = run_alternating_2d(spec, codes, stop_rule=True)
+        cls = classify_line_count(lc, r)
+        want = (cls.value, "", "")
+        if cls is not LineCountClass.NO_PERCOLATION:
+            pref = preface_of(lc, r)
+            want = (cls.value, preface_text(pref), str(int(is_slow(pref, 1))))
+        assert cli._preface_trial(spec, seed, p, 1) == want
+        kinds[_closed(spec, codes), cls.value] += 1
+    assert min(kinds[True, "none"], kinds[False, "none"]) > 0, kinds
+    assert kinds[False, "horizontal"] + kinds[False, "vertical"] > 0, kinds
 
 
 def test_preface_stats_csv():

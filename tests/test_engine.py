@@ -15,6 +15,7 @@ from lineperc import (
 from lineperc.engine import (
     Cascade2D,
     InfectionState,
+    _closed,
     new_state,
     percolation_run,
 )
@@ -173,6 +174,28 @@ def test_oracle_equivalence_randomized():
         pts = {decode_point(spec, int(c)) for c in codes}
         assert state.infected_points() == naive_closure(spec, pts)
         assert state.percolated == (state.infected_total == spec.num_sites)
+
+
+def test_closed_certificate_matches_ready_lines():
+    # _closed answers, without a kernel, whether a kernel would list no ready
+    # line: on d = 1..4, thresholds of 1, above n and mixed, the empty set
+    # and the whole grid
+    rng = np.random.default_rng(29)
+    kinds = Counter()
+    for i in range(400):
+        d = 1 + i % 4
+        n = int(rng.integers(1, (8, 6, 4, 3)[d - 1] + 1))
+        thresholds = tuple(int(x) for x in rng.integers(1, n + 3, size=d))
+        spec = GridSpec(n, d, thresholds)
+        k = (0, spec.num_sites, int(rng.integers(0, spec.num_sites + 1)))[i % 3]
+        codes = np.sort(rng.choice(spec.num_sites, size=k, replace=False))
+        closed = _closed(spec, codes)
+        assert closed == (new_state(spec, codes)._ready_lines().size == 0)
+        kinds["closed" if closed else "open"] += 1
+        kinds["thr 1"] += 1 in thresholds
+        kinds["thr > n"] += max(thresholds) > n
+        kinds["mixed"] += len(set(thresholds)) > 1
+    assert min(kinds.values()) > 50, kinds
 
 
 def test_monotonicity():

@@ -13,7 +13,7 @@ from lineperc import (
     wilson_interval,
 )
 from lineperc import estimator
-from lineperc.engine import percolation_run
+from lineperc.engine import _closed, percolation_run
 from lineperc.estimator import median_order_statistic_ci
 from lineperc.sampling import TrialSeed, critical_p_of_sample, sample_codes
 from lineperc.theory import SUPERCRITICAL, regime_of
@@ -156,17 +156,30 @@ def test_process_checks_see_the_flip_prefix(monkeypatch):
                 break
 
 
-@pytest.mark.parametrize("thresholds", [(2, 2), (2, 3)])
-def test_theta_outcomes_match_per_trial_oracle(thresholds):
-    spec = GridSpec(10, 2, thresholds)
-    est = estimate_theta(spec, 0.1, 60, 3)
-    oracle = tuple(
-        bool(percolation_run(spec, sample_codes(spec, 0.1, TrialSeed(3, i))).percolated)
-        for i in range(60)
-    )
-    assert 0 < est.successes < 60
+@pytest.mark.parametrize(
+    "spec, p, trials",
+    [
+        pytest.param(GridSpec(10, 2, (2, 2)), 0.1, 60, id="thresholds0"),
+        pytest.param(GridSpec(10, 2, (2, 3)), 0.1, 60, id="thresholds1"),
+        # theta-2d's shape: most sets are closed, so no kernel is built,
+        # and the few that percolate still pass the 2D process checks
+        pytest.param(GridSpec.uniform(1024, 2, 2), 1024**-1.7, 300, id="theta-2d"),
+        pytest.param(GridSpec.uniform(8, 3, 2), 0.02, 60, id="3d"),
+        # thresholds above n: the whole grid is closed, and percolates
+        pytest.param(GridSpec(2, 3, (3, 4, 3)), 1.0, 5, id="whole-grid"),
+    ],
+)
+def test_theta_outcomes_match_per_trial_oracle(spec, p, trials):
+    est = estimate_theta(spec, p, trials, 3)
+    codes = [sample_codes(spec, p, TrialSeed(3, i)) for i in range(trials)]
+    oracle = tuple(bool(percolation_run(spec, c).percolated) for c in codes)
     assert est.outcomes == oracle
     assert sum(est.outcomes) == est.successes
+    if p < 1:
+        closed = sum(_closed(spec, c) for c in codes)
+        assert closed > 0 and 0 < est.successes <= trials - closed
+    else:
+        assert est.successes == trials
 
 
 @pytest.mark.parametrize(
