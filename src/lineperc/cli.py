@@ -92,13 +92,12 @@ def parse_p_expression(text: str, n: int) -> float:
     text = text.strip()
     try:
         m = re.fullmatch(r"([0-9.eE+-]+)?\s*\*?\s*n\^([0-9.eE+-]+)", text)
-        if m:
-            coeff = float(m.group(1)) if m.group(1) else 1.0
-            return coeff * float(n) ** float(m.group(2))
-        return float(text)
+        p = float(text) if m is None else (
+            float(m.group(1) or 1.0) * float(n) ** float(m.group(2)))
     except (ValueError, OverflowError) as exc:
         raise InputError(f"cannot parse p expression {text!r} "
                          "(use <float>, n^<a>, or <c>*n^<a>)") from exc
+    return p + 0.0  # a zero density parsed as -0.0 prints as 0.0
 
 
 def _int(text: str, what: str) -> int:

@@ -15,15 +15,15 @@ order and every line saturates at most once over the whole growth.  Every
 ``run_*`` returns the state, and ``run_rounds`` and ``run_half_steps`` share
 one generation body.  A kernel only counts: it supplies its counts and
 ``_ready_lines(axis=None)`` (the unsaturated lines at threshold, of every
-axis or of one), ``_is_ready``, ``_saturate(lid, sink)`` (one line),
-``_fill_line(lid)`` (the early proof) and ``_add_seeds(digits)`` (the digit
-rows of grown seeds, taken up to the first that makes a line ready); it may
-batch ``_saturate_run(axis, lids, sink, stop)``, which by default takes a
-run of parallel lines one line at a time.  ``seeds``, the sorted codes of
-every seed, given or grown, is the one seed store: ``grow`` derives digits
-once per call and sets ``seeds`` once, when it returns, since no drain
-reads it.  Only the schedules write the trace, the only record of a
-half-step run; every schedule numbers its rounds from 1.
+axis or of one), ``_is_ready``, ``_saturate(lid, sink)`` (one line) and
+``_add_seeds(digits)`` (the digit rows of grown seeds, taken up to the first
+that makes a line ready).  It may override ``_saturate_run(axis, lids,
+sink, stop)``, which by default takes a run of parallel lines one line at a
+time and asks the kernel's ``_fill_line(lid)`` for the early proof.
+``seeds``, the sorted codes of every seed, given or grown, is the one seed
+store: ``grow`` derives digits once per call and sets ``seeds`` once, when
+it returns, since no drain reads it.  Only the schedules write the trace,
+the only record of a half-step run; every schedule numbers its rounds from 1.
 
 Runs that stop on percolation (``run_fifo(stop_on_percolation=True)``,
 ``grow``) prove it by full flats in every d: a flat with free axes S is full
@@ -53,9 +53,9 @@ first line after which percolation is proved, and bumps the crossing counters
 by column sums over each group of batch lines that share their crossing lines,
 whose ids it builds once per group (and which share a plane).  A run of a few
 lines costs less one line at a time, because a batch pays a fixed cost of a
-few tens of numpy calls.  Runs in d <= 2 always go one line at a time: a 1D
-grid has one line, and every 2D cascade outside the tests runs on
-``Cascade2D``.
+few tens of numpy calls.  The dense kernel takes runs in d <= 2 one line at
+a time: a 1D grid has one line, and every 2D cascade outside the tests runs
+on ``Cascade2D``.
 
 ``Cascade2D``, the count kernel, serves d = 2 and keeps no per-point or
 per-line array.  A point of an axis-a line is infected iff it is a seed or
@@ -63,7 +63,7 @@ lies on a saturated perpendicular line, so the line holds C[1-a] + s infected
 points: C[b] is the number of saturated axis-b lines, and s the number of the
 line's seeds that lie on no saturated line.  Saturating a line adds one to its
 C and takes one from s of each perpendicular line through one of its seeds;
-the lines that become ready are read from buckets of lines keyed by s.
+a line is ready iff s >= thr - C, so ready lines are found by scanning s.
 
 ``new_state`` picks the kernel from the spec alone: ``Cascade2D`` when d = 2,
 ``InfectionState`` otherwise.  Both kernels give the same trace, counters and
@@ -159,10 +159,11 @@ class _Cascade:
     ``infected_total`` and ``_sat_per_axis``; and the operations
     ``_ready_lines(axis=None)``, the ascending ids of the unsaturated lines
     at or above threshold (of every axis, or of ``axis`` alone),
-    ``_is_ready``, ``_saturate(lid, sink)``,
-    ``_fill_line(lid)`` and ``_add_seeds(digits)``, on the digit rows (k, d)
-    of new seeds.  It may override ``_saturate_run(axis, lids, sink, stop)``
-    with a batched equivalent.  The schedules alone write the trace.
+    ``_is_ready``, ``_saturate(lid, sink)`` and ``_add_seeds(digits)``, on
+    the digit rows (k, d) of new seeds.  It may override
+    ``_saturate_run(axis, lids, sink, stop)`` with an equivalent of its own;
+    only the default reads ``_fill_line(lid)``, which a kernel then
+    supplies.  The schedules alone write the trace.
 
     Construction seeds the state from ``codes``, an array of point codes;
     a ``run_*`` method then advances the cascade and returns the state.  Or
@@ -766,8 +767,7 @@ class Cascade2D(_Cascade):
     per-line array.
 
     An axis-a line holds C[1-a] + s infected points.  The state is C (as
-    ``_sat_per_axis``), s for each unsaturated line that has seeds (also
-    grouped per axis into buckets keyed by s; s = 0 gets no bucket), the
+    ``_sat_per_axis``), s for each unsaturated line that has seeds, the
     seeds of each line and the saturated ids per axis.  ``saturated``,
     ``line_count`` and ``infected_total`` are derived when read.
 
@@ -775,6 +775,14 @@ class Cascade2D(_Cascade):
     C[1-a] >= thr[a], the grid is full by the flat rule: every unsaturated
     axis-a line is ready, and only a run past that proof ever lists the lines
     with s = 0, once per axis.
+
+    Ready lines are found by scanning s.  Saturating an axis-a line looks up
+    the axis-b lines with s = thr[b] - C[a] only while that is > 0; C only
+    grows, ``grow`` included, so a state makes at most thr[b] - 1 such scans
+    per axis.  ``_ready_lines`` runs once per FIFO run, generation or
+    half-step, about thr[0] + thr[1] + 2 times, as an axis gains ready lines
+    only after the other's C rises: O((thr[0] + thr[1]) S) in all, for S
+    lines holding seeds.
     """
 
     def __init__(self, spec: GridSpec, codes):
@@ -785,7 +793,6 @@ class Cascade2D(_Cascade):
         self._sat_per_axis = [0, 0]
         self._sat: tuple[set[int], set[int]] = (set(), set())
         self._s: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        self._bucket: tuple[dict[int, set[int]], dict[int, set[int]]] = ({}, {})
         # seeds on no saturated line
         self._uncovered = int(self.seeds.size)
         # line id -> varying-axis digits of its seeds, which are the ids of
@@ -796,9 +803,7 @@ class Cascade2D(_Cascade):
             self._seeds_on.setdefault(g1, []).append(g0)
             self._seeds_on.setdefault(n + g0, []).append(g1)
         for lid, digits in self._seeds_on.items():
-            a, v = lid // n, len(digits)
-            self._s[a][lid] = v
-            self._bucket[a].setdefault(v, set()).add(lid)
+            self._s[lid // n][lid] = len(digits)
 
     # -- derived counts -------------------------------------------------------
 
@@ -827,16 +832,6 @@ class Cascade2D(_Cascade):
 
     # -- cascade core ---------------------------------------------------------
 
-    def _set_s(self, a: int, lid: int, v: int) -> None:
-        """Set s of the unsaturated axis-``a`` line ``lid`` to ``v``."""
-        s, bucket = self._s[a], self._bucket[a]
-        old = s.get(lid, 0)
-        if old:
-            bucket[old].discard(lid)
-        s[lid] = v
-        if v:
-            bucket.setdefault(v, set()).add(lid)
-
     def _ready_lines(self, axis: int | None = None) -> np.ndarray:
         n = self._t.n
         ready: list[int] = []
@@ -846,9 +841,7 @@ class Cascade2D(_Cascade):
                 sat = self._sat[a]
                 ready.extend(q for q in range(a * n, a * n + n) if q not in sat)
             else:
-                ready.extend(sorted(
-                    q for v, lids in self._bucket[a].items() if v >= k for q in lids
-                ))
+                ready.extend(sorted(q for q, v in self._s[a].items() if v >= k))
         return np.array(ready, dtype=np.int64)
 
     def _is_ready(self, lid: int) -> bool:
@@ -858,77 +851,83 @@ class Cascade2D(_Cascade):
             >= self.spec.thresholds[a]
         )
 
-    def _fill_line(self, lid: int) -> bool:
-        """The grid is the only flat above a line, and C counts its slices."""
-        a = lid // self._t.n
-        return self._sat_per_axis[a] + 1 >= self.spec.thresholds[1 - a]
-
     def _saturate(self, lid: int, sink) -> None:
-        """Saturate one line: add one to its C, cover its seeds, and append to
-        ``sink`` (unless None) every perpendicular line that reaches its
-        threshold, in ascending id as the dense kernel's crossing scan finds
-        them."""
+        self._saturate_run(lid // self._t.n, [lid], sink, False)
+
+    def _saturate_run(
+        self, axis: int, lids: list[int], sink, stop: bool
+    ) -> tuple[int, bool]:
+        """Saturate ``lids``, ascending axis-``axis`` lines, in id order, as
+        the base ``_saturate_run`` does: each adds one to its C, covers its
+        seeds, and appends to ``sink`` (unless None) every perpendicular line
+        that reaches its threshold, in ascending id as the dense kernel's
+        crossing scan finds them.  The grid is the only flat above a line,
+        and C counts its slices, so the flat proof is C[a] + 1 >= thr[b]."""
         n = self._t.n
-        a = lid // n
-        b = 1 - a
+        a, b = axis, 1 - axis
+        thr_b = self.spec.thresholds[b]
         C = self._sat_per_axis
-        C[a] += 1
-        self._sat[a].add(lid)
-        v = self._s[a].pop(lid, 0)
-        if v:
-            self._bucket[a][v].discard(lid)
-            self._uncovered -= v
-        # the line's seeds on unsaturated perpendicular lines were uncovered
-        # until now: each of those lines loses one from s, so its count stays
-        sat_b, s_b = self._sat[b], self._s[b]
+        sat_a, sat_b = self._sat[a], self._sat[b]
+        s_a, s_b = self._s[a], self._s[b]
+        seeds_on = self._seeds_on
         off = b * n
-        crossed = []
-        for digit in self._seeds_on.get(lid, ()):
-            m = off + digit
-            if m not in sat_b:
-                self._set_s(b, m, s_b[m] - 1)
-                crossed.append(m)
-        if sink is None:
-            return
-        # every other unsaturated axis-b line gained one point: those now at
-        # C[a] + s = thr[b] have just reached their threshold
-        k = self.spec.thresholds[b] - C[a]
-        if k > 0:
-            ready = self._bucket[b].get(k)
-            if ready:
-                sink.extend(sorted(ready.difference(crossed)))
-        elif k == 0:
-            # all the lines with s = 0: the one O(n) step of the kernel
-            free = np.ones(n, dtype=bool)
-            free[[q - off for q in sat_b]] = False
-            free[[q - off for q, v in s_b.items() if v]] = False
-            free[[q - off for q in crossed]] = False
-            sink.extend((off + np.flatnonzero(free)).tolist())
+        for i, lid in enumerate(lids):
+            proves = stop and C[a] + 1 >= thr_b
+            C[a] += 1
+            sat_a.add(lid)
+            self._uncovered -= s_a.pop(lid, 0)
+            # the line's seeds on unsaturated perpendicular lines were
+            # uncovered until now: each of those lines loses one from s, so
+            # its count stays
+            crossed = []
+            for digit in seeds_on.get(lid, ()):
+                m = off + digit
+                if m not in sat_b:
+                    s_b[m] -= 1
+                    crossed.append(m)
+            if proves:
+                return i + 1, True
+            if sink is not None:
+                # every other unsaturated axis-b line gained one point: those
+                # now at C[a] + s = thr[b] have just reached their threshold
+                k = thr_b - C[a]
+                if k > 0:
+                    sink.extend(sorted(
+                        q for q, v in s_b.items() if v == k and q not in crossed
+                    ))
+                elif k == 0:
+                    # all the lines with s = 0: the one O(n) step of the kernel
+                    sink.extend(q for q in range(off, off + n) if not s_b.get(q)
+                                and q not in sat_b and q not in crossed)
+            if stop and self.infected_total == self._t.N:
+                return i + 1, True
+        return len(lids), False
 
     def _add_seeds(self, digits: np.ndarray) -> tuple[int, list[int]]:
         """Count the new seeds of digit rows ``digits`` (k, 2), in order, in s
         of their two lines, up to the first that brings a line to its
         threshold; return how many were taken and the lines the last one made
         ready.  A seed already infected counts nowhere.  As in the dense
-        kernel, a seed that fills the grid and makes no line ready is last."""
+        kernel, a seed that fills the grid and makes no line ready is last;
+        no line saturates here, so the s that makes a line ready is fixed."""
         n = self._t.n
         C = self._sat_per_axis
         thr = self.spec.thresholds
+        k0, k1 = thr[0] - C[1], thr[1] - C[0]
         sat0, sat1 = self._sat
+        s0, s1 = self._s
         seeds_on = self._seeds_on
         for i, (g0, g1) in enumerate(zip(*digits.T.tolist())):
-            if g1 in sat0 or n + g0 in sat1:
+            h = n + g0
+            if g1 in sat0 or h in sat1:
                 continue
             self._uncovered += 1
-            ready = []
-            for a, lid, digit in ((0, g1, g0), (1, n + g0, g1)):
-                seeds_on.setdefault(lid, []).append(digit)
-                v = self._s[a].get(lid, 0) + 1
-                self._set_s(a, lid, v)
-                if C[1 - a] + v == thr[a]:
-                    ready.append(lid)
-            if ready:
-                return i + 1, ready
+            seeds_on.setdefault(g1, []).append(g0)
+            seeds_on.setdefault(h, []).append(g1)
+            s0[g1] = v0 = s0.get(g1, 0) + 1
+            s1[h] = v1 = s1.get(h, 0) + 1
+            if v0 == k0 or v1 == k1:
+                return i + 1, [g1] * (v0 == k0) + [h] * (v1 == k1)
         return len(digits), []
 
 

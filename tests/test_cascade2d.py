@@ -45,12 +45,31 @@ def instances(draw):
     return spec, np.asarray(codes, dtype=np.int64)
 
 
+def bernoulli_seeds(spec, p, seed):
+    """A Bernoulli(p) seed set of ``spec``, in a random grow order."""
+    rng = np.random.default_rng(seed)
+    return rng.permutation(np.flatnonzero(rng.random(spec.num_sites) < p)).tolist()
+
+
+# mid-size grids, past the n <= 9 of ``instances``, dense enough that sink
+# lookups with k > 0 run on both axes
+MID_SIZE = [
+    (spec, bernoulli_seeds(spec, p, seed))
+    for spec, p, seed in [
+        (GridSpec(48, 2, (4, 7)), 0.04, 1),
+        (GridSpec(64, 2, (4, 7)), 0.025, 2),
+        (GridSpec(56, 2, (2, 40)), 0.02, 3),
+        (GridSpec(64, 2, (2, 40)), 0.03, 4),
+    ]
+]
+
 EXAMPLES = [
     (GridSpec(6, 2, (1, 1)), [7]),  # threshold 1: one seed fills the grid
     (GridSpec(4, 2, (5, 6)), list(range(16))),  # thresholds above n, whole grid
     (GridSpec(5, 2, (2, 3)), []),  # the empty set
     (GridSpec(5, 2, (2, 3)), [0, 1, 5, 6, 10, 11]),  # the [r_h] x [r_v] block
     (GridSpec(8, 2, (3, 3)), [0, 9, 18, 27, 1, 10]),
+    *MID_SIZE,
 ]
 
 
@@ -137,6 +156,8 @@ def test_critical_p_matches_dense_kernel():
         ((48, (4, 4)), 150),
         ((64, (2, 3)), 100),
         ((48, (4, 1)), 100),
+        ((48, (4, 7)), 40),
+        ((64, (2, 40)), 40),
     ]
     trials = 0
     for (n, thresholds), count in cases:
@@ -152,3 +173,19 @@ def test_critical_p_matches_dense_kernel():
             assert_same(fast.witness, dense.witness)
             trials += 1
     assert trials >= 1000
+
+
+def test_mid_size_examples_run_sink_lookups_on_both_axes():
+    # saturating an axis-a line looks up the axis-b lines at threshold with
+    # k = thr[b] - C[a] > 0 while C[a] stays below thr[b]
+    lookups, sinking = [0, 0], 0
+    for spec, codes in MID_SIZE:
+        state = Cascade2D(spec, codes).run_fifo()
+        C = [0, 0]
+        for lid in state.trace.line_ids:
+            a = lid // spec.n
+            C[a] += 1
+            lookups[a] += C[a] < spec.thresholds[1 - a]
+        sinking += state.trace.num_rounds >= 2  # a lookup sank a line
+    # thresholds (4, 7) allow 6 lookups on axis 0 and 3 on axis 1 per run
+    assert lookups[0] >= 12 and lookups[1] >= 6 and sinking >= 3, (lookups, sinking)

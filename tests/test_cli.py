@@ -48,8 +48,23 @@ def test_p_expression_grammar():
     assert parse_p_expression("n^-1.5", 100) == 100.0**-1.5
     assert parse_p_expression("0.5*n^-1.5", 100) == 0.5 * 100.0**-1.5
     assert parse_p_expression("2 * n^-2", 10) == 2 * 10.0**-2
+    # a zero density that parses as -0.0 is 0.0
+    for zero in ("-0.0", "-0*n^-1"):
+        assert str(parse_p_expression(zero, 10)) == "0.0"
     with pytest.raises(InputError):
         parse_p_expression("spam", 10)
+
+
+def test_zero_density_prints_as_zero(tmp_path, capsys):
+    argv = ["--n", "8", "--trials", "5", "--seed", "1", "--threads", "1"]
+    assert dispatch(["theta", "--d", "2", "--r", "2", "--p=-0.0", *argv]) == 0
+    out = capsys.readouterr().out
+    assert '"p": 0.0,' in out and "-0.0" not in out
+    csv_out = tmp_path / "theta.csv"
+    assert dispatch(["sweep", "--d", "2", "--r", "2", "--n-list", "8,12",
+                     "--p-rule=-0*n^-1", *argv[2:], "--csv", str(csv_out)]) == 0
+    rows = csv_out.read_text().splitlines()
+    assert [row.split(",")[1] for row in rows[1:]] == ["0.0", "0.0"]
 
 
 def test_closure_stdin_json():
