@@ -3,7 +3,7 @@
 The synchronous process advances whole generations; the alternating 2D
 process saturates only horizontal lines in one half-step and only vertical
 lines in the next, recording the line-count (h, v); the sequential process
-inspects a single line per step in cyclic order.  All reach the same fixed
+inspects a single line per step, in passes over the lines.  All reach the same fixed
 point, which is what makes the instrumented variants trustworthy.
 """
 
@@ -48,13 +48,15 @@ if cls.value != "none":
     s = s_of_r(2)
     print(f"  preface h={pref.h} v={pref.v}, slow (s={s}): {is_slow(pref, s)}")
 
-# sequential: one line per step, cyclic order; the trace records inspections
+# sequential: one line per step, in passes over the lines; each pass that
+# saturates a line is one round of the trace
 spec = GridSpec.uniform(5, 2, 2)
 state, trace = run_sequential(
     spec, encode_points(spec, [(1, 1), (2, 1), (1, 3), (2, 3), (4, 4)])
 )
-print(f"\nsequential on [5]^2: {len(trace.line_ids)} saturations "
-      f"at inspection steps {trace.steps}")
+print(f"\nsequential on [5]^2: {len(trace.line_ids)} saturations")
+for g, counts in enumerate(trace.round_axis_counts, start=1):
+    print(f"  pass {g}: {counts[0]} horizontal, {counts[1]} vertical")
 print(f"  final infected: {state.infected_total} points")
 
 # all three schedules agree on random instances

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import os
 import re
@@ -33,6 +32,7 @@ import numpy as np
 from . import __version__
 from .engine import _closed, percolates, percolation_run
 from .estimator import (
+    MAX_TRIALS,
     estimate_pc,
     estimate_theta,
     fit_exponent,
@@ -50,7 +50,7 @@ from .grid import (
     require_dimension,
     require_small_grid,
 )
-from .minset import certify_non_percolation, min_percolating_size
+from .minset import certify_non_percolation, exponent_tuples, min_percolating_size
 from .processes import (
     LineCountClass,
     classify_line_count,
@@ -490,19 +490,16 @@ def cmd_minset(args) -> int:
         _emit_json(rec, args.out)
         return 0
     # verify
-    if args.samples < 0:
-        raise InputError(f"--samples must be >= 0, got {args.samples}")
+    if not 0 <= args.samples <= MAX_TRIALS:
+        raise InputError(f"--samples must lie in [0, {MAX_TRIALS}], got {args.samples}")
     _seed(args.seed)
     spec = GridSpec.uniform(args.n, args.d, args.r)
     # each sample permutes all n^d sites and certifies its closure
     require_small_grid(spec, "minset verify")
-    block = [
-        tuple(c + 1 for c in digits)
-        for digits in itertools.product(range(args.r), repeat=args.d)
-    ]
+    block = [tuple(a + 1 for a in alpha) for alpha in exponent_tuples(args.r, args.d)]
     block_ok = percolates(spec, block)
     rng = TrialSeed(args.seed, 0).generator()
-    target = args.r**args.d - 1
+    target = len(block) - 1
     checked = 0
     for _ in range(args.samples):
         codes = rng.permutation(spec.num_sites)[:target]

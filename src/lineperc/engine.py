@@ -15,15 +15,15 @@ order and every line saturates at most once over the whole growth.  Every
 ``run_*`` returns the state, and ``run_rounds`` and ``run_half_steps`` share
 one generation body.  A kernel only counts: it supplies its counts and
 ``_ready_lines(axis=None)`` (the unsaturated lines at threshold, of every
-axis or of one), ``_is_ready``, ``_saturate(lid, sink)`` (one line) and
+axis or of one), ``_is_ready``, ``_saturate_run(axis, lids, sink, stop)``
+(a run of parallel lines, the one saturation call) and
 ``_add_seeds(digits)`` (the digit rows of grown seeds, taken up to the first
-that makes a line ready).  It may override ``_saturate_run(axis, lids,
-sink, stop)``, which by default takes a run of parallel lines one line at a
-time and asks the kernel's ``_fill_line(lid)`` for the early proof.
-``seeds``, the sorted codes of every seed, given or grown, is the one seed
-store: ``grow`` derives digits once per call and sets ``seeds`` once, when
-it returns, since no drain reads it.  Only the schedules write the trace,
-the only record of a half-step run; every schedule numbers its rounds from 1.
+that makes a line ready).  ``seeds``, the sorted codes of every seed, given
+or grown, is the one seed store: ``grow`` derives digits once per call and
+sets ``seeds`` once, when it returns, since no drain reads it.  Only the
+schedules write the trace, the only record of a half-step run: the
+saturated lines in order and a per-axis tally per round, every schedule
+numbering its rounds from 1.
 
 Runs that stop on percolation (``run_fifo(stop_on_percolation=True)``,
 ``grow``) prove it by full flats in every d: a flat with free axes S is full
@@ -111,40 +111,27 @@ RUN_MIN = 8
 class Trace:
     """Ordered saturation events plus per-round axis tallies.
 
-    Only the schedules write it, the events through ``record`` once per
-    kernel call.  ``steps`` is strictly increasing; its meaning depends on
-    the schedule (saturation index for queue/round runs, inspection index for
-    sequential runs).  Every schedule numbers its rounds from 1: event i
-    saturated in round ``round_of[i]`` = g+1, and ``round_axis_counts[g][a]``
-    is the number of axis-a lines saturated in round g+1 (a FIFO round, a
-    generation, a half-step).  A sequential scan's round is its pass, and
-    its one row counts the whole scan.
+    Only the schedules write it.  ``line_ids`` lists the saturated lines in
+    order, and ``round_axis_counts[g][a]`` is the number of axis-a lines
+    saturated in round g+1 (a FIFO round, a generation, a half-step, a pass
+    of the sequential scan), so row g counts the events of round g+1, in
+    order.  Every schedule numbers its rounds from 1.
     """
 
-    spec: GridSpec
     line_ids: list[int] = field(default_factory=list)
-    steps: list[int] = field(default_factory=list)
-    round_of: list[int] = field(default_factory=list)
     round_axis_counts: list[tuple[int, ...]] = field(default_factory=list)
 
     @property
     def num_rounds(self) -> int:
         return len(self.round_axis_counts)
 
-    def record(
-        self, lids: Sequence[int], round_idx: int, steps: Sequence[int] | None = None
-    ) -> None:
-        """Append the saturations of ``lids``, in order, all in round
-        ``round_idx``; ``steps`` defaults to the saturation index, which
-        continues from the events already recorded."""
-        start = len(self.line_ids)
-        self.line_ids.extend(lids)
-        self.steps.extend(range(start, start + len(lids)) if steps is None else steps)
-        self.round_of.extend([round_idx] * len(lids))
+    @property
+    def round_of(self) -> list[int]:
+        """The round of each event, from 1, as the tallies count them."""
+        rows = enumerate(self.round_axis_counts, start=1)
+        return [g for g, row in rows for _ in range(sum(row))]
 
     def check(self) -> None:
-        assert all(b > a for a, b in zip(self.steps, self.steps[1:]))
-        assert all(b >= a for a, b in zip(self.round_of, self.round_of[1:]))
         assert sum(sum(c) for c in self.round_axis_counts) == len(self.line_ids)
 
 
@@ -152,18 +139,20 @@ class _Cascade:
     """One cascade run on a grid: what both kernels share.
 
     That is the seeds, the event trace, the read-only queries
-    (``saturated_lines``, ``is_infected``, ``infected_mask``,
-    ``infected_codes`` and ``infected_points``) and the schedules, ``grow``
-    among them.  A kernel supplies the counts:
-    ``saturated`` and ``line_count`` (arrays over line ids),
-    ``infected_total`` and ``_sat_per_axis``; and the operations
+    (``saturated_lines``, ``is_infected``, ``infected_codes`` and
+    ``infected_points``) and the schedules, ``grow`` among them.  A kernel
+    supplies the counts: ``saturated`` and ``line_count`` (arrays over line
+    ids), ``infected_total`` and ``_sat_per_axis``; and the operations
     ``_ready_lines(axis=None)``, the ascending ids of the unsaturated lines
     at or above threshold (of every axis, or of ``axis`` alone),
-    ``_is_ready``, ``_saturate(lid, sink)`` and ``_add_seeds(digits)``, on
-    the digit rows (k, d) of new seeds.  It may override
-    ``_saturate_run(axis, lids, sink, stop)`` with an equivalent of its own;
-    only the default reads ``_fill_line(lid)``, which a kernel then
-    supplies.  The schedules alone write the trace.
+    ``_is_ready``, ``_add_seeds(digits)``, on the digit rows (k, d) of new
+    seeds, and ``_saturate_run(axis, lids, sink, stop)``, the one
+    saturation call: it saturates ``lids``, ascending axis-``axis`` lines,
+    in id order, and appends to ``sink`` (unless None) every crossing line
+    that reaches its threshold; with ``stop`` it halts after the first line
+    once percolation is proved.  It returns the number of lines saturated
+    and whether percolation was proved.  The schedules alone write the
+    trace.
 
     Construction seeds the state from ``codes``, an array of point codes;
     a ``run_*`` method then advances the cascade and returns the state.  Or
@@ -177,7 +166,7 @@ class _Cascade:
         t = _tables(spec)
         self._t = t
         self.seeds = _in_range(np.unique(_code_array(codes)), t.N)
-        self.trace = Trace(spec)
+        self.trace = Trace()
         self.percolated: bool | None = None
         self._ran: bool | str = False  # True once a run_* ran, "grow" once grown
 
@@ -194,17 +183,15 @@ class _Cascade:
         lids = self._t.lids_of(np.array([code], dtype=np.int64))
         return bool(self.saturated[lids].any())
 
-    def infected_mask(self) -> np.ndarray:
-        """Dense boolean mask over point codes (materializes n^d bools)."""
+    def infected_codes(self) -> np.ndarray:
+        """The ascending codes of the infected points (through a mask of n^d
+        bools)."""
         t = self._t
         mask = np.zeros(t.N, dtype=bool)
         mask[self.seeds] = True
         for lid in np.flatnonzero(self.saturated):
             mask[t.line_slice(int(lid))] = True
-        return mask
-
-    def infected_codes(self) -> np.ndarray:
-        return np.flatnonzero(self.infected_mask())
+        return np.flatnonzero(mask)
 
     def infected_points(self) -> set[Point]:
         return {decode_point(self.spec, int(c)) for c in self.infected_codes()}
@@ -221,13 +208,12 @@ class _Cascade:
         so ``_saturate_run`` may saturate the whole run at once; the lines it
         sinks go to the tail of the queue in the order the lines one by one
         would sink them, so the FIFO order, and with it every round, is
-        unchanged.  Rounds and steps continue the numbering already in the
-        trace, so a grown state's trace is the concatenation of its cascades.
+        unchanged.  Rounds continue the numbering already in the trace, so a
+        grown state's trace is the concatenation of its cascades.
         """
         t = self._t
         tr = self.trace
         per_axis = t.lines_per_axis
-        round_idx = tr.num_rounds + 1
         in_round = len(queue)
         per_round = [0] * t.d
         while queue:
@@ -239,7 +225,7 @@ class _Cascade:
                 last = queue.popleft()
                 run.append(last)
             done, proved = self._saturate_run(axis, run, queue, stop_on_percolation)
-            tr.record(run[:done], round_idx)
+            tr.line_ids.extend(run[:done])
             per_round[axis] += done
             if proved:
                 tr.round_axis_counts.append(tuple(per_round))
@@ -248,7 +234,6 @@ class _Cascade:
             if in_round == 0:
                 tr.round_axis_counts.append(tuple(per_round))
                 per_round = [0] * t.d
-                round_idx += 1
                 in_round = len(queue)
         return False
 
@@ -274,7 +259,6 @@ class _Cascade:
         lines.  That is canonical id order, which fixes the attribution of
         points lying on two simultaneously saturating lines."""
         t = self._t
-        round_idx = self.trace.num_rounds + 1
         per_round = [0] * t.d
         ready = ready.tolist()
         lo = 0
@@ -283,7 +267,7 @@ class _Cascade:
             if lo < hi:
                 lids = ready[lo:hi]
                 self._saturate_run(axis, lids, None, False)
-                self.trace.record(lids, round_idx)
+                self.trace.line_ids.extend(lids)
                 per_round[axis] = hi - lo
             lo = hi
         self.trace.round_axis_counts.append(tuple(per_round))
@@ -302,12 +286,13 @@ class _Cascade:
         return self
 
     def run_sequential(self, order: Sequence[int] | None = None):
-        """One line inspected per step, cyclically; saturate iff at threshold.
+        """One line inspected per step, in passes over ``order``; a line
+        saturates iff it is at threshold when inspected.
 
-        Stops once a full cycle passes with no change.  ``steps`` in the trace
-        are inspection indices.  ``order`` is a permutation of all line ids
+        Stops after a pass that saturates no line; each pass that does is
+        one round of the trace.  ``order`` is a permutation of all line ids
         (default: canonical order).  The scan finds ready lines itself, so
-        ``_saturate`` builds no sink.
+        its saturations build no sink.
         """
         assert not self._ran
         self._ran = True
@@ -318,43 +303,19 @@ class _Cascade:
             order = [as_int(x, "a line id") for x in order]
             if sorted(order) != list(range(t.L)):
                 raise InputError("order must be a permutation of all line ids")
-        idle = 0
-        step = 0  # the inspection index
-        while idle < t.L:
-            lid = order[step % t.L]
-            if self._is_ready(lid):
-                self._saturate(lid, None)
-                self.trace.record([lid], step // t.L + 1, [step])
-                idle = 0
-            else:
-                idle += 1
-            step += 1
-        if self.trace.line_ids:
-            # the whole scan is one round: every saturation so far, per axis
-            self.trace.round_axis_counts.append(tuple(self._sat_per_axis))
+        while True:
+            per_pass = [0] * t.d
+            for lid in order:
+                if self._is_ready(lid):
+                    axis = lid // t.lines_per_axis
+                    self._saturate_run(axis, [lid], None, False)
+                    self.trace.line_ids.append(lid)
+                    per_pass[axis] += 1
+            if not any(per_pass):
+                break
+            self.trace.round_axis_counts.append(tuple(per_pass))
         self.percolated = self.infected_total == t.N
         return self
-
-    def _saturate_run(
-        self, axis: int, lids: list[int], sink, stop: bool
-    ) -> tuple[int, bool]:
-        """Saturate ``lids``, ascending axis-``axis`` lines, in id order, and
-        append to ``sink`` (unless None) every crossing line that reaches its
-        threshold.  With ``stop``, halt after the first line once percolation
-        is proved.  Returns the number of lines saturated and whether
-        percolation was proved.
-
-        This default takes one line at a time.  The kernel's ``_fill_line``
-        tells the flat proof before the line saturates, which then sinks
-        nothing.
-        """
-        N = self._t.N
-        for i, lid in enumerate(lids):
-            proves = stop and self._fill_line(lid)
-            self._saturate(lid, None if proves else sink)
-            if stop and (proves or self.infected_total == N):
-                return i + 1, True
-        return len(lids), False
 
     def grow(self, codes) -> int:
         """Add the seeds with point codes ``codes``, in order, continuing the
@@ -528,15 +489,22 @@ class InfectionState(_Cascade):
         ``BATCH_ELEMS`` points, in id order, each with one set of array
         operations.
 
-        Parallel lines share no point, and a batch changes no ``saturated``
-        flag of a crossing line, so a batch leaves the state, the sink and
-        the stop exactly as ``_saturate`` on each line in id order would.
-        Slicing changes nothing but the size of the temporaries (a few tens
-        of bytes per point).
+        One line at a time, ``_fill_line`` tells the flat proof before the
+        line saturates, which then sinks nothing.  Parallel lines share no
+        point, and a batch changes no ``saturated`` flag of a crossing line,
+        so a batch leaves the state, the sink and the stop exactly as
+        ``_saturate`` on each line in id order would.  Slicing changes
+        nothing but the size of the temporaries (a few tens of bytes per
+        point).
         """
         k = len(lids)
         if k < RUN_MIN or self._t.d < 3:
-            return super()._saturate_run(axis, lids, sink, stop)
+            for i, lid in enumerate(lids):
+                proves = stop and self._fill_line(lid)
+                self._saturate(lid, None if proves else sink)
+                if stop and (proves or self.infected_total == self._t.N):
+                    return i + 1, True
+            return k, False
         rows = max(1, BATCH_ELEMS // self._t.n)
         done = 0
         for lo in range(0, k, rows):
@@ -851,17 +819,14 @@ class Cascade2D(_Cascade):
             >= self.spec.thresholds[a]
         )
 
-    def _saturate(self, lid: int, sink) -> None:
-        self._saturate_run(lid // self._t.n, [lid], sink, False)
-
     def _saturate_run(
         self, axis: int, lids: list[int], sink, stop: bool
     ) -> tuple[int, bool]:
         """Saturate ``lids``, ascending axis-``axis`` lines, in id order, as
-        the base ``_saturate_run`` does: each adds one to its C, covers its
-        seeds, and appends to ``sink`` (unless None) every perpendicular line
-        that reaches its threshold, in ascending id as the dense kernel's
-        crossing scan finds them.  The grid is the only flat above a line,
+        the dense kernel does: each adds one to its C, covers its seeds, and
+        appends to ``sink`` (unless None) every perpendicular line that
+        reaches its threshold, in ascending id as the dense kernel's crossing
+        scan finds them.  The grid is the only flat above a line,
         and C counts its slices, so the flat proof is C[a] + 1 >= thr[b]."""
         n = self._t.n
         a, b = axis, 1 - axis

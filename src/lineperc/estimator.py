@@ -92,11 +92,9 @@ class ThetaEstimate:
     outcomes: tuple[bool, ...] = field(repr=False)  # per trial, in trial order
 
     def to_json_dict(self) -> dict:
-        # wall_seconds deliberately excluded: outputs must be byte-stable
+        # wall_seconds deliberately excluded: outputs must be byte-stable;
+        # the spec (n, d, thresholds) heads the CLI's record already
         return {
-            "n": self.spec.n,
-            "d": self.spec.d,
-            "thresholds": list(self.spec.thresholds),
             "p": self.p,
             "trials": self.trials,
             "seed": self.master_seed,
@@ -120,10 +118,8 @@ class PcEstimate:
     wall_seconds: float
 
     def to_json_dict(self) -> dict:
+        # the spec heads the CLI's record, as for ``ThetaEstimate``
         return {
-            "n": self.spec.n,
-            "d": self.spec.d,
-            "thresholds": list(self.spec.thresholds),
             "trials": self.trials,
             "seed": self.master_seed,
             "median_pc": self.median,

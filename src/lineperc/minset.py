@@ -32,17 +32,33 @@ from .grid import (
 )
 
 SEARCH_SPACE_LIMIT = 10**7
+# the most monomials r^d a certificate takes: its evaluation matrix has up to
+# r^d rows and columns of big ints, and elimination costs about (r^d)^4
+# (0.007 s at r^d = 16, 0.18 s at 64 and 1.15 s at 100, d = 2)
+MAX_MONOMIALS = 64
+
+
+def _monomial_count(r: int, d: int) -> int:
+    """r^d, the number of monomials of per-variable degree at most r-1 in d
+    variables; refuses r or d below 1 and r^d above ``MAX_MONOMIALS``."""
+    if r < 1 or d < 1:
+        raise InputError(f"need r >= 1 and d >= 1, got r={r}, d={d}")
+    if r**d > MAX_MONOMIALS:
+        raise InputError(
+            f"r^d = {r}^{d} exceeds the {MAX_MONOMIALS} monomials a certificate takes"
+        )
+    return r**d
 
 
 def exponent_tuples(r: int, d: int) -> list[tuple[int, ...]]:
-    """All alpha in {0..r-1}^d in colexicographic order (first axis fastest)."""
+    """All alpha in {0..r-1}^d in colexicographic order (first axis fastest);
+    refused as ``_monomial_count`` refuses."""
+    _monomial_count(r, d)
     return [tuple(reversed(t)) for t in itertools.product(range(r), repeat=d)]
 
 
 def eval_matrix(points: Sequence[Sequence[int]], r: int, d: int) -> list[list[int]]:
     """Evaluation matrix: rows = points, columns = monomials v^alpha (colex)."""
-    if r < 1 or d < 1:
-        raise InputError(f"need r >= 1 and d >= 1, got r={r}, d={d}")
     alphas = exponent_tuples(r, d)
     rows = []
     for p in points:
@@ -173,8 +189,8 @@ def vanishing_polynomial(
     column, normalized to coprime integer coefficients with positive leading
     sign.  Verified by exact evaluation at every input point.
     """
+    n_cols = _monomial_count(r, d)
     pts = _dedupe(points)
-    n_cols = r**d
     if not pts:
         coeffs = [Fraction(0)] * n_cols
         coeffs[0] = Fraction(1)
@@ -226,18 +242,18 @@ def certify_non_percolation(
     The polynomial is checked, in exact arithmetic, to vanish on every point
     of the closure (not just on A), and the cascade engine independently
     confirms non-percolation.  The closure is listed point by point, so the
-    grid must be small (``MAX_SMALL_GRID_SITES``).
+    grid must be small (``MAX_SMALL_GRID_SITES``), and r^d at most
+    ``MAX_MONOMIALS``.
     """
     r = spec.r  # uniform thresholds required
+    size = _monomial_count(r, spec.d)
     require_small_grid(spec, "certify_non_percolation")
     if spec.n < r:
         raise InputError(f"certificate argument needs n >= r, got n={spec.n} < r={r}")
     pts = [validate_point(spec, p) for p in points]
     pts = _dedupe(pts)
-    if len(pts) >= r**spec.d:
-        raise InputError(
-            f"no certificate for |A| = {len(pts)} >= r^d = {r**spec.d}"
-        )
+    if len(pts) >= size:
+        raise InputError(f"no certificate for |A| = {len(pts)} >= r^d = {size}")
     poly = vanishing_polynomial(pts, r, spec.d)
     assert poly is not None  # rank <= |A| < r^d
     state = closure(spec, pts)

@@ -557,6 +557,23 @@ def test_bad_list_values_exit_code(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
+def test_minset_verify_bounds_the_certificate_and_samples(capsys):
+    # r^d above MAX_MONOMIALS is refused before any matrix is built, even
+    # with no samples; --samples is capped like every trial count
+    cases = [
+        (["minset", "verify", "--n", "100", "--d", "2", "--r", "100"], "r^d"),
+        (["minset", "verify", "--n", "100", "--d", "2", "--r", "100",
+          "--samples", "0"], "r^d"),
+        (["minset", "verify", "--n", "4", "--d", "2", "--r", "2", "--samples",
+          str(estimator.MAX_TRIALS + 1)], "--samples must lie in [0, 1000000]"),
+    ]
+    for argv, message in cases:
+        assert dispatch(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, (argv, err)
+        assert "Traceback" not in err
+
+
 def test_nonpositive_trials_exit_code(capsys):
     cases = [
         ["plane-stats", "--n", "8", "--r", "2", "--p", "0.1", "--trials", "0",

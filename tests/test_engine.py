@@ -239,16 +239,16 @@ def reference_scan(spec, codes, order):
     Pass after pass over ``order``, each inspection recounts the inspected
     line's infected points and saturates the line iff the count reaches its
     threshold; the scan ends after a pass that changes nothing.  Returns the
-    trace lists ``line_ids``, ``steps``, ``round_of``, ``round_axis_counts``,
-    with passes numbered from 1.
+    saturated ``line_ids``, the pass of each, numbered from 1, and the
+    per-axis tally of each pass that saturates a line.
     """
     lines = [points_on(spec, decode_line(spec, lid)) for lid in range(spec.num_lines)]
     infected = {decode_point(spec, int(c)) for c in codes}
     saturated = set()
-    line_ids, steps, round_of = [], [], []
+    line_ids, round_of, rows = [], [], []
     for scan in itertools.count(1):
-        changed = False
-        for pos, lid in enumerate(order):
+        per_axis = [0] * spec.d
+        for lid in order:
             if lid in saturated:
                 continue
             axis = lid // spec.lines_per_axis
@@ -256,15 +256,12 @@ def reference_scan(spec, codes, order):
                 saturated.add(lid)
                 infected.update(lines[lid])
                 line_ids.append(lid)
-                steps.append((scan - 1) * spec.num_lines + pos)
                 round_of.append(scan)
-                changed = True
-        if not changed:
+                per_axis[axis] += 1
+        if not any(per_axis):
             break
-    per_axis = [0] * spec.d
-    for lid in line_ids:
-        per_axis[lid // spec.lines_per_axis] += 1
-    return line_ids, steps, round_of, [tuple(per_axis)] if line_ids else []
+        rows.append(tuple(per_axis))
+    return line_ids, round_of, rows
 
 
 def test_sequential_scan_matches_reference():
@@ -281,20 +278,19 @@ def test_sequential_scan_matches_reference():
             for kernel in (new_state, InfectionState):
                 state = kernel(spec, codes).run_sequential(order)
                 tr = state.trace
-                got = (tr.line_ids, tr.steps, tr.round_of, tr.round_axis_counts)
+                got = (tr.line_ids, tr.round_of, tr.round_axis_counts)
                 assert got == expected, (spec, codes.tolist(), order)
                 kernels_seen.add(type(state).__name__)
-            multi_pass += max(expected[2], default=0) > 1
+            multi_pass += len(expected[2]) > 1
     assert kernels_seen == {"Cascade2D", "InfectionState"}
     assert multi_pass > 30
 
 
 def assert_rounds(spec, trace):
-    """``steps`` number the events, and ``round_of[i]`` is the index, counted
-    from 1, of the ``round_axis_counts`` entry that counts event i."""
-    assert trace.steps == list(range(len(trace.line_ids)))
-    rows = enumerate(trace.round_axis_counts, start=1)
-    assert trace.round_of == [g for g, row in rows for _ in range(sum(row))]
+    """The tallies count every event once, and the axes of the events of
+    round g, which ``round_of`` derives from the tallies, are what row g-1
+    counts."""
+    trace.check()
     tally = Counter(
         (g, lid // spec.lines_per_axis) for g, lid in zip(trace.round_of, trace.line_ids)
     )
@@ -323,7 +319,8 @@ def test_trace_semantics_on_every_schedule():
                         assert_rounds(t_spec, state.trace)
             order = rng.permutation(spec.num_lines).tolist()
             tr = fresh().run_sequential(order).trace
-            assert tr.round_of == [s // spec.num_lines + 1 for s in tr.steps]
+            assert_rounds(spec, tr)
+            assert 0 not in map(sum, tr.round_axis_counts)  # no idle pass
             grown = kernel(spec, ())
             for code in rng.permutation(spec.num_sites).tolist():
                 grown.grow([code])
@@ -394,15 +391,13 @@ def test_line_count_invariants():
             states.append(alt)
         t = _tables(spec)
         for state in states:
-            mask = state.infected_mask()
-            counts = np.bincount(
-                t.lids_of(np.flatnonzero(mask)).ravel(), minlength=t.L
-            )
+            infected = state.infected_codes()
+            counts = np.bincount(t.lids_of(infected).ravel(), minlength=t.L)
             assert np.array_equal(counts, state.line_count)
             assert np.all(counts[state.saturated] == spec.n)
             # fixed point: no unsaturated line at or above threshold
             assert not np.any((counts >= t.thr_line) & ~state.saturated)
-            assert state.infected_total == int(mask.sum())
+            assert state.infected_total == infected.size
 
 
 def test_degenerate_small_n():
@@ -450,7 +445,7 @@ def test_grown_state_matches_fresh_cascade():
                 assert np.array_equal(state.saturated, fresh.saturated)
                 assert np.array_equal(state.line_count, fresh.line_count)
                 assert state.infected_total == fresh.infected_total
-                assert np.array_equal(state.infected_mask(), fresh.infected_mask())
+                assert np.array_equal(state.infected_codes(), fresh.infected_codes())
                 assert np.array_equal(state.seeds, fresh.seeds)
                 pts = {decode_point(spec, int(c)) for c in codes[:k]}
                 assert state.infected_points() == naive_closure(spec, pts)
@@ -533,8 +528,7 @@ class _OneSeedAtATime(InfectionState):
 
 
 def _same_growth(state, ref):
-    for name in ("line_ids", "steps", "round_of", "round_axis_counts"):
-        assert getattr(state.trace, name) == getattr(ref.trace, name), name
+    assert state.trace == ref.trace
     assert np.array_equal(state.line_count, ref.line_count)
     assert np.array_equal(state.saturated, ref.saturated)
     assert state.infected_total == ref.infected_total

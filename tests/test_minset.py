@@ -133,6 +133,25 @@ def test_certificate_vanishes_on_closure():
         assert cert.polynomial.evaluate(q) == 0
 
 
+def test_certificates_refuse_more_than_max_monomials():
+    # one check where r^d is formed: 2^64 monomials would be a list of 2^64
+    # coefficients, and r^d = 10^4 a 10^4 x 10^4 big-int elimination
+    assert minset.MAX_MONOMIALS == 64
+    assert len(exponent_tuples(8, 2)) == len(exponent_tuples(2, 6)) == 64
+    for r, d in ((2, 64), (100, 2), (3, 4), (65, 1)):
+        with pytest.raises(InputError, match=r"r\^d"):
+            vanishing_polynomial([], r, d)
+        with pytest.raises(InputError, match=r"r\^d"):
+            eval_matrix([(1,) * d], r, d)
+        with pytest.raises(InputError, match=r"r\^d"):
+            eval_rank([(1,) * d], r, d)
+    with pytest.raises(InputError, match=r"r\^d"):
+        certify_non_percolation(GridSpec.uniform(100, 2, 100), [(1, 1)])
+    for r, d in ((0, 2), (2, 0)):
+        with pytest.raises(InputError, match="need r >= 1"):
+            vanishing_polynomial([], r, d)
+
+
 def test_certificate_empty_set():
     spec = GridSpec.uniform(4, 2, 2)
     cert = certify_non_percolation(spec, [])

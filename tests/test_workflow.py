@@ -1,6 +1,7 @@
 """The CI workflow is valid YAML, the files its steps run exist, and it
 checks the output digests of every benchmark workload; the package declares
-exactly the third-party modules it imports.
+exactly the third-party modules it imports, and the benchmark's tracer still
+finds every name it patches.
 
 A workflow file that does not parse switches every CI job off without a
 failing check, so this is the one local check that it still parses.
@@ -8,7 +9,9 @@ failing check, so this is the one local check that it still parses.
 
 import ast
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -95,3 +98,18 @@ def test_every_exported_name_has_a_reader():
                 if name != own:
                     read.add(name)
     assert exported - read == PAPER_STATEMENTS
+
+
+def test_tracer_installs_on_the_library():
+    # perfbench/tracer.py patches library names by attribute; a rename in
+    # src/ would otherwise break only the traced CI step.  A subprocess, since
+    # the patches last for the life of the interpreter
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    code = "import tracer; tracer.Tracer().install()"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
