@@ -2,16 +2,18 @@
 
 3D percolation is driven by planes: a plane that accumulates enough parallel
 fully infected lines must fill, and enough full parallel planes force the
-whole grid.  The engine tracks, per plane, the number of parallel saturated
-lines in each in-plane direction (N_k counts planes holding at least k) and
-the boosted points (points whose first saturated line was perpendicular to
-the plane).  Below the critical window these counters stay tiny.
+whole grid.  Per plane, ``plane_statistics`` counts the parallel saturated
+lines in each in-plane direction (N_k counts planes holding at least k), and
+``boosted_points`` replays the trace for the boosted points (points whose
+first saturated line was perpendicular to the plane).  Below the critical
+window these counters stay tiny.
 """
 
 import numpy as np
 
 from lineperc import GridSpec, gamma_of_r, plane_statistics, s_of_r
 from lineperc.engine import new_state
+from lineperc.processes import boosted_points
 from lineperc.sampling import TrialSeed, sample_codes
 
 r = 2
@@ -28,7 +30,7 @@ state = new_state(
 ).run_fifo()
 stats = plane_statistics(spec, state)
 print(f"\nsingle saturated line: N_1={stats.n_k(1)}, N_2={stats.n_k(2)}, "
-      f"boosted={stats.boosted_total()}")
+      f"boosted={boosted_points(spec, state).sum()}")
 
 # deep subcritical: run to true termination; conditioned on not percolating,
 # the counters stay tiny (the threshold is not sharp, so a stray trial can
@@ -48,7 +50,7 @@ for c in (0.2, 0.5):
             continue
         stats = plane_statistics(spec, state)
         profile += stats.n_k_profile(3)
-        boosted += stats.boosted_total()
+        boosted += boosted_points(spec, state).sum()
         survived += 1
     profile /= survived
     print(f"\np = {c} * n^-2 = {p:.2e} ({trials} trials, run to termination)")

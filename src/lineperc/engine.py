@@ -46,16 +46,14 @@ slices: the ids of the crossing lines along any other axis form an
 arithmetic progression in the varying coordinate.  A line learns it is
 ready from the crossing counters: a counter rises by exactly one per newly
 infected point, so a line is ready at the moment its counter equals its
-threshold, and at no other time.  In d >= 3 its ``_saturate_run`` takes runs
-of ``RUN_MIN`` or more lines as batches of array operations, cut into slices
-of at most ``BATCH_ELEMS`` points to bound memory.  A batch cuts itself at the
+threshold, and at no other time.  Its ``_saturate_run`` takes runs of
+``RUN_MIN`` or more lines as batches of array operations, cut into slices of
+at most ``BATCH_ELEMS`` points to bound memory.  A batch cuts itself at the
 first line after which percolation is proved, and bumps the crossing counters
 by column sums over each group of batch lines that share their crossing lines,
 whose ids it builds once per group (and which share a plane).  A run of a few
 lines costs less one line at a time, because a batch pays a fixed cost of a
-few tens of numpy calls.  The dense kernel takes runs in d <= 2 one line at
-a time: a 1D grid has one line, and every 2D cascade outside the tests runs
-on ``Cascade2D``.
+few tens of numpy calls.
 
 ``Cascade2D``, the count kernel, serves d = 2 and keeps no per-point or
 per-line array.  A point of an axis-a line is infected iff it is a seed or
@@ -397,8 +395,7 @@ class InfectionState(_Cascade):
     ``line_count[i]`` is the number of infected points on line i and
     ``saturated[i]`` whether line i is full; ``_seeds_on``, built at
     construction, holds the seeds on each line.  Runs that stop also count
-    the full flats, and 3D runs the boosted points that ``plane_statistics``
-    reads.
+    the full flats.
     """
 
     def __init__(self, spec: GridSpec, codes):
@@ -412,9 +409,6 @@ class InfectionState(_Cascade):
         self._sat_per_axis = [0] * spec.d
         digits = t.digits_of(self.seeds)
         self._count_seeds(digits, digits @ t.W.T + t.off)
-        if spec.d == 3:
-            # points per plane (normal, offset) first infected by a normal line
-            self._boosted = np.zeros((3, spec.n), dtype=np.int64)
         # ``_flat`` by free-axes mask, for two or more free axes and built on
         # first use; none are kept where they outnumber the lines
         self._flats = {} if (t.n + 1) ** t.d <= t.N + 2 * t.L else None
@@ -478,14 +472,12 @@ class InfectionState(_Cascade):
                 hit = ((view == thr[b]) & new).nonzero()[0]
                 if hit.size:
                     sink.extend((base + s * hit).tolist())
-        if t.d == 3:
-            self._boosted[axis] += new
 
     def _saturate_run(
         self, axis: int, lids: list[int], sink, stop: bool
     ) -> tuple[int, bool]:
         """Saturate a run of parallel lines: one line at a time below
-        ``RUN_MIN`` lines or in d <= 2, else as batches of at most
+        ``RUN_MIN`` lines, else as batches of at most
         ``BATCH_ELEMS`` points, in id order, each with one set of array
         operations.
 
@@ -498,7 +490,7 @@ class InfectionState(_Cascade):
         point).
         """
         k = len(lids)
-        if k < RUN_MIN or self._t.d < 3:
+        if k < RUN_MIN:
             for i, lid in enumerate(lids):
                 proves = stop and self._fill_line(lid)
                 self._saturate(lid, None if proves else sink)
@@ -519,7 +511,7 @@ class InfectionState(_Cascade):
         self, axis: int, lids: np.ndarray, sink, stop: bool
     ) -> tuple[int, bool]:
         """The body of ``_saturate_run`` for one batch ``lids`` (an array) of
-        lines in d >= 3, shared by the queue's runs and the generations.  With
+        lines, shared by the queue's runs and the generations.  With
         ``stop`` it is cut at the proving line before its arrays are built."""
         t = self._t
         n, d = t.n, t.d
@@ -578,8 +570,6 @@ class InfectionState(_Cascade):
                 rows = np.concatenate([r for r, _ in sunk])
                 lines = np.concatenate([q for _, q in sunk])
                 sink.extend(lines[np.argsort(rows, kind="stable")].tolist())
-            if d == 3:
-                self._boosted[axis] += new.sum(axis=0)
         self.saturated[lids] = True
         self.line_count[lids] = n
         self.infected_total += gained

@@ -54,17 +54,14 @@ class Preface:
 
 @dataclass(frozen=True)
 class PlaneStats:
-    """Per-plane tallies for a 3D run.
+    """Per-plane line tallies for a 3D run.
 
     A plane is (normal axis, 1-based offset).  ``max_parallel[b, z-1]`` is the
-    larger of the two in-plane counts of parallel saturated lines, and
-    ``boosted[b, z-1]`` counts points of the plane whose first saturated line
-    was perpendicular to it.
+    larger of the two in-plane counts of parallel saturated lines.
     """
 
     n: int
     max_parallel: np.ndarray  # (3, n) int
-    boosted: np.ndarray  # (3, n) int
 
     def n_k(self, k: int) -> int:
         """Number of planes holding at least k parallel fully infected lines."""
@@ -72,10 +69,6 @@ class PlaneStats:
 
     def n_k_profile(self, kmax: int) -> tuple[int, ...]:
         return tuple(self.n_k(k) for k in range(1, kmax + 1))
-
-    def boosted_total(self) -> int:
-        # every non-initial infected point is boosted for exactly one plane
-        return int(self.boosted.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +106,8 @@ def run_alternating_2d(
 def run_sequential(
     spec: GridSpec, codes: np.ndarray, order: Sequence[int] | None = None
 ) -> tuple[Cascade2D | InfectionState, Trace]:
-    """Cyclic one-line-at-a-time scan; terminates after a full idle cycle.
+    """Cyclic one-line-at-a-time scan in passes over ``order``; ends after a
+    pass that saturates no line.
 
     ``order`` is an optional permutation of all canonical line ids.
     """
@@ -184,8 +178,7 @@ def preface_text(preface: Preface) -> str:
 
 
 def plane_statistics(spec: GridSpec, state: InfectionState) -> PlaneStats:
-    """N_k inputs from the saturation flags, and boosted-point counts from
-    the run's incremental tallies."""
+    """N_k inputs from the saturation flags."""
     if spec.d != 3:
         raise InputError("plane_statistics requires d = 3")
     # sat[a] holds the axis-a lines by their two other digits, in axis order;
@@ -195,25 +188,34 @@ def plane_statistics(spec: GridSpec, state: InfectionState) -> PlaneStats:
     paral = [
         [sat[a].sum(axis=1 - b + (b > a)) for a in range(3) if a != b] for b in range(3)
     ]
-    return PlaneStats(spec.n, np.max(paral, axis=1), state._boosted.copy())
+    return PlaneStats(spec.n, np.max(paral, axis=1))
 
 
 def plane_statistics_recount(spec: GridSpec, state: InfectionState) -> PlaneStats:
-    """Brute-force recomputation from the saturation flags and event order.
-
-    Used to validate the incrementally maintained statistics.
-    """
+    """Brute-force recount of ``plane_statistics``, line by line: the oracle
+    of its ``max_parallel``."""
     if spec.d != 3:
         raise InputError("plane_statistics requires d = 3")
     t = _tables(spec)
-    n = spec.n
-    paral = np.zeros((3, n, 3), dtype=np.int64)
+    paral = np.zeros((3, spec.n, 3), dtype=np.int64)
     for lid in np.flatnonzero(state.saturated):
         axis, g = t.line_digits(int(lid))
         for b in range(3):
             if b != axis:
                 paral[b, g[b], axis] += 1
-    boosted = np.zeros((3, n), dtype=np.int64)
+    return PlaneStats(spec.n, paral.max(axis=2))
+
+
+def boosted_points(spec: GridSpec, state: InfectionState) -> np.ndarray:
+    """Boosted points per plane (d = 3), replayed from the trace: entry
+    [b, z-1] counts the points of the plane (normal b, offset z) whose first
+    saturated line was perpendicular to it.  Every seed counts as initially
+    infected, so every other infected point is boosted for exactly one
+    plane, and the counts sum to ``infected_total - seeds.size``."""
+    if spec.d != 3:
+        raise InputError("boosted_points requires d = 3")
+    t = _tables(spec)
+    boosted = np.zeros((3, spec.n), dtype=np.int64)
     infected = np.zeros(t.N, dtype=bool)
     infected[state.seeds] = True
     for lid in state.trace.line_ids:
@@ -221,4 +223,4 @@ def plane_statistics_recount(spec: GridSpec, state: InfectionState) -> PlaneStat
         line = t.line_slice(int(lid))
         boosted[axis, np.flatnonzero(~infected[line])] += 1
         infected[line] = True
-    return PlaneStats(n=n, max_parallel=paral.max(axis=2), boosted=boosted)
+    return boosted

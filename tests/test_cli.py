@@ -197,6 +197,20 @@ def test_plane_stats_json():
     )
 
 
+def test_plane_stats_json_in_the_window():
+    # at 2 n^-2 many lines saturate: batches of parallel lines and runs cut
+    # at their percolation proof feed the plane counts
+    proc = run_cli(
+        ["plane-stats", "--n", "16", "--r", "2", "--p", "2*n^-2",
+         "--trials", "50", "--seed", "1"]
+    )
+    assert proc.returncode == 0
+    # pinned bytes of stdout, without the build line
+    assert stdout_digest(proc.stdout) == (
+        "1fe6f36605031e98cf061f6f6e821a7b04971a044f86e0de15e912efbfc09ec2"
+    )
+
+
 def test_minset_search_json():
     proc = run_cli(["minset", "search", "--n", "3", "--d", "2", "--r", "2"])
     assert proc.returncode == 0

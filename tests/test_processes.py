@@ -20,7 +20,8 @@ from lineperc import (
 from lineperc import engine, processes
 from lineperc.engine import InfectionState, new_state, percolation_run
 from lineperc.grid import encode_points
-from lineperc.processes import plane_statistics_recount, preface_text
+from lineperc.grid import _tables
+from lineperc.processes import boosted_points, plane_statistics_recount, preface_text
 
 
 def block(r, d):
@@ -275,15 +276,13 @@ def _same_run(batched, reference):
     assert batched.percolated == reference.percolated
     if isinstance(batched, InfectionState):
         assert flat_tallies(batched) == flat_tallies(reference)
-        if batched.spec.d == 3:
-            assert np.array_equal(batched._boosted, reference._boosted)
     if hasattr(batched, "runs") and hasattr(reference, "runs"):
         assert batched.runs == reference.runs
 
 
 def _count_batches(monkeypatch):
     """Record (lines, lines saturated) for every call of the dense batch
-    body, which only runs in d >= 3 reach."""
+    body, which runs of ``RUN_MIN`` or more lines reach in d >= 2."""
     calls = []
     body = InfectionState._saturate_batch
 
@@ -297,7 +296,7 @@ def _count_batches(monkeypatch):
 
 
 def test_batched_generations_match_one_line_at_a_time(monkeypatch):
-    monkeypatch.setattr(engine, "RUN_MIN", 1)  # every 3D batch in one step
+    monkeypatch.setattr(engine, "RUN_MIN", 1)  # every run of lines in one batch
     calls = _count_batches(monkeypatch)
     rng = np.random.default_rng(47)
     for _ in range(150):
@@ -462,7 +461,7 @@ def test_plane_stats_trivial():
     state = closure(spec, [(1, 1, 1)])
     stats = plane_statistics(spec, state)
     assert stats.n_k(1) == 0
-    assert stats.boosted_total() == 0
+    assert boosted_points(spec, state).sum() == 0
 
 
 def test_plane_stats_single_line():
@@ -473,7 +472,7 @@ def test_plane_stats_single_line():
     stats = plane_statistics(spec, state)
     assert stats.n_k(1) == 2  # the two planes containing the line
     assert stats.n_k(2) == 0
-    assert stats.boosted_total() == state.infected_total - 2
+    assert boosted_points(spec, state).sum() == state.infected_total - 2
 
 
 def test_plane_stats_monotone_and_bounded():
@@ -488,22 +487,65 @@ def test_plane_stats_monotone_and_bounded():
         assert prof[0] <= min(2 * n_sat, 3 * spec.n)
 
 
+def built_states(spec, codes):
+    """The queue saturates one line at a time, the generations a batch of
+    parallel lines at once, and a stopped run ends at its proof."""
+    return (
+        new_state(spec, codes).run_fifo(),
+        run_synchronous(spec, codes)[0],
+        percolation_run(spec, codes),
+    )
+
+
 def test_plane_stats_recount_matches_incremental():
-    # the queue saturates one line at a time, the generations a batch of
-    # parallel lines at once, and a stopped run ends at its proof; all must
-    # tally the planes the same way
+    # all schedules must tally the planes as the line-by-line recount does
     rng = np.random.default_rng(43)
     for _ in range(40):
         spec, codes = random_instance(rng, dims=(3, 3))
-        for state in (
-            new_state(spec, codes).run_fifo(),
-            run_synchronous(spec, codes)[0],
-            percolation_run(spec, codes),
-        ):
+        for state in built_states(spec, codes):
             fast = plane_statistics(spec, state)
             slow = plane_statistics_recount(spec, state)
             assert np.array_equal(fast.max_parallel, slow.max_parallel)
-            assert np.array_equal(fast.boosted, slow.boosted)
+
+
+def first_line_boosted(spec, state):
+    """Boosted points without a replay: each infected point that is not a
+    seed is boosted for the plane normal to the earliest line through it in
+    the trace."""
+    t = _tables(spec)
+    position = np.full(t.L, len(state.trace.line_ids))
+    position[state.trace.line_ids] = np.arange(len(state.trace.line_ids))
+    codes = np.setdiff1d(state.infected_codes(), state.seeds)
+    axis = position[t.lids_of(codes)].argmin(axis=1)
+    offset = t.digits_of(codes)[np.arange(codes.size), axis]
+    boosted = np.zeros((3, spec.n), dtype=np.int64)
+    np.add.at(boosted, (axis, offset), 1)
+    return boosted
+
+
+def test_boosted_points_match_first_line_oracle():
+    # built states on every schedule, and grown states, whose covered seeds
+    # are seeds all the same; every non-seed infected point is boosted once
+    rng = np.random.default_rng(44)
+    states = []
+    for _ in range(40):
+        spec, codes = random_instance(rng, dims=(3, 3))
+        states += built_states(spec, codes)
+    for it in range(60):
+        spec, _ = random_instance(rng, dims=(3, 3))
+        if it % 2:
+            spec = GridSpec.uniform(6, 3, 2)
+        state = InfectionState(spec, ())
+        codes = rng.integers(0, spec.num_sites, size=40)
+        for chunk in np.array_split(codes, int(rng.integers(1, 5))):
+            if not state.percolated:
+                state.grow(chunk)
+        states.append(state)
+    for state in states:
+        spec = state.spec
+        boosted = boosted_points(spec, state)
+        assert np.array_equal(boosted, first_line_boosted(spec, state))
+        assert boosted.sum() == state.infected_total - state.seeds.size
 
 
 def test_plane_stats_requires_3d():
@@ -511,3 +553,5 @@ def test_plane_stats_requires_3d():
     state = closure(spec, [(1, 1)])
     with pytest.raises(InputError):
         plane_statistics(spec, state)
+    with pytest.raises(InputError):
+        boosted_points(spec, state)

@@ -1,7 +1,8 @@
 """The CI workflow is valid YAML, the files its steps run exist, and it
 checks the output digests of every benchmark workload; the package declares
-exactly the third-party modules it imports, and the benchmark's tracer still
-finds every name it patches.
+exactly the third-party modules it imports, the library reaches no private
+attribute but its own, and the benchmark's tracer still finds every name it
+patches.
 
 A workflow file that does not parse switches every CI job off without a
 failing check, so this is the one local check that it still parses.
@@ -98,6 +99,22 @@ def test_every_exported_name_has_a_reader():
                 if name != own:
                     read.add(name)
     assert exported - read == PAPER_STATEMENTS
+
+
+def test_private_attributes_are_reached_only_through_self():
+    # a kernel's underscore attributes are its internals: a module that reads
+    # them on another object ties itself to one kernel's bookkeeping
+    reached = []
+    for path in sorted((ROOT / "src/lineperc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+            ):
+                reached.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not reached, reached
 
 
 def test_tracer_installs_on_the_library():
