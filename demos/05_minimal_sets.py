@@ -5,8 +5,8 @@ most r-1 in each variable vanishing on it (the evaluation map out of an
 r^d-dimensional space has a kernel).  Saturating a line pins r roots of a
 degree-(r-1) univariate restriction, so the polynomial also vanishes on
 everything the cascade ever infects -- and a nonzero such polynomial cannot
-vanish on all of [n]^d.  The certificate below is exact integer/rational
-arithmetic end to end.
+vanish on all of [n]^d.  The certificate below is exact integer arithmetic
+end to end.
 """
 
 import itertools
@@ -27,11 +27,11 @@ r, d, n = 2, 2, 8
 spec = GridSpec.uniform(n, d, r)
 
 block = list(itertools.product(range(1, r + 1), repeat=d))
-print(f"eval rank of [r]^d = {eval_rank(block, r, d)} (full: {r**d}) "
+print(f"eval rank of [r]^d = {eval_rank(block, (r,) * d)} (full: {r**d}) "
       "-> no vanishing polynomial, and indeed the block percolates")
 
 pts = [(1, 1), (5, 2), (3, 7)]
-poly = vanishing_polynomial(pts, r, d)
+poly = vanishing_polynomial(pts, (r,) * d)
 print(f"\n|A| = 3 < 4: vanishing polynomial {poly.text()}")
 cert = certify_non_percolation(spec, pts)
 print(f"certificate: closure has {cert.closure_size} points, "

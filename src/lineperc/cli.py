@@ -50,7 +50,7 @@ from .grid import (
     require_dimension,
     require_small_grid,
 )
-from .minset import certify_non_percolation, exponent_tuples, min_percolating_size
+from .minset import _certificate_box, certify_non_percolation, min_percolating_size
 from .processes import (
     LineCountClass,
     classify_line_count,
@@ -496,7 +496,7 @@ def cmd_minset(args) -> int:
     spec = GridSpec.uniform(args.n, args.d, args.r)
     # each sample permutes all n^d sites and certifies its closure
     require_small_grid(spec, "minset verify")
-    block = [tuple(a + 1 for a in alpha) for alpha in exponent_tuples(args.r, args.d)]
+    block = [tuple(a + 1 for a in alpha) for alpha in _certificate_box(spec)]
     block_ok = percolates(spec, block)
     rng = TrialSeed(args.seed, 0).generator()
     target = len(block) - 1

@@ -1,22 +1,25 @@
-"""Exact-arithmetic certificates and searches for minimal percolating sets.
+"""Exact integer certificates and searches for minimal percolating sets.
 
-A set A with |A| < r^d admits a nonzero polynomial of per-variable degree at
-most r-1 vanishing on A; the same polynomial vanishes on the whole closure,
-because a saturating line pins r roots of a degree-(r-1) univariate
-restriction.  Since no nonzero such polynomial vanishes on all of [n]^d for
-n >= r, the polynomial is a certificate that A does not percolate.
+Take the box of thresholds [r_1] x ... x [r_d] and the r_1 ... r_d monomials
+whose degree in x_i is below r_i.  A set A with |A| < r_1 ... r_d admits a
+nonzero polynomial in their span vanishing on A; the same polynomial
+vanishes on the whole closure, because a saturating line in direction i
+pins r_i roots of a univariate restriction of degree below r_i.  Since no
+nonzero such polynomial vanishes on all of [n]^d when n >= every r_i (Alon's
+Combinatorial Nullstellensatz), the polynomial is a certificate that A does
+not percolate.
 
-Everything here is integer/rational arithmetic: ranks come from
-fraction-free (Bareiss) elimination over Python ints, kernel vectors from
-exact back-substitution with Fractions.  No floating point.
+Everything here is integer arithmetic over Python ints: ranks come from
+fraction-free (Bareiss) elimination, and kernel vectors from a
+back-substitution scaled by the last Bareiss pivot, in which every division
+is exact (Cramer's rule).  No floating point and no fractions.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, prod
 from typing import Iterable, Sequence
 
 from .engine import closure, percolates
@@ -27,39 +30,46 @@ from .grid import (
     _tables,
     as_int,
     decode_point,
+    encode_point,
     require_small_grid,
     validate_point,
 )
 
 SEARCH_SPACE_LIMIT = 10**7
-# the most monomials r^d a certificate takes: its evaluation matrix has up to
-# r^d rows and columns of big ints, and elimination costs about (r^d)^4
-# (0.007 s at r^d = 16, 0.18 s at 64 and 1.15 s at 100, d = 2)
+# the most monomials r^d = r_1 ... r_d a certificate takes: its evaluation
+# matrix has up to r^d rows and columns of big ints, and elimination costs
+# about (r^d)^4 (a kernel vector of r^d - 1 points takes 0.0008 s at r^d =
+# 16, 0.06-0.08 s at 64 and 0.48-0.54 s at 100, d = 2, on a 2-core VM)
 MAX_MONOMIALS = 64
 
 
-def _monomial_count(r: int, d: int) -> int:
-    """r^d, the number of monomials of per-variable degree at most r-1 in d
-    variables; refuses r or d below 1 and r^d above ``MAX_MONOMIALS``."""
-    if r < 1 or d < 1:
-        raise InputError(f"need r >= 1 and d >= 1, got r={r}, d={d}")
-    if r**d > MAX_MONOMIALS:
+def _box(bounds: Sequence[int]) -> list[tuple[int, ...]]:
+    """All alpha with 0 <= alpha_i < bounds[i], in colexicographic order
+    (first axis fastest)."""
+    return [tuple(reversed(t)) for t in itertools.product(*map(range, reversed(bounds)))]
+
+
+def exponent_tuples(thresholds: Sequence[int]) -> list[tuple[int, ...]]:
+    """The exponent box of ``thresholds``: every alpha with alpha_i < r_i, in
+    colexicographic order.  Refuses a bound that is no integer, an empty box
+    and one of more than ``MAX_MONOMIALS`` monomials."""
+    bounds = tuple(as_int(r, "a threshold") for r in thresholds)
+    if not bounds or min(bounds) < 1:
+        raise InputError(f"need r >= 1 and d >= 1, got thresholds {bounds}")
+    if prod(bounds) > MAX_MONOMIALS:
         raise InputError(
-            f"r^d = {r}^{d} exceeds the {MAX_MONOMIALS} monomials a certificate takes"
+            f"r^d = {prod(bounds)} monomials of thresholds {bounds} exceed the "
+            f"{MAX_MONOMIALS} a certificate takes"
         )
-    return r**d
+    return _box(bounds)
 
 
-def exponent_tuples(r: int, d: int) -> list[tuple[int, ...]]:
-    """All alpha in {0..r-1}^d in colexicographic order (first axis fastest);
-    refused as ``_monomial_count`` refuses."""
-    _monomial_count(r, d)
-    return [tuple(reversed(t)) for t in itertools.product(range(r), repeat=d)]
-
-
-def eval_matrix(points: Sequence[Sequence[int]], r: int, d: int) -> list[list[int]]:
+def eval_matrix(
+    points: Sequence[Sequence[int]], thresholds: Sequence[int]
+) -> list[list[int]]:
     """Evaluation matrix: rows = points, columns = monomials v^alpha (colex)."""
-    alphas = exponent_tuples(r, d)
+    alphas = exponent_tuples(thresholds)
+    d = len(alphas[0])
     rows = []
     for p in points:
         p = _as_point(p)
@@ -120,12 +130,12 @@ def _row_echelon_bareiss(matrix: list[list[int]]) -> tuple[int, list[int], list[
     return len(pivots), pivots, m
 
 
-def eval_rank(points: Iterable[Sequence[int]], r: int, d: int) -> int:
+def eval_rank(points: Iterable[Sequence[int]], thresholds: Sequence[int]) -> int:
     """Exact rank of the evaluation matrix over the rationals."""
     pts = _dedupe(points)
     if not pts:
         return 0
-    rank, _, _ = _row_echelon_bareiss(eval_matrix(pts, r, d))
+    rank, _, _ = _row_echelon_bareiss(eval_matrix(pts, thresholds))
     return rank
 
 
@@ -142,29 +152,31 @@ def _dedupe(points: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class VanishingPolynomial:
-    """A nonzero polynomial of per-variable degree <= r-1, exact coefficients.
+    """A nonzero polynomial with degree below r_i in x_i, integer coefficients.
 
     ``coefficients[i]`` multiplies the monomial with exponents
-    ``exponent_tuples(r, d)[i]``.
+    ``exponent_tuples(thresholds)[i]``; refuses a coefficient tuple that is
+    all zero or of another length.
     """
 
-    r: int
-    d: int
-    coefficients: tuple[Fraction, ...]
+    thresholds: tuple[int, ...]
+    coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        assert any(c != 0 for c in self.coefficients)
+        size = len(exponent_tuples(self.thresholds))
+        if len(self.coefficients) != size:
+            raise InputError(
+                f"{len(self.coefficients)} coefficients for {size} monomials"
+            )
+        if not any(self.coefficients):
+            raise InputError("a vanishing polynomial must be nonzero")
 
-    def evaluate(self, p: Sequence[int]) -> Fraction:
-        alphas = exponent_tuples(self.r, self.d)
-        p = _as_point(p)
-        return sum(
-            (c * _monomial(p, a) for c, a in zip(self.coefficients, alphas)),
-            start=Fraction(0),
-        )
+    def evaluate(self, p: Sequence[int]) -> int:
+        row = eval_matrix([p], self.thresholds)[0]
+        return sum(c * v for c, v in zip(self.coefficients, row))
 
-    def terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        alphas = exponent_tuples(self.r, self.d)
+    def terms(self) -> list[tuple[tuple[int, ...], int]]:
+        alphas = exponent_tuples(self.thresholds)
         return [(a, c) for a, c in zip(alphas, self.coefficients) if c != 0]
 
     def text(self) -> str:
@@ -180,51 +192,36 @@ class VanishingPolynomial:
 
 
 def vanishing_polynomial(
-    points: Iterable[Sequence[int]], r: int, d: int
+    points: Iterable[Sequence[int]], thresholds: Sequence[int]
 ) -> VanishingPolynomial | None:
     """A kernel vector of the evaluation map, or None when the map has full
-    column rank r^d.
+    column rank r_1 ... r_d.
 
     Deterministic choice: the kernel basis vector attached to the first free
-    column, normalized to coprime integer coefficients with positive leading
-    sign.  Verified by exact evaluation at every input point.
+    column, scaled to coprime integer coefficients with positive leading
+    sign.  The free column takes the last Bareiss pivot, the maximal minor
+    on the pivot columns, so by Cramer's rule every back-substitution step
+    divides exactly.  Verified by exact evaluation at every input point.
     """
-    n_cols = _monomial_count(r, d)
+    n_cols = len(exponent_tuples(thresholds))
     pts = _dedupe(points)
-    if not pts:
-        coeffs = [Fraction(0)] * n_cols
-        coeffs[0] = Fraction(1)
-        return VanishingPolynomial(r, d, tuple(coeffs))
-    rank, pivots, ech = _row_echelon_bareiss(eval_matrix(pts, r, d))
+    rank, pivots, ech = _row_echelon_bareiss(eval_matrix(pts, thresholds))
     if rank == n_cols:
         return None
     free = next(c for c in range(n_cols) if c not in pivots)
-    x = [Fraction(0)] * n_cols
-    x[free] = Fraction(1)
+    x = [0] * n_cols
+    x[free] = ech[rank - 1][pivots[-1]] if pivots else 1
     for i in range(rank - 1, -1, -1):
         pc = pivots[i]
-        acc = Fraction(0)
-        for j in range(pc + 1, n_cols):
-            if x[j]:
-                acc += x[j] * ech[i][j]
-        x[pc] = -acc / ech[i][pc]
-    x = _normalize(x)
-    poly = VanishingPolynomial(r, d, tuple(x))
+        acc = sum(x[j] * ech[i][j] for j in range(pc + 1, n_cols) if x[j])
+        x[pc], rem = divmod(-acc, ech[i][pc])
+        assert rem == 0  # Cramer's rule: the minor divides exactly
+    g = gcd(*x)
+    sign = -1 if next(v for v in x if v) < 0 else 1
+    poly = VanishingPolynomial(tuple(thresholds), tuple(sign * v // g for v in x))
     for p in pts:
         assert poly.evaluate(p) == 0
     return poly
-
-
-def _normalize(coeffs: list[Fraction]) -> list[Fraction]:
-    den = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    ints = [int(c * den) for c in coeffs]
-    g = gcd(*ints)
-    if g:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 1)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return [Fraction(v) for v in ints]
 
 
 @dataclass(frozen=True)
@@ -234,10 +231,24 @@ class NonPercolationCertificate:
     percolates: bool  # always False
 
 
+def _certificate_box(spec: GridSpec) -> list[tuple[int, ...]]:
+    """``exponent_tuples(spec.thresholds)``, refused when n is below a
+    threshold: then a nonzero polynomial of the box may vanish on [n]^d."""
+    alphas = exponent_tuples(spec.thresholds)
+    r = max(spec.thresholds)
+    if spec.n < r:
+        raise InputError(
+            f"certificate argument needs n >= r for every threshold r, "
+            f"got n={spec.n} < r={r}"
+        )
+    return alphas
+
+
 def certify_non_percolation(
     spec: GridSpec, points: Iterable[Sequence[int]]
 ) -> NonPercolationCertificate:
-    """Produce and verify a vanishing-polynomial certificate for |A| < r^d.
+    """Produce and verify a vanishing-polynomial certificate for
+    |A| < r^d = r_1 ... r_d.
 
     The polynomial is checked, in exact arithmetic, to vanish on every point
     of the closure (not just on A), and the cascade engine independently
@@ -245,16 +256,12 @@ def certify_non_percolation(
     grid must be small (``MAX_SMALL_GRID_SITES``), and r^d at most
     ``MAX_MONOMIALS``.
     """
-    r = spec.r  # uniform thresholds required
-    size = _monomial_count(r, spec.d)
+    size = len(_certificate_box(spec))
     require_small_grid(spec, "certify_non_percolation")
-    if spec.n < r:
-        raise InputError(f"certificate argument needs n >= r, got n={spec.n} < r={r}")
-    pts = [validate_point(spec, p) for p in points]
-    pts = _dedupe(pts)
+    pts = _dedupe(validate_point(spec, p) for p in points)
     if len(pts) >= size:
         raise InputError(f"no certificate for |A| = {len(pts)} >= r^d = {size}")
-    poly = vanishing_polynomial(pts, r, spec.d)
+    poly = vanishing_polynomial(pts, spec.thresholds)
     assert poly is not None  # rank <= |A| < r^d
     state = closure(spec, pts)
     closed = state.infected_points()
@@ -313,16 +320,6 @@ class _BitCascade:
         return False
 
 
-def _product_block_codes(spec: GridSpec) -> list[int]:
-    """Codes of the corner block [r_1] x ... x [r_d]."""
-    t = _tables(spec)
-    ranges = [range(thr) for thr in spec.thresholds]
-    return [
-        int(sum(g * s for g, s in zip(digits, t.pstride)))
-        for digits in itertools.product(*ranges)
-    ]
-
-
 def min_percolating_size(
     spec: GridSpec, *, max_size: int | None = None
 ) -> MinSetResult:
@@ -342,8 +339,11 @@ def min_percolating_size(
     n_sites = spec.num_sites
     cap = min(max_size if max_size is not None else n_sites, n_sites)
     cascade = _BitCascade(spec)
-    block = _product_block_codes(spec)
-    block_size = len(block)
+    corner = (
+        [tuple(a + 1 for a in alpha) for alpha in _box(spec.thresholds)]
+        if spec.n >= max(spec.thresholds)
+        else []
+    )
     tested = 0
     site_bits = [1 << c for c in range(n_sites)]
     for m in range(1, cap + 1):
@@ -356,24 +356,16 @@ def min_percolating_size(
         if m < min(spec.thresholds) and m < n_sites:
             tested += space
             continue
-        if m == block_size and spec.n >= max(spec.thresholds):
-            bits = 0
-            for c in block:
-                bits |= 1 << c
+        if m == len(corner):
             tested += 1
-            if cascade.percolates(bits):
-                witness = tuple(sorted(_decode_codes(spec, block)))
-                return MinSetResult(m, witness, tested)
+            if cascade.percolates(sum(site_bits[encode_point(spec, p)] for p in corner)):
+                return MinSetResult(m, tuple(sorted(corner)), tested)
         for combo in itertools.combinations(range(n_sites), m):
             bits = 0
             for c in combo:
                 bits |= site_bits[c]
             tested += 1
             if cascade.percolates(bits):
-                witness = tuple(sorted(_decode_codes(spec, combo)))
+                witness = tuple(sorted(decode_point(spec, c) for c in combo))
                 return MinSetResult(m, witness, tested)
     return MinSetResult(None, None, tested)
-
-
-def _decode_codes(spec: GridSpec, codes) -> list[Point]:
-    return [decode_point(spec, int(c)) for c in codes]

@@ -572,14 +572,16 @@ def test_bad_list_values_exit_code(tmp_path, capsys):
 
 
 def test_minset_verify_bounds_the_certificate_and_samples(capsys):
-    # r^d above MAX_MONOMIALS is refused before any matrix is built, even
-    # with no samples; --samples is capped like every trial count
+    # r^d above MAX_MONOMIALS and n below r are refused before any matrix is
+    # built, even with no samples; --samples is capped like every trial count
     cases = [
         (["minset", "verify", "--n", "100", "--d", "2", "--r", "100"], "r^d"),
         (["minset", "verify", "--n", "100", "--d", "2", "--r", "100",
           "--samples", "0"], "r^d"),
         (["minset", "verify", "--n", "4", "--d", "2", "--r", "2", "--samples",
           str(estimator.MAX_TRIALS + 1)], "--samples must lie in [0, 1000000]"),
+        # refused before the corner block, which would not fit on the grid
+        (["minset", "verify", "--n", "1", "--d", "2", "--r", "2"], "needs n >= r"),
     ]
     for argv, message in cases:
         assert dispatch(argv) == 1, argv

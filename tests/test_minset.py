@@ -1,5 +1,5 @@
 import itertools
-from fractions import Fraction
+import math
 
 import numpy as np
 import pytest
@@ -8,8 +8,10 @@ import sympy
 from lineperc import (
     GridSpec,
     InputError,
+    VanishingPolynomial,
     certify_non_percolation,
     closure,
+    decode_point,
     eval_matrix,
     eval_rank,
     min_percolating_size,
@@ -27,42 +29,53 @@ def block(r, d):
 
 
 def test_exponent_tuples_colex():
-    assert exponent_tuples(2, 2) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert exponent_tuples((2, 2)) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert exponent_tuples((2, 3)) == [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
+    assert exponent_tuples((1, 4)) == [(0, 0), (0, 1), (0, 2), (0, 3)]
 
 
 @pytest.mark.parametrize("r,d", [(2, 2), (3, 2), (2, 3)])
 def test_block_has_full_rank(r, d):
-    assert eval_rank(block(r, d), r, d) == r**d
+    assert eval_rank(block(r, d), (r,) * d) == r**d
 
 
 def test_rank_edges():
-    assert eval_rank([], 2, 2) == 0
-    assert eval_rank([(3, 7)], 2, 2) == 1
+    assert eval_rank([], (2, 2)) == 0
+    assert eval_rank([(3, 7)], (2, 2)) == 1
     # duplicates are ignored
-    assert eval_rank([(1, 1), (1, 1), (2, 2)], 2, 2) == eval_rank(
-        [(1, 1), (2, 2)], 2, 2
+    assert eval_rank([(1, 1), (1, 1), (2, 2)], (2, 2)) == eval_rank(
+        [(1, 1), (2, 2)], (2, 2)
     )
 
 
 def test_eval_rank_refuses_fractional_points():
     # (1.5, 1) was read as (1, 1), a duplicate, so the rank was 1
     with pytest.raises(InputError, match="coordinate must be an integer"):
-        eval_rank([(1.5, 1), (1, 1)], 2, 2)
-    assert eval_rank([(np.int64(2), 1), (1, 1)], 2, 2) == 2
+        eval_rank([(1.5, 1), (1, 1)], (2, 2))
+    assert eval_rank([(np.int64(2), 1), (1, 1)], (2, 2)) == 2
 
 
 def test_eval_matrix_refuses_fractional_points():
     # (1.5, 2) built the row of (1, 2)
     with pytest.raises(InputError, match="coordinate must be an integer"):
-        eval_matrix([(1.5, 2)], 2, 2)
-    assert eval_matrix([(np.int64(1), 2)], 2, 2) == eval_matrix([(1, 2)], 2, 2)
+        eval_matrix([(1.5, 2)], (2, 2))
+    assert eval_matrix([(np.int64(1), 2)], (2, 2)) == eval_matrix([(1, 2)], (2, 2))
 
 
 def test_polynomial_evaluation_refuses_fractional_points():
-    poly = vanishing_polynomial([(1, 1)], 2, 2)
+    poly = vanishing_polynomial([(1, 1)], (2, 2))
     with pytest.raises(InputError, match="coordinate must be an integer"):
         poly.evaluate((1.5, 1))
     assert poly.evaluate((np.int64(1), 1)) == 0
+
+
+def test_polynomial_evaluation_refuses_points_of_another_dimension():
+    # zip truncated (3,) to the value at (3, 1)
+    poly = vanishing_polynomial([(1, 1), (5, 2), (3, 7)], (2, 2))
+    for p in ((3,), (3, 1, 9)):
+        with pytest.raises(InputError, match="coordinates, expected 2"):
+            poly.evaluate(p)
+    assert poly.evaluate((3, 1)) == -12
 
 
 def test_rank_below_full_for_small_sets():
@@ -75,7 +88,7 @@ def test_rank_below_full_for_small_sets():
                 tuple(int(c) // n ** (d - 1 - i) % n + 1 for i in range(d))
                 for c in codes
             ]
-            assert eval_rank(pts, r, d) <= len(pts) < r**d
+            assert eval_rank(pts, (r,) * d) <= len(pts) < r**d
 
 
 def test_rank_matches_sympy():
@@ -85,18 +98,18 @@ def test_rank_matches_sympy():
         d = int(rng.integers(1, 3))
         m = int(rng.integers(1, r**d + 3))
         pts = [tuple(int(x) for x in rng.integers(1, 7, size=d)) for _ in range(m)]
-        mat = eval_matrix(pts, r, d)
-        assert eval_rank(pts, r, d) == sympy.Matrix(mat).rank()
+        mat = eval_matrix(pts, (r,) * d)
+        assert eval_rank(pts, (r,) * d) == sympy.Matrix(mat).rank()
 
 
 def test_vanishing_polynomial_examples():
     # full-rank block has no kernel
-    assert vanishing_polynomial(block(2, 2), 2, 2) is None
+    assert vanishing_polynomial(block(2, 2), (2, 2)) is None
     # single point in d=1: c0 + c1 x with c0 + c1 = 0
-    poly = vanishing_polynomial([(1,)], 2, 1)
+    poly = vanishing_polynomial([(1,)], (2,))
     assert poly is not None and poly.evaluate((1,)) == 0
     # diagonal: some nonzero bilinear polynomial vanishing on it
-    poly = vanishing_polynomial([(1, 1), (2, 2), (3, 3)], 2, 2)
+    poly = vanishing_polynomial([(1, 1), (2, 2), (3, 3)], (2, 2))
     assert poly is not None
     for p in [(1, 1), (2, 2), (3, 3)]:
         assert poly.evaluate(p) == 0
@@ -111,8 +124,8 @@ def test_vanishing_polynomial_matches_sympy_nullspace_dimension():
         pts = list(
             {tuple(int(x) for x in rng.integers(1, 6, size=d)) for _ in range(m)}
         )
-        mat = sympy.Matrix(eval_matrix(pts, r, d))
-        poly = vanishing_polynomial(pts, r, d)
+        mat = sympy.Matrix(eval_matrix(pts, (r,) * d))
+        poly = vanishing_polynomial(pts, (r,) * d)
         if mat.rank() == r**d:
             assert poly is None
         else:
@@ -137,19 +150,19 @@ def test_certificates_refuse_more_than_max_monomials():
     # one check where r^d is formed: 2^64 monomials would be a list of 2^64
     # coefficients, and r^d = 10^4 a 10^4 x 10^4 big-int elimination
     assert minset.MAX_MONOMIALS == 64
-    assert len(exponent_tuples(8, 2)) == len(exponent_tuples(2, 6)) == 64
+    assert len(exponent_tuples((8, 8))) == len(exponent_tuples((2,) * 6)) == 64
     for r, d in ((2, 64), (100, 2), (3, 4), (65, 1)):
         with pytest.raises(InputError, match=r"r\^d"):
-            vanishing_polynomial([], r, d)
+            vanishing_polynomial([], (r,) * d)
         with pytest.raises(InputError, match=r"r\^d"):
-            eval_matrix([(1,) * d], r, d)
+            eval_matrix([(1,) * d], (r,) * d)
         with pytest.raises(InputError, match=r"r\^d"):
-            eval_rank([(1,) * d], r, d)
+            eval_rank([(1,) * d], (r,) * d)
     with pytest.raises(InputError, match=r"r\^d"):
         certify_non_percolation(GridSpec.uniform(100, 2, 100), [(1, 1)])
     for r, d in ((0, 2), (2, 0)):
         with pytest.raises(InputError, match="need r >= 1"):
-            vanishing_polynomial([], r, d)
+            vanishing_polynomial([], (r,) * d)
 
 
 def test_certificate_empty_set():
@@ -187,7 +200,7 @@ def test_percolating_sets_have_full_rank():
         codes = rng.choice(25, size=6, replace=False)
         pts = [(int(c) // 5 + 1, int(c) % 5 + 1) for c in codes]
         if percolates(spec, pts):
-            assert eval_rank(pts, 2, 2) == 4
+            assert eval_rank(pts, (2, 2)) == 4
             found += 1
 
 
@@ -244,6 +257,85 @@ def test_sizes_below_every_threshold_are_counted_not_enumerated(monkeypatch):
     assert res.subsets_tested == 1000 + 499500 and calls == []
 
 
-def test_exactness_coefficients_are_rational():
-    poly = vanishing_polynomial([(1, 2), (2, 1), (3, 3)], 2, 2)
-    assert all(isinstance(c, Fraction) for c in poly.coefficients)
+def test_coefficients_are_coprime_ints_with_positive_lead():
+    poly = vanishing_polynomial([(1, 2), (2, 1), (3, 3)], (2, 2))
+    assert all(type(c) is int for c in poly.coefficients)
+    assert math.gcd(*poly.coefficients) == 1
+    assert next(c for c in poly.coefficients if c) > 0
+
+
+def test_vanishing_polynomial_pinned_text():
+    # the kernel vector of the first free column, in coprime integers
+    poly = vanishing_polynomial([(1, 1), (5, 2), (3, 7)], (2, 2))
+    assert poly.text() == "37 + -17*x1 + -31*x2 + 11*x1*x2"
+
+
+def test_box_bounds_must_be_integers():
+    for thresholds in ((2.5, 2), (2, 2.0)):
+        with pytest.raises(InputError, match="threshold must be an integer"):
+            eval_rank([(1, 1)], thresholds)
+    assert eval_rank([(1, 1)], (np.int64(2), 2)) == 1
+
+
+def test_vanishing_polynomial_refuses_bad_coefficients():
+    # zip used to truncate a short tuple, so (1,) evaluated to 1 everywhere
+    for coeffs in ((1,), (0, 0, 0, 0), (1, 0, 0, 0, 0)):
+        with pytest.raises(InputError):
+            VanishingPolynomial((2, 2), coeffs)
+    assert VanishingPolynomial((2, 2), (0, 0, 0, 1)).evaluate((3, 3)) == 9
+
+
+MIXED_GRIDS = [(4, (2, 3)), (5, (3, 2)), (4, (1, 4)), (5, (2, 5)), (4, (4, 1)),
+               (3, (2, 2, 3)), (3, (1, 2, 3))]
+
+
+@pytest.mark.parametrize("n,thresholds", MIXED_GRIDS)
+def test_certificates_on_mixed_grids(n, thresholds):
+    spec = GridSpec(n, len(thresholds), thresholds)
+    size = math.prod(thresholds)
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        codes = rng.choice(spec.num_sites, size=size - 1, replace=False)
+        pts = [decode_point(spec, int(c)) for c in codes]
+        cert = certify_non_percolation(spec, pts)
+        assert cert.percolates is False
+    corner = list(itertools.product(*(range(1, r + 1) for r in thresholds)))
+    assert percolates(spec, corner)
+    assert vanishing_polynomial(corner, thresholds) is None
+    with pytest.raises(InputError, match="needs n >= r"):
+        certify_non_percolation(GridSpec(max(thresholds) - 1, len(thresholds),
+                                         thresholds), [])
+
+
+@pytest.mark.parametrize(
+    "n,thresholds",
+    [(3, (2, 3)), (4, (2, 3)), (4, (3, 2)), (3, (1, 3)), (2, (1, 2, 2)),
+     (4, (2, 4)), (2, (1, 1, 2))],
+)
+def test_min_size_is_threshold_product_on_mixed_grids(n, thresholds):
+    spec = GridSpec(n, len(thresholds), thresholds)
+    res = min_percolating_size(spec)
+    assert res.min_size == math.prod(thresholds)
+    assert percolates(spec, res.witness)
+
+
+def test_rank_and_nullspace_match_sympy_on_a_mixed_box():
+    rng = np.random.default_rng(21)
+    for thresholds in ((2, 3), (3, 1, 2)):
+        size = math.prod(thresholds)
+        for _ in range(15):
+            m = int(rng.integers(1, size + 2))
+            pts = [tuple(int(x) for x in rng.integers(1, 6, size=len(thresholds)))
+                   for _ in range(m)]
+            mat = sympy.Matrix(eval_matrix(pts, thresholds))
+            assert eval_rank(pts, thresholds) == mat.rank()
+            poly = vanishing_polynomial(pts, thresholds)
+            if mat.rank() == size:
+                assert poly is None
+                continue
+            vec = sympy.Matrix(poly.coefficients)
+            assert (mat * vec).is_zero_matrix
+            # the vector lies in sympy's nullspace and is the basis vector of
+            # the first free column, up to scale
+            basis = mat.nullspace()[0]
+            assert vec.T.rank() == 1 and sympy.Matrix.hstack(basis, vec).rank() == 1
