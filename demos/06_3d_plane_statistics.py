@@ -27,7 +27,7 @@ spec = GridSpec.uniform(n, 3, r)
 # one saturated line lies in exactly two planes
 state = new_state(
     spec, np.array([0, n - 1], dtype=np.int64)  # two ends of one axis-2 line
-).run_fifo()
+).run_rounds()
 stats = plane_statistics(spec, state)
 print(f"\nsingle saturated line: N_1={stats.n_k(1)}, N_2={stats.n_k(2)}, "
       f"boosted={boosted_points(spec, state).sum()}")
@@ -44,7 +44,7 @@ for c in (0.2, 0.5):
     trials = 300
     for i in range(trials):
         codes = sample_codes(spec, p, TrialSeed(606, i))
-        state = new_state(spec, codes).run_fifo()
+        state = new_state(spec, codes).run_rounds()
         if state.percolated:
             percolated += 1
             continue

@@ -9,14 +9,17 @@ is closed: it is its own closure, and percolates only as the whole grid.
 ``_closed`` decides that before a trial builds a kernel.
 
 The schedules live once, on the base ``_Cascade``: ``run_fifo``,
-``run_rounds``, ``run_half_steps``, ``run_sequential`` and ``grow``.  The
-closure is monotone in the seed set, so ``grow`` adds an array of seeds in
-order and every line saturates at most once over the whole growth.  Every
-``run_*`` returns the state, and ``run_rounds`` and ``run_half_steps`` share
-one generation body.  A kernel only counts: it supplies its counts and
-``_ready_lines(axis=None)`` (the unsaturated lines at threshold, of every
-axis or of one), ``_is_ready``, ``_saturate_run(axis, lids, sink, stop)``
-(a run of parallel lines, the one saturation call) and
+``run_rounds``, ``run_half_steps``, ``run_sequential`` and ``grow``, one job
+each.  The FIFO queue (``run_fifo`` and ``grow``) only tests percolation and
+always stops at the first proof; closures come from the synchronous
+generations of ``run_rounds``.  The closure is monotone in the seed set, so
+``grow`` adds an array of seeds in order and every line saturates at most
+once over the whole growth.  Every ``run_*`` returns the state, and
+``run_rounds`` and ``run_half_steps`` share one generation body.  A kernel
+only counts: it supplies its counts and ``_ready_lines(axis=None)`` (the
+unsaturated lines at threshold, of every axis or of one), ``_is_ready``,
+``_saturate_run(axis, lids, sink)`` (a run of parallel lines, the one
+saturation call; only a queue run passes a sink, and only it stops) and
 ``_add_seeds(digits)`` (the digit rows of grown seeds, taken up to the first
 that makes a line ready).  ``seeds``, the sorted codes of every seed, given
 or grown, is the one seed store: ``grow`` derives digits once per call and
@@ -25,11 +28,10 @@ schedules write the trace, the only record of a half-step run: the
 saturated lines in order and a per-axis tally per round, every schedule
 numbering its rounds from 1.
 
-Runs that stop on percolation (``run_fifo(stop_on_percolation=True)``,
-``grow``) prove it by full flats in every d: a flat with free axes S is full
-when it is a saturated line, or when thr[e] of its slices x_e = z are full
-for some e in S, as each of its axis-e lines then saturates.  The grid
-percolates once it is full, or once its last point is infected.
+The queue proves percolation by full flats in every d: a flat with free axes
+S is full when it is a saturated line, or when thr[e] of its slices x_e = z
+are full for some e in S, as each of its axis-e lines then saturates.  The
+grid percolates once it is full, or once its last point is infected.
 
 The FIFO queue is drained in runs: the longest head of the queue whose lines
 share an axis, ascend in id and belong to the current round.  Parallel lines
@@ -144,13 +146,13 @@ class _Cascade:
     ``_ready_lines(axis=None)``, the ascending ids of the unsaturated lines
     at or above threshold (of every axis, or of ``axis`` alone),
     ``_is_ready``, ``_add_seeds(digits)``, on the digit rows (k, d) of new
-    seeds, and ``_saturate_run(axis, lids, sink, stop)``, the one
-    saturation call: it saturates ``lids``, ascending axis-``axis`` lines,
-    in id order, and appends to ``sink`` (unless None) every crossing line
-    that reaches its threshold; with ``stop`` it halts after the first line
-    once percolation is proved.  It returns the number of lines saturated
-    and whether percolation was proved.  The schedules alone write the
-    trace.
+    seeds, and ``_saturate_run(axis, lids, sink)``, the one saturation
+    call: it saturates ``lids``, ascending axis-``axis`` lines, in id order.
+    Given a ``sink``, as the queue's runs are, it appends to it every
+    crossing line that reaches its threshold and halts after the first line
+    once percolation is proved; without one (generations and the sequential
+    scan) it never stops.  It returns the number of lines saturated and
+    whether percolation was proved.  The schedules alone write the trace.
 
     Construction seeds the state from ``codes``, an array of point codes;
     a ``run_*`` method then advances the cascade and returns the state.  Or
@@ -196,9 +198,9 @@ class _Cascade:
 
     # -- schedules -----------------------------------------------------------
 
-    def _drain(self, queue: deque, stop_on_percolation: bool) -> bool:
-        """Saturate queued lines until the queue is empty or, with
-        ``stop_on_percolation``, percolation is proved (then True).
+    def _drain(self, queue: deque) -> bool:
+        """Saturate queued lines until the queue is empty or percolation is
+        proved (then True).
 
         The queue is taken in runs: the longest head of ascending lines of
         one axis that all belong to the current round.  Parallel lines share
@@ -222,7 +224,7 @@ class _Cascade:
             while len(run) < in_round and last < queue[0] < end:
                 last = queue.popleft()
                 run.append(last)
-            done, proved = self._saturate_run(axis, run, queue, stop_on_percolation)
+            done, proved = self._saturate_run(axis, run, queue)
             tr.line_ids.extend(run[:done])
             per_round[axis] += done
             if proved:
@@ -235,20 +237,21 @@ class _Cascade:
                 in_round = len(queue)
         return False
 
-    def run_fifo(self, *, stop_on_percolation: bool = False):
-        """Queue-driven cascade to the fixed point (or a sound early stop).
+    def run_fifo(self):
+        """The percolation test: a queue-driven cascade that stops at the
+        first proof of percolation, else at the fixed point; ``percolated``
+        is exact either way.
 
         FIFO order makes each line's round index equal to its synchronous
-        generation.
+        generation, so every round but the last stopped one holds the lines
+        of that ``run_rounds`` generation, and the last some of them.
         """
         assert not self._ran
         self._ran = True
-        if stop_on_percolation and self.infected_total == self._t.N:
+        if self.infected_total == self._t.N:
             self.percolated = True
         else:
-            queue = deque(self._ready_lines().tolist())
-            proved = self._drain(queue, stop_on_percolation)
-            self.percolated = proved or self.infected_total == self._t.N
+            self.percolated = self._drain(deque(self._ready_lines().tolist()))
         return self
 
     def _generation(self, ready: np.ndarray) -> None:
@@ -264,7 +267,7 @@ class _Cascade:
             hi = bisect_left(ready, (axis + 1) * t.lines_per_axis, lo)
             if lo < hi:
                 lids = ready[lo:hi]
-                self._saturate_run(axis, lids, None, False)
+                self._saturate_run(axis, lids, None)
                 self.trace.line_ids.extend(lids)
                 per_round[axis] = hi - lo
             lo = hi
@@ -306,7 +309,7 @@ class _Cascade:
             for lid in order:
                 if self._is_ready(lid):
                     axis = lid // t.lines_per_axis
-                    self._saturate_run(axis, [lid], None, False)
+                    self._saturate_run(axis, [lid], None)
                     self.trace.line_ids.append(lid)
                     per_pass[axis] += 1
             if not any(per_pass):
@@ -353,7 +356,7 @@ class _Cascade:
             taken, ready = self._add_seeds(digits[i:])
             i += taken
             if self.infected_total == t.N or (
-                ready and self._drain(deque(ready), True)
+                ready and self._drain(deque(ready))
             ):
                 self.seeds = np.sort(np.concatenate([self.seeds, codes[:i]]))
                 self.percolated = True
@@ -394,8 +397,8 @@ class InfectionState(_Cascade):
 
     ``line_count[i]`` is the number of infected points on line i and
     ``saturated[i]`` whether line i is full; ``_seeds_on``, built at
-    construction, holds the seeds on each line.  Runs that stop also count
-    the full flats.
+    construction, holds the seeds on each line.  Queue runs also count the
+    full flats.
     """
 
     def __init__(self, spec: GridSpec, codes):
@@ -473,24 +476,23 @@ class InfectionState(_Cascade):
                 if hit.size:
                     sink.extend((base + s * hit).tolist())
 
-    def _saturate_run(
-        self, axis: int, lids: list[int], sink, stop: bool
-    ) -> tuple[int, bool]:
+    def _saturate_run(self, axis: int, lids: list[int], sink) -> tuple[int, bool]:
         """Saturate a run of parallel lines: one line at a time below
         ``RUN_MIN`` lines, else as batches of at most
         ``BATCH_ELEMS`` points, in id order, each with one set of array
         operations.
 
-        One line at a time, ``_fill_line`` tells the flat proof before the
-        line saturates, which then sinks nothing.  Parallel lines share no
-        point, and a batch changes no ``saturated`` flag of a crossing line,
-        so a batch leaves the state, the sink and the stop exactly as
-        ``_saturate`` on each line in id order would.  Slicing changes
-        nothing but the size of the temporaries (a few tens of bytes per
-        point).
+        A run with a sink stops at a proof.  One line at a time,
+        ``_fill_line`` tells the flat proof before the line saturates, which
+        then sinks nothing.  Parallel lines share no point, and a batch
+        changes no ``saturated`` flag of a crossing line, so a batch leaves
+        the state, the sink and the stop exactly as ``_saturate`` on each
+        line in id order would.  Slicing changes nothing but the size of the
+        temporaries (a few tens of bytes per point).
         """
         k = len(lids)
         if k < RUN_MIN:
+            stop = sink is not None
             for i, lid in enumerate(lids):
                 proves = stop and self._fill_line(lid)
                 self._saturate(lid, None if proves else sink)
@@ -501,21 +503,20 @@ class InfectionState(_Cascade):
         done = 0
         for lo in range(0, k, rows):
             batch = np.asarray(lids[lo : lo + rows], dtype=np.int64)
-            m, proved = self._saturate_batch(axis, batch, sink, stop)
+            m, proved = self._saturate_batch(axis, batch, sink)
             done += m
             if proved:
                 return done, True
         return done, False
 
-    def _saturate_batch(
-        self, axis: int, lids: np.ndarray, sink, stop: bool
-    ) -> tuple[int, bool]:
+    def _saturate_batch(self, axis: int, lids: np.ndarray, sink) -> tuple[int, bool]:
         """The body of ``_saturate_run`` for one batch ``lids`` (an array) of
-        lines, shared by the queue's runs and the generations.  With
-        ``stop`` it is cut at the proving line before its arrays are built."""
+        lines, shared by the queue's runs and the generations.  With a
+        ``sink`` it is cut at the proving line before its arrays are built."""
         t = self._t
         n, d = t.n, t.d
         thr = self.spec.thresholds
+        stop = sink is not None
         # parallel lines share no point: each gains its uninfected ones
         total = self.infected_total + np.cumsum(n - self.line_count[lids])
         proved = stop and int(total[-1]) == t.N  # the grid fills after a line
@@ -731,16 +732,17 @@ class Cascade2D(_Cascade):
 
     An unsaturated axis-a line is ready iff s >= thr[a] - C[1-a].  Once
     C[1-a] >= thr[a], the grid is full by the flat rule: every unsaturated
-    axis-a line is ready, and only a run past that proof ever lists the lines
-    with s = 0, once per axis.
+    axis-a line is ready.  A queue run stops at that proof, so only
+    ``_ready_lines``, for the generations and half-steps, lists the lines
+    with s = 0.
 
-    Ready lines are found by scanning s.  Saturating an axis-a line looks up
-    the axis-b lines with s = thr[b] - C[a] only while that is > 0; C only
-    grows, ``grow`` included, so a state makes at most thr[b] - 1 such scans
-    per axis.  ``_ready_lines`` runs once per FIFO run, generation or
-    half-step, about thr[0] + thr[1] + 2 times, as an axis gains ready lines
-    only after the other's C rises: O((thr[0] + thr[1]) S) in all, for S
-    lines holding seeds.
+    Ready lines are found by scanning s.  Saturating an axis-a line in a
+    queue run looks up the axis-b lines with s = thr[b] - C[a], which is > 0
+    until the proof; C only grows, ``grow`` included, so a state makes at
+    most thr[b] - 1 such scans per axis.  ``_ready_lines`` runs once per
+    FIFO run, generation or half-step, about thr[0] + thr[1] + 2 times, as
+    an axis gains ready lines only after the other's C rises:
+    O((thr[0] + thr[1]) S) in all, for S lines holding seeds.
     """
 
     def __init__(self, spec: GridSpec, codes):
@@ -809,15 +811,14 @@ class Cascade2D(_Cascade):
             >= self.spec.thresholds[a]
         )
 
-    def _saturate_run(
-        self, axis: int, lids: list[int], sink, stop: bool
-    ) -> tuple[int, bool]:
+    def _saturate_run(self, axis: int, lids: list[int], sink) -> tuple[int, bool]:
         """Saturate ``lids``, ascending axis-``axis`` lines, in id order, as
-        the dense kernel does: each adds one to its C, covers its seeds, and
-        appends to ``sink`` (unless None) every perpendicular line that
+        the dense kernel does: each adds one to its C and covers its seeds.
+        Given a ``sink``, each appends to it every perpendicular line that
         reaches its threshold, in ascending id as the dense kernel's crossing
-        scan finds them.  The grid is the only flat above a line,
-        and C counts its slices, so the flat proof is C[a] + 1 >= thr[b]."""
+        scan finds them, and the run stops at a proof.  The grid is the only
+        flat above a line, and C counts its slices, so the flat proof is
+        C[a] >= thr[b] once the line is counted."""
         n = self._t.n
         a, b = axis, 1 - axis
         thr_b = self.spec.thresholds[b]
@@ -827,7 +828,6 @@ class Cascade2D(_Cascade):
         seeds_on = self._seeds_on
         off = b * n
         for i, lid in enumerate(lids):
-            proves = stop and C[a] + 1 >= thr_b
             C[a] += 1
             sat_a.add(lid)
             self._uncovered -= s_a.pop(lid, 0)
@@ -840,22 +840,18 @@ class Cascade2D(_Cascade):
                 if m not in sat_b:
                     s_b[m] -= 1
                     crossed.append(m)
-            if proves:
-                return i + 1, True
             if sink is not None:
+                if C[a] >= thr_b:
+                    return i + 1, True
                 # every other unsaturated axis-b line gained one point: those
-                # now at C[a] + s = thr[b] have just reached their threshold
+                # now at C[a] + s = thr[b] have just reached their threshold,
+                # and C[a] < thr[b] makes s > 0
                 k = thr_b - C[a]
-                if k > 0:
-                    sink.extend(sorted(
-                        q for q, v in s_b.items() if v == k and q not in crossed
-                    ))
-                elif k == 0:
-                    # all the lines with s = 0: the one O(n) step of the kernel
-                    sink.extend(q for q in range(off, off + n) if not s_b.get(q)
-                                and q not in sat_b and q not in crossed)
-            if stop and self.infected_total == self._t.N:
-                return i + 1, True
+                sink.extend(sorted(
+                    q for q, v in s_b.items() if v == k and q not in crossed
+                ))
+                if self.infected_total == self._t.N:
+                    return i + 1, True
         return len(lids), False
 
     def _add_seeds(self, digits: np.ndarray) -> tuple[int, list[int]]:
@@ -939,13 +935,14 @@ def new_state(spec: GridSpec, codes) -> Cascade2D | InfectionState:
 def closure(
     spec: GridSpec, initial: Iterable[Sequence[int]]
 ) -> Cascade2D | InfectionState:
-    """The closure [A] of the points ``initial``, FIFO, to the fixed point."""
-    return new_state(spec, encode_points(spec, initial)).run_fifo()
+    """The closure [A] of the points ``initial``: synchronous generations to
+    the fixed point."""
+    return new_state(spec, encode_points(spec, initial)).run_rounds()
 
 
 def percolation_run(spec: GridSpec, codes: np.ndarray) -> Cascade2D | InfectionState:
     """Cascade with sound early stop; ``percolated`` is exact either way."""
-    return new_state(spec, codes).run_fifo(stop_on_percolation=True)
+    return new_state(spec, codes).run_fifo()
 
 
 def _closed(spec: GridSpec, codes: np.ndarray) -> bool:

@@ -31,12 +31,7 @@ import numpy as np
 
 from .engine import _closed, percolation_run
 from .grid import GridSpec, InputError, as_int
-from .processes import (
-    LineCountClass,
-    classify_line_count,
-    run_alternating_2d,
-    run_synchronous,
-)
+from .processes import LineCountClass, classify_line_count, run_alternating_2d
 from .sampling import TrialSeed, critical_p_of_sample, sample_codes
 
 __all__ = [
@@ -254,8 +249,13 @@ def check_2d_process_properties(spec: GridSpec, codes) -> None:
     half-steps (by induction on k: line counts are monotone in the saturated
     lines), so it holds the stop rule's r parallel lines by round h, the
     number of half-steps of the stopped run; every perpendicular line then
-    saturates in round h+1 and the rest by round h+2.  If h+2 exceeds 2r+1
-    the exact synchronous run decides.  A seed set that is the whole grid
+    saturates in round h+1 and the rest by round h+2.  And h <= 2r-1: only
+    the first half-step of a stopped run can be empty, each axis holds at
+    most r-1 saturated lines before the last half-step, and h = 2r would
+    take one line per half-step after an empty first, which leaves every
+    vertical line r-1 infected points after half-step 2r-1, so none is
+    ready.  The check on h thus bounds the rounds without running the
+    synchronous process.  A seed set that is the whole grid
     percolates with no line saturated when r > n, and the process statements
     are about the other sets, so it is not checked.
     """
@@ -267,11 +267,8 @@ def check_2d_process_properties(spec: GridSpec, codes) -> None:
     assert cls in (LineCountClass.HORIZONTAL, LineCountClass.VERTICAL), (
         f"percolating run classified {cls} with line-count {lc}"
     )
-    if state.trace.num_rounds + 2 > 2 * r + 1:
-        _, trace = run_synchronous(spec, codes)
-        assert trace.num_rounds <= 2 * r + 1, (
-            f"synchronous rounds {trace.num_rounds} > {2 * r + 1}"
-        )
+    h = state.trace.num_rounds
+    assert h <= 2 * r - 1, f"stopped alternating run: {h} > {2 * r - 1} half-steps"
 
 
 # ---------------------------------------------------------------------------

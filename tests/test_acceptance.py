@@ -61,7 +61,7 @@ def test_criterion_01_oracle_equivalence():
         spec = GridSpec.uniform(n, d, r)
         k = int(rng.binomial(spec.num_sites, p))
         codes = rng.choice(spec.num_sites, size=k, replace=False).astype(np.int64)
-        base = set(new_state(spec, codes).run_fifo().infected_codes().tolist())
+        base = set(new_state(spec, codes).run_rounds().infected_codes().tolist())
         pts = {decode_point(spec, int(c)) for c in codes}
         naive = {encode_point(spec, q) for q in naive_closure(spec, pts)}
         assert naive == base, f"naive mismatch at trial {trial}"
@@ -303,7 +303,7 @@ def test_criterion_11_plane_count_containment():
         ok = 0
         for i in range(1000):
             codes = sample_codes(spec, p, TrialSeed(SEED, i))
-            state = new_state(spec, codes).run_fifo()  # true termination
+            state = new_state(spec, codes).run_rounds()  # true termination
             stats = plane_statistics(spec, state)
             if all(
                 stats.n_k(k) <= n ** (1.0 - k * g / (r - g)) for k in range(1, 4)

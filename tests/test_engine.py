@@ -157,7 +157,7 @@ def test_point_entry_points_encode_once():
         pts = [decode_point(spec, int(c)) for c in rng.permutation(codes)]
         assert np.array_equal(encode_points(spec, pts), np.sort(codes))
         got = closure(spec, pts)
-        ref = new_state(spec, encode_points(spec, pts)).run_fifo()
+        ref = new_state(spec, encode_points(spec, pts)).run_rounds()
         assert type(got) is type(ref)
         assert np.array_equal(got.saturated, ref.saturated)
         assert got.infected_total == ref.infected_total
@@ -170,7 +170,7 @@ def test_oracle_equivalence_randomized():
     rng = np.random.default_rng(7)
     for _ in range(150):
         spec, codes = random_instance(rng)
-        state = new_state(spec, codes).run_fifo()
+        state = new_state(spec, codes).run_rounds()
         pts = {decode_point(spec, int(c)) for c in codes}
         assert state.infected_points() == naive_closure(spec, pts)
         assert state.percolated == (state.infected_total == spec.num_sites)
@@ -205,8 +205,8 @@ def test_monotonicity():
         if codes.size == 0:
             continue
         sub = codes[rng.random(codes.size) < 0.6]
-        small = infected_set(new_state(spec, sub).run_fifo())
-        big = infected_set(new_state(spec, codes).run_fifo())
+        small = infected_set(new_state(spec, sub).run_rounds())
+        big = infected_set(new_state(spec, codes).run_rounds())
         assert small <= big
 
 
@@ -214,23 +214,24 @@ def test_idempotence():
     rng = np.random.default_rng(13)
     for _ in range(40):
         spec, codes = random_instance(rng)
-        once = new_state(spec, codes).run_fifo()
-        twice = new_state(spec, once.infected_codes()).run_fifo()
+        once = new_state(spec, codes).run_rounds()
+        twice = new_state(spec, once.infected_codes()).run_rounds()
         assert infected_set(once) == infected_set(twice)
 
 
 def test_sequential_order_agreement():
     # the closure does not depend on the order lines saturate in: the
-    # sequential scan in random orders, on both kernels, ends where FIFO does
+    # sequential scan in random orders, on both kernels, ends where the
+    # generations do
     rng = np.random.default_rng(17)
     for _ in range(60):
         spec, codes = random_instance(rng)
-        fifo = infected_set(new_state(spec, codes).run_fifo())
+        rounds = infected_set(new_state(spec, codes).run_rounds())
         for kernel in (new_state, InfectionState):
             for _ in range(3):
                 order = rng.permutation(spec.num_lines).tolist()
                 seq = kernel(spec, codes).run_sequential(order)
-                assert infected_set(seq) == fifo
+                assert infected_set(seq) == rounds
 
 
 def reference_scan(spec, codes, order):
@@ -298,6 +299,27 @@ def assert_rounds(spec, trace):
         assert tuple(tally[g, a] for a in range(spec.d)) == row
 
 
+def line_rounds(trace):
+    """The set of lines saturated in each round of ``trace``."""
+    rounds = [set() for _ in range(trace.num_rounds)]
+    for g, lid in zip(trace.round_of, trace.line_ids):
+        rounds[g - 1].add(lid)
+    return rounds
+
+
+def assert_queue_rounds_are_generations(queue, rounds):
+    """The FIFO queue's rounds are the generations of ``run_rounds`` as
+    sets, up to its stop: every round but the last equal, the last a subset,
+    and all of them when the queue finds no proof."""
+    assert queue.percolated == rounds.percolated
+    got, want = line_rounds(queue.trace), line_rounds(rounds.trace)
+    assert len(got) <= len(want)
+    for g, lines in enumerate(got):
+        assert lines <= want[g] if g == len(got) - 1 else lines == want[g]
+    if not queue.percolated:
+        assert got == want
+
+
 def test_trace_semantics_on_every_schedule():
     rng = np.random.default_rng(71)
     for _ in range(90):
@@ -306,11 +328,12 @@ def test_trace_semantics_on_every_schedule():
             def fresh():
                 return kernel(spec, codes)
 
-            assert_rounds(spec, fresh().run_fifo().trace)
-            tr = fresh().run_fifo(stop_on_percolation=True).trace
+            queue, rounds = fresh().run_fifo(), fresh().run_rounds()
+            tr = queue.trace
             assert_rounds(spec, tr)
             assert tr.num_rounds == (tr.round_of[-1] if tr.round_of else 0)
-            assert_rounds(spec, fresh().run_rounds().trace)
+            assert_rounds(spec, rounds.trace)
+            assert_queue_rounds_are_generations(queue, rounds)
             if spec.d == 2:
                 # both starts: the transposed seeds start vertical
                 for stop_rule in (True, False):
@@ -336,7 +359,7 @@ def test_ready_lines_of_one_axis_are_its_slice_of_all(monkeypatch):
     seen = Counter()
 
     def checking(saturate_run):
-        def run(self, axis, lids, sink, stop):
+        def run(self, axis, lids, sink):
             every = self._ready_lines()
             per_axis = self.spec.lines_per_axis
             for a in range(self.spec.d):
@@ -349,7 +372,7 @@ def test_ready_lines_of_one_axis_are_its_slice_of_all(monkeypatch):
             seen["full"] += isinstance(self, Cascade2D) and any(
                 self._sat_per_axis[1 - a] >= self.spec.thresholds[a] for a in (0, 1)
             )
-            return saturate_run(self, axis, lids, sink, stop)
+            return saturate_run(self, axis, lids, sink)
         return run
 
     for kernel in (Cascade2D, InfectionState):
@@ -381,8 +404,9 @@ def test_line_count_invariants():
     rng = np.random.default_rng(23)
     for _ in range(30):
         spec, codes = random_instance(rng)
+        queue = new_state(spec, codes).run_fifo()
         states = [
-            new_state(spec, codes).run_fifo(),
+            queue,
             run_synchronous(spec, codes)[0],
             run_sequential(spec, codes)[0],
         ]
@@ -395,8 +419,10 @@ def test_line_count_invariants():
             counts = np.bincount(t.lids_of(infected).ravel(), minlength=t.L)
             assert np.array_equal(counts, state.line_count)
             assert np.all(counts[state.saturated] == spec.n)
-            # fixed point: no unsaturated line at or above threshold
-            assert not np.any((counts >= t.thr_line) & ~state.saturated)
+            # fixed point: no unsaturated line at or above threshold, unless
+            # the queue stopped at a proof
+            if state is not queue or not queue.percolated:
+                assert not np.any((counts >= t.thr_line) & ~state.saturated)
             assert state.infected_total == infected.size
 
 
@@ -521,7 +547,7 @@ class _OneSeedAtATime(InfectionState):
             if self.line_count[lid] == self.spec.thresholds[axis]:
                 ready.append(lid)
         proved = self.infected_total == t.N or (
-            bool(ready) and self._drain(deque(ready), True)
+            bool(ready) and self._drain(deque(ready))
         )
         self.percolated = proved
         return proved
@@ -589,8 +615,8 @@ def test_array_ingest_matches_one_seed_at_a_time():
 @pytest.mark.parametrize("d", [3, 4])
 def test_flat_proof_stops_early(d):
     # full flats stop a run early in every d (d = 4 had no proof before):
-    # the stop must agree with the oracle and cut the FIFO cascade short, not
-    # change it; mixed thresholds above n leave only the full grid of points
+    # the stop must agree with the oracle and cut the generations short, not
+    # change them; mixed thresholds above n leave only the full grid of points
     rng = np.random.default_rng(97 + d)
     early = mixed_above = 0
     for it in range(60):
@@ -607,12 +633,11 @@ def test_flat_proof_stops_early(d):
             pts = {decode_point(spec, int(c)) for c in prefix}
             return len(naive_closure(spec, pts)) == spec.num_sites
 
-        fifo = new_state(spec, codes).run_fifo()
+        rounds = new_state(spec, codes).run_rounds()
         stopped = percolation_run(spec, codes)
-        assert stopped.percolated == fifo.percolated == percolating(codes)
-        done = len(stopped.trace.line_ids)
-        assert stopped.trace.line_ids == fifo.trace.line_ids[:done]
-        early += done < len(fifo.trace.line_ids)
+        assert stopped.percolated == rounds.percolated == percolating(codes)
+        assert_queue_rounds_are_generations(stopped, rounds)
+        early += len(stopped.trace.line_ids) < len(rounds.trace.line_ids)
         # grow stops at the first seed whose prefix percolates
         order = rng.permutation(spec.num_sites)
         lo, hi = 0, spec.num_sites  # percolating(order[:hi]) and not order[:lo]

@@ -4,19 +4,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lineperc import (
+    Cascade2D,
     GridSpec,
     InputError,
+    LineCountClass,
     LineId,
+    Preface,
     closure,
     decode_line,
     decode_point,
     encode_point,
+    estimate_theta,
+    eval_matrix,
     format_line,
     format_point,
+    is_slow,
     lines_through,
     parse_point,
+    plane_statistics,
+    regime_of,
 )
 from lineperc.grid import MAX_DIMENSION, MAX_LINES
+from lineperc.theory import log_binom_pmf, pc2_exponent, theta2_regime_exponents
 
 
 # Geometry oracles written from the definitions alone: a line is its free
@@ -211,6 +220,40 @@ def test_input_errors():
         decode_line(spec, 8)
     with pytest.raises(InputError):
         decode_point(spec, 16)
+
+
+SPEC2 = GridSpec.uniform(4, 2, 2)
+REFUSALS = {
+    "Cascade2D in 3D": (lambda: Cascade2D(GridSpec.uniform(4, 3, 2), []),
+                        "Cascade2D requires d = 2"),
+    "point of the wrong length": (lambda: encode_point(SPEC2, (1, 2, 3)),
+                                  "has 3 coordinates, expected 2"),
+    "eval_matrix at coordinate 0": (lambda: eval_matrix([(0, 1)], (2, 2)),
+                                    "non-positive"),
+    "is_slow with s < 0": (
+        lambda: is_slow(Preface(LineCountClass.VERTICAL, (0,), (1,)), -1),
+        "slowness parameter must be >= 0"),
+    "plane_statistics in 2D": (lambda: plane_statistics(SPEC2, closure(SPEC2, [])),
+                               "requires d = 3"),
+    "pc2_exponent at r = 1": (lambda: pc2_exponent(1), "must be >= 2"),
+    "theta2_regime_exponents at r = 1": (lambda: theta2_regime_exponents(1),
+                                         "must be >= 2"),
+    "regime_of at n = 1": (lambda: regime_of(1, 0.5, 2), "need n >= 2"),
+    "log_binom_pmf with k > N": (lambda: log_binom_pmf(5, 0.5, [6]),
+                                 r"k out of range \[0, N\]"),
+    "log_binom_pmf with p > 1": (lambda: log_binom_pmf(5, 1.5, [1]),
+                                 r"p must lie in \[0, 1\]"),
+    "estimate_theta with p > 1": (lambda: estimate_theta(SPEC2, 1.5, 10, 0),
+                                  r"p must lie in \[0, 1\]"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_library_refusals_raise_input_error(case):
+    # refusals that only a bad call reaches, one per module and check
+    call, match = REFUSALS[case]
+    with pytest.raises(InputError, match=match):
+        call()
 
 
 @settings(deadline=None, max_examples=60)

@@ -19,6 +19,7 @@ from lineperc import (
 )
 from lineperc import engine, processes
 from lineperc.engine import InfectionState, new_state, percolation_run
+from lineperc.estimator import check_2d_process_properties
 from lineperc.grid import encode_points
 from lineperc.grid import _tables
 from lineperc.processes import boosted_points, plane_statistics_recount, preface_text
@@ -77,7 +78,8 @@ def test_synchronous_round_bound_on_percolating_runs():
 def test_synchronous_rounds_trail_alternating_half_steps():
     # the bound that check_2d_process_properties uses: after k half-steps the
     # alternating run's saturated lines are among those after k synchronous
-    # rounds, so the synchronous run ends by the stopped run's h + 2
+    # rounds, so the synchronous run ends by the stopped run's h + 2, and
+    # h <= 2r - 1
     rng = np.random.default_rng(71)
     checked = 0
     for _ in range(400):
@@ -93,7 +95,7 @@ def test_synchronous_rounds_trail_alternating_half_steps():
             alt, _ = run_alternating_2d(spec, seeds, stop_rule=True)
             assert alt.percolated
             h = alt.trace.num_rounds
-            assert trace.num_rounds <= h + 2
+            assert trace.num_rounds <= h + 2 and h <= 2 * spec.r - 1
             # half-steps and generations are both numbered from 1
             alt_events = list(zip(alt.trace.line_ids, alt.trace.round_of))
             sync_events = list(zip(trace.line_ids, trace.round_of))
@@ -102,6 +104,18 @@ def test_synchronous_rounds_trail_alternating_half_steps():
                 assert done <= {q for q, g in sync_events if g <= half}
         checked += 1
     assert checked > 100
+
+
+def test_stopped_alternating_run_reaches_2r_minus_1_half_steps():
+    # the bound h <= 2r - 1 is tight: after an empty first half-step, this
+    # set saturates one line per half-step until the last
+    spec = GridSpec.uniform(6, 2, 3)
+    pts = [(1, 5), (3, 3), (3, 4), (4, 4), (5, 1), (5, 6), (6, 2), (6, 3), (6, 6)]
+    codes = encode_points(spec, pts)
+    state, lc = run_alternating_2d(spec, codes, stop_rule=True)
+    assert state.percolated and state.trace.num_rounds == 2 * spec.r - 1
+    assert lc == LineCount2D(h=(0, 1, 2), v=(1, 1))
+    check_2d_process_properties(spec, codes)
 
 
 def test_alternating_stop_rule_example():
@@ -122,7 +136,7 @@ def test_alternating_termination_equivalence():
     rng = np.random.default_rng(5)
     for _ in range(120):
         spec, codes = random_instance(rng, dims=(2, 2))
-        ref = new_state(spec, codes).run_fifo()
+        ref = new_state(spec, codes).run_rounds()
         alt, _ = run_alternating_2d(spec, codes, stop_rule=False)
         assert set(alt.infected_codes().tolist()) == set(
             ref.infected_codes().tolist()
@@ -217,14 +231,14 @@ class _OneLineAtATime(InfectionState):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.sunk: dict[int, list[int]] = {}  # generation round -> sunk line ids
-        self.runs: list[tuple] = []  # (lids, stop, saturated, proved, sunk)
+        self.runs: list[tuple] = []  # (lids, saturated, proved, sunk)
 
-    def _saturate_run(self, axis, lids, sink, stop):
+    def _saturate_run(self, axis, lids, sink):
         # the round of a ``run_rounds`` generation, whose tally the schedule
         # appends after its last run
         round_idx = self.trace.num_rounds + 1
         got = self.sunk.setdefault(round_idx, []) if sink is None else []
-        done, proved = len(lids), False
+        done, proved, stop = len(lids), False, sink is not None
         for i, lid in enumerate(lids):
             assert lid // self.spec.lines_per_axis == axis
             # the flat rule is asked before the line saturates, which then
@@ -236,7 +250,7 @@ class _OneLineAtATime(InfectionState):
                 break
         if sink is not None:
             sink.extend(got)
-        self.runs.append((list(lids), stop, done, proved, got if sink is not None else None))
+        self.runs.append((list(lids), done, proved, got if stop else None))
         return done, proved
 
 
@@ -248,11 +262,11 @@ class _Recorded(InfectionState):
         super().__init__(*args, **kwargs)
         self.runs: list[tuple] = []
 
-    def _saturate_run(self, axis, lids, sink, stop):
+    def _saturate_run(self, axis, lids, sink):
         before = len(sink) if sink is not None else 0
-        done, proved = super()._saturate_run(axis, lids, sink, stop)
+        done, proved = super()._saturate_run(axis, lids, sink)
         got = list(sink)[before:] if sink is not None else None
-        self.runs.append((list(lids), stop, done, proved, got))
+        self.runs.append((list(lids), done, proved, got))
         return done, proved
 
 
@@ -286,8 +300,8 @@ def _count_batches(monkeypatch):
     calls = []
     body = InfectionState._saturate_batch
 
-    def counted(self, axis, lids, sink, stop):
-        done, proved = body(self, axis, lids, sink, stop)
+    def counted(self, axis, lids, sink):
+        done, proved = body(self, axis, lids, sink)
         calls.append((int(lids.size), done))
         return done, proved
 
@@ -367,7 +381,7 @@ def test_drain_runs_match_one_line_at_a_time(monkeypatch):
     # state, the trace, the sinks and the stop as one line at a time does
     calls = _count_batches(monkeypatch)
     rng = np.random.default_rng(61)
-    for it in range(240):
+    for it in range(480):
         d = int(rng.integers(1, 4))
         n = int(rng.integers(2, {1: 30, 2: 16, 3: 9}[d]))
         thresholds = tuple(int(x) for x in rng.integers(1, 5, size=d))
@@ -384,12 +398,8 @@ def test_drain_runs_match_one_line_at_a_time(monkeypatch):
             m.setattr(engine, "RUN_MIN", run_min)
             if rows:
                 m.setattr(engine, "BATCH_ELEMS", rows * n)
-            for stop in (False, True):
-                batched = _Recorded(spec, codes)
-                ref = _OneLineAtATime(spec, codes)
-                batched.run_fifo(stop_on_percolation=stop)
-                ref.run_fifo(stop_on_percolation=stop)
-                _same_run(batched, ref)
+            batched = _Recorded(spec, codes).run_fifo()
+            _same_run(batched, _OneLineAtATime(spec, codes).run_fifo())
             # every grow prefix, the seeds in a random order
             batched, ref = _Recorded(spec, ()), _OneLineAtATime(spec, ())
             for code in rng.permutation(spec.num_sites).tolist():
@@ -405,7 +415,7 @@ def test_sequential_equivalence():
     rng = np.random.default_rng(13)
     for _ in range(100):
         spec, codes = random_instance(rng)
-        ref = new_state(spec, codes).run_fifo()
+        ref = new_state(spec, codes).run_rounds()
         seq, trace = run_sequential(spec, codes)
         assert set(seq.infected_codes().tolist()) == set(ref.infected_codes().tolist())
         trace.check()
@@ -443,7 +453,7 @@ def test_schedule_invariance():
     rng = np.random.default_rng(31)
     for _ in range(120):
         spec, codes = random_instance(rng)
-        base = set(new_state(spec, codes).run_fifo().infected_codes().tolist())
+        base = set(new_state(spec, codes).run_rounds().infected_codes().tolist())
         sync, _ = run_synchronous(spec, codes)
         assert set(sync.infected_codes().tolist()) == base
         seq, _ = run_sequential(spec, codes)
@@ -479,7 +489,7 @@ def test_plane_stats_monotone_and_bounded():
     rng = np.random.default_rng(41)
     for _ in range(40):
         spec, codes = random_instance(rng, dims=(3, 3))
-        state = new_state(spec, codes).run_fifo()
+        state = new_state(spec, codes).run_rounds()
         stats = plane_statistics(spec, state)
         prof = stats.n_k_profile(spec.r + 1)
         assert all(a >= b for a, b in zip(prof, prof[1:]))
@@ -488,13 +498,9 @@ def test_plane_stats_monotone_and_bounded():
 
 
 def built_states(spec, codes):
-    """The queue saturates one line at a time, the generations a batch of
-    parallel lines at once, and a stopped run ends at its proof."""
-    return (
-        new_state(spec, codes).run_fifo(),
-        run_synchronous(spec, codes)[0],
-        percolation_run(spec, codes),
-    )
+    """The generations saturate batches of parallel lines at once, and the
+    queue its runs, to the fixed point or to its proof."""
+    return run_synchronous(spec, codes)[0], percolation_run(spec, codes)
 
 
 def test_plane_stats_recount_matches_incremental():

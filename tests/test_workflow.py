@@ -1,8 +1,8 @@
 """The CI workflow is valid YAML, the files its steps run exist, and it
-checks the output digests of every benchmark workload; the package declares
-exactly the third-party modules it imports, the library reaches no private
-attribute but its own, and the benchmark's tracer still finds every name it
-patches.
+checks the output digests of every benchmark workload and every demo; the
+package declares exactly the third-party modules it imports, the library
+reaches no private attribute but its own, and the benchmark's tracer still
+finds every name it patches.
 
 A workflow file that does not parse switches every CI job off without a
 failing check, so this is the one local check that it still parses.
@@ -50,6 +50,17 @@ def test_ci_digest_loop_names_every_benchmark_workload():
     assert sorted(loop.group(1).split()) == sorted(
         w["name"] for w in benchmark["workloads"]
     )
+
+
+def test_demo_digests_name_every_demo_once():
+    # the CI demo step checks each demo's stdout against its line of
+    # demos/stdout.sha256; a demo with no line there would go unchecked
+    (step,) = [s for s in _steps() if s.get("name") == "Demos"]
+    assert "demos/stdout.sha256" in step["run"]
+    line = re.compile(r"[0-9a-f]{64}  (\S+)\.stdout")
+    digests = (ROOT / "demos/stdout.sha256").read_text().splitlines()
+    names = [line.fullmatch(d).group(1) for d in digests]
+    assert names == sorted(p.stem for p in (ROOT / "demos").glob("*.py"))
 
 
 def test_declared_dependencies_are_the_imported_third_party_modules():
