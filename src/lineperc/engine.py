@@ -20,10 +20,11 @@ only counts: it supplies its counts and ``_ready_lines(axis=None)`` (the
 unsaturated lines at threshold, of every axis or of one), ``_is_ready``,
 ``_saturate_run(axis, lids, sink)`` (a run of parallel lines, the one
 saturation call; only a queue run passes a sink, and only it stops) and
-``_add_seeds(digits)`` (the digit rows of grown seeds, taken up to the first
-that makes a line ready).  ``seeds``, the sorted codes of every seed, given
-or grown, is the one seed store: ``grow`` derives digits once per call and
-sets ``seeds`` once, when it returns, since no drain reads it.  Only the
+``_add_seeds(codes)`` (the codes of grown seeds, taken up to the first that
+makes a line ready; each kernel splits them into digits its own way).
+``seeds``, the sorted codes of every seed, given or grown, is the one seed
+store: ``grow`` sets it once, when it returns, since no drain reads it, and
+skips repeats by a set of plain ints, not by numpy's set operations.  Only the
 schedules write the trace, the only record of a half-step run: the
 saturated lines in order and a per-axis tally per round, every schedule
 numbering its rounds from 1.
@@ -91,6 +92,7 @@ from .grid import (
     InputError,
     LineId,
     Point,
+    _distinct_codes,
     _tables,
     as_int,
     decode_line,
@@ -145,8 +147,8 @@ class _Cascade:
     ids), ``infected_total`` and ``_sat_per_axis``; and the operations
     ``_ready_lines(axis=None)``, the ascending ids of the unsaturated lines
     at or above threshold (of every axis, or of ``axis`` alone),
-    ``_is_ready``, ``_add_seeds(digits)``, on the digit rows (k, d) of new
-    seeds, and ``_saturate_run(axis, lids, sink)``, the one saturation
+    ``_is_ready``, ``_add_seeds(codes)``, on an array of new seed codes,
+    and ``_saturate_run(axis, lids, sink)``, the one saturation
     call: it saturates ``lids``, ascending axis-``axis`` lines, in id order.
     Given a ``sink``, as the queue's runs are, it appends to it every
     crossing line that reaches its threshold and halts after the first line
@@ -165,7 +167,9 @@ class _Cascade:
         self.spec = spec
         t = _tables(spec)
         self._t = t
-        self.seeds = _in_range(np.unique(_code_array(codes)), t.N)
+        self.seeds = _distinct_codes(_code_array(codes))
+        if self.seeds.size:
+            _in_range(int(self.seeds[0]), int(self.seeds[-1]), t.N)
         self.trace = Trace()
         self.percolated: bool | None = None
         self._ran: bool | str = False  # True once a run_* ran, "grow" once grown
@@ -337,33 +341,37 @@ class _Cascade:
         assert self._ran or not self.seeds.size  # built with no seeds
         t = self._t
         codes = _code_array(codes)
-        # where each code first stands in the seeds and then ``codes``: a
-        # code grown before first stands among the seeds
-        s = self.seeds.size
-        new, at = np.unique(np.concatenate([self.seeds, codes]), return_index=True)
-        _in_range(new, t.N)
-        if new.size < s + codes.size:  # a code repeats, or was grown before
-            at = np.sort(at[at >= s]) - s
+        values = codes.tolist()
+        if values:
+            _in_range(min(values), max(values), t.N)
+        # the position of each code that repeats none before it and was not
+        # grown before, or None when every code is new
+        at = None
+        grown = set(self.seeds.tolist())
+        if len(set(values)) < len(values) or not grown.isdisjoint(values):
+            at = []
+            for i, code in enumerate(values):
+                if code not in grown:
+                    grown.add(code)
+                    at.append(i)
             codes = codes[at]
-        else:
-            at = None
-        digits = t.digits_of(codes)
         i = 0
+        self.percolated = False
         while i < codes.size:
             # a kernel call ends at the first seed that makes a line ready;
             # covered seeds join the seeds but count nowhere
             self._ran = "grow"
-            taken, ready = self._add_seeds(digits[i:])
+            taken, ready = self._add_seeds(codes[i:])
             i += taken
             if self.infected_total == t.N or (
                 ready and self._drain(deque(ready))
             ):
-                self.seeds = np.sort(np.concatenate([self.seeds, codes[:i]]))
                 self.percolated = True
-                return i if at is None else int(at[i - 1]) + 1
-        self.seeds = new
-        self.percolated = False
-        return 0
+                break
+        self.seeds = np.sort(np.concatenate([self.seeds, codes[:i]]))
+        if not self.percolated:
+            return 0
+        return i if at is None else at[i - 1] + 1
 
     def run_half_steps(self, *, stop_rule: bool = True):
         """Alternating single-axis generations (d=2 only), horizontal first.
@@ -682,9 +690,9 @@ class InfectionState(_Cascade):
             count += np.bincount(z[: first + 1], minlength=count.size)
         return first
 
-    def _add_seeds(self, digits: np.ndarray) -> tuple[int, list[int]]:
-        """Count the new seeds of digit rows ``digits`` (k, d), in order, on
-        their d lines, up to the first that brings a line to its threshold.
+    def _add_seeds(self, codes: np.ndarray) -> tuple[int, list[int]]:
+        """Count the new seeds of codes ``codes``, in order, on their d
+        lines, up to the first that brings a line to its threshold.
         Returns how many were taken and the lines the last one made ready, in
         axis order.  A seed already infected counts nowhere: its lines
         counted it when it was infected.
@@ -698,7 +706,8 @@ class InfectionState(_Cascade):
         saturated and every point is a seed.
         """
         t = self._t
-        k = digits.shape[0]
+        k = codes.size
+        digits = t.digits_of(codes)
         lids = digits @ t.W.T + t.off
         uncovered = np.flatnonzero(~self.saturated[lids].any(axis=1))
         m = uncovered.size
@@ -854,13 +863,14 @@ class Cascade2D(_Cascade):
                     return i + 1, True
         return len(lids), False
 
-    def _add_seeds(self, digits: np.ndarray) -> tuple[int, list[int]]:
-        """Count the new seeds of digit rows ``digits`` (k, 2), in order, in s
-        of their two lines, up to the first that brings a line to its
-        threshold; return how many were taken and the lines the last one made
-        ready.  A seed already infected counts nowhere.  As in the dense
-        kernel, a seed that fills the grid and makes no line ready is last;
-        no line saturates here, so the s that makes a line ready is fixed."""
+    def _add_seeds(self, codes: np.ndarray) -> tuple[int, list[int]]:
+        """Count the new seeds of codes ``codes``, in order, in s of their
+        two lines, up to the first that brings a line to its threshold;
+        return how many were taken and the lines the last one made ready.
+        Each code is split into its two digits in plain ints.  A seed
+        already infected counts nowhere.  As in the dense kernel, a seed that
+        fills the grid and makes no line ready is last; no line saturates
+        here, so the s that makes a line ready is fixed."""
         n = self._t.n
         C = self._sat_per_axis
         thr = self.spec.thresholds
@@ -868,7 +878,8 @@ class Cascade2D(_Cascade):
         sat0, sat1 = self._sat
         s0, s1 = self._s
         seeds_on = self._seeds_on
-        for i, (g0, g1) in enumerate(zip(*digits.T.tolist())):
+        for i, code in enumerate(codes.tolist()):
+            g0, g1 = divmod(code, n)
             h = n + g0
             if g1 in sat0 or h in sat1:
                 continue
@@ -879,7 +890,7 @@ class Cascade2D(_Cascade):
             s1[h] = v1 = s1.get(h, 0) + 1
             if v0 == k0 or v1 == k1:
                 return i + 1, [g1] * (v0 == k0) + [h] * (v1 == k1)
-        return len(digits), []
+        return codes.size, []
 
 
 # ---------------------------------------------------------------------------
@@ -900,12 +911,11 @@ def _code_array(codes) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _in_range(codes: np.ndarray, N: int) -> np.ndarray:
-    """``codes``, ascending, once none lies outside [0, N)."""
-    if codes.size and (codes[0] < 0 or codes[-1] >= N):
-        bad = codes[0] if codes[0] < 0 else codes[-1]
-        raise InputError(f"point code {bad} out of range [0, {N})")
-    return codes
+def _in_range(lo: int, hi: int, N: int) -> None:
+    """Refuse point codes, the least ``lo`` and the greatest ``hi``, unless
+    all lie in [0, N)."""
+    if lo < 0 or hi >= N:
+        raise InputError(f"point code {lo if lo < 0 else hi} out of range [0, {N})")
 
 
 def _groups(base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:

@@ -388,12 +388,15 @@ def estimate_pc(
     rows = run_trials(_pc_trial, spec, trials, master_seed, least=10)
     samples = np.sort(np.array([p for p, _ in rows], dtype=np.float64))
     ci_low, ci_high = median_order_statistic_ci(samples)
+    # np.median's value, read off the sorted samples: (a + b) / 2 of the
+    # middle two, which are one sample when the count is odd
+    m = samples.size
     return PcEstimate(
         spec=spec,
         trials=trials,
         master_seed=master_seed,
         samples=samples,
-        median=float(np.median(samples)),
+        median=float((samples[(m - 1) // 2] + samples[m // 2]) / 2),
         ci_low=ci_low,
         ci_high=ci_high,
         n_degenerate=sum(1 for _, dg in rows if dg),

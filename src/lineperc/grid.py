@@ -15,9 +15,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-# np.unique reads np.ma, which numpy loads on first use: load it with the
-# package so that a job's, or a pool worker's, first trial does not pay it
-import numpy.ma  # noqa: F401
 
 
 class InputError(ValueError):
@@ -256,7 +253,17 @@ def decode_point(spec: GridSpec, code: int) -> Point:
 def encode_points(spec: GridSpec, points: Iterable[Sequence[int]]) -> np.ndarray:
     """Sorted array of distinct point codes (validates every point)."""
     codes = [encode_point(spec, p) for p in points]
-    return np.unique(np.asarray(codes, dtype=np.int64))
+    return _distinct_codes(np.asarray(codes, dtype=np.int64))
+
+
+def _distinct_codes(codes: np.ndarray) -> np.ndarray:
+    """``np.unique`` of the 1-D int64 array ``codes``, always a new array,
+    for less on the few tens of codes of a sparse trial: a copy when they
+    already ascend, as a grown state's seeds do, else a sort and a mask."""
+    if codes.size > 1 and np.count_nonzero(codes[1:] <= codes[:-1]):
+        codes = np.sort(codes)
+        return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+    return codes.copy()
 
 
 def decode_line(spec: GridSpec, lid: int) -> LineId:

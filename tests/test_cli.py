@@ -408,19 +408,29 @@ for argv in {runs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert dispatch(argv) == 0, argv
 assert not any(k.split(".")[0] == "scipy" for k in sys.modules)
+assert "numpy.ma" not in sys.modules
 """
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     # scipy.stats was most of every CLI call's start-up; no module of the
-    # library loads scipy now, which the tests keep as an oracle
+    # library loads scipy now, which the tests keep as an oracle.  Nor does
+    # any load numpy.ma, which np.unique and np.median import on first use
+    # (about 10 ms of start-up)
     one = ["--threads", "1", "--trials", "20", "--seed", "1"]
+    points = tmp_path / "points.txt"
+    points.write_text("1,1\n2,1\n3,3\n1,1\n")
+    sparse = ["--p", "0.1", "--trials", "5", "--seed", "1"]
     runs = [
         [],
         ["pc", "--n", "16", "--d", "2", "--r", "2", *one],
         ["theta", "--n", "16", "--d", "2", "--r", "2", "--p", "0.05", *one],
         ["sweep", "--d", "2", "--r", "2", "--n-list", "8,12,16", "--fit", *one],
         ["theory", "--r", "3"],
+        ["preface-stats", "--n", "8", "--r", "2", *sparse],
+        ["plane-stats", "--n", "8", "--r", "2", *sparse],
+        ["closure", "--n", "4", "--d", "2", "--r", "2", "--points", str(points)],
+        ["minset", "search", "--n", "3", "--d", "2", "--r", "2"],
     ]
     for run in runs:
         code = _NO_SCIPY.format(runs=[run] if run else [])

@@ -3,6 +3,8 @@ from collections import Counter, deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lineperc import (
     GridSpec,
@@ -655,3 +657,125 @@ def test_initial_out_of_range():
         closure(spec, [(0, 1)])
     with pytest.raises(InputError):
         closure(spec, [(1, 4)])
+
+
+@st.composite
+def code_arrays(draw):
+    """A spec of d = 1..3 with mixed thresholds and a code array in one of
+    the forms a seed argument takes: as drawn (shuffled, with repeats),
+    sorted with repeats, sorted and distinct, empty or single."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, {1: 12, 2: 5, 3: 3}[d]))
+    spec = GridSpec(n, d, tuple(draw(st.integers(1, n + 1)) for _ in range(d)))
+    codes = draw(st.lists(st.integers(0, spec.num_sites - 1), max_size=2 * spec.num_sites))
+    form = draw(st.sampled_from(["drawn", "sorted", "distinct", "single"]))
+    if form == "sorted":
+        codes = sorted(codes)
+    elif form == "distinct":
+        codes = sorted(set(codes))
+    elif form == "single":
+        codes = codes[:1]
+    return spec, np.asarray(codes, dtype=np.int64)
+
+
+def seed_kernels(spec):
+    return [InfectionState] + ([Cascade2D] if spec.d == 2 else [])
+
+
+@settings(max_examples=200, deadline=None)
+@example((GridSpec(4, 2, (2, 3)), np.array([], dtype=np.int64)))
+@example((GridSpec(4, 2, (2, 3)), np.array([5], dtype=np.int64)))
+@example((GridSpec(4, 2, (2, 3)), np.array([1, 4, 9, 15], dtype=np.int64)))
+@example((GridSpec(4, 2, (2, 3)), np.array([9, 1, 9, 4, 1], dtype=np.int64)))
+@given(code_arrays())
+def test_seeds_are_np_unique_of_the_codes(instance):
+    # the constructor's dedup, and encode_points', against np.unique as the
+    # oracle; a state never aliases the caller's array, even when it keeps
+    # codes that already ascend
+    spec, codes = instance
+    expect = np.unique(codes)
+    for kernel in seed_kernels(spec):
+        given_codes = codes.copy()
+        state = kernel(spec, given_codes)
+        assert state.seeds.dtype == np.int64
+        assert np.array_equal(state.seeds, expect)
+        given_codes += 1
+        assert np.array_equal(state.seeds, expect)
+        assert np.array_equal(kernel(spec, codes.tolist()).seeds, expect)
+    points = [decode_point(spec, c) for c in codes.tolist()]
+    assert np.array_equal(encode_points(spec, points), expect)
+    # one code out of range anywhere: the least code if it is negative,
+    # else the greatest, is named, as np.unique's ends would name it
+    rng = np.random.default_rng(codes.size)
+    for bad in (-1 - int(rng.integers(3)), spec.num_sites + int(rng.integers(3))):
+        wrong = np.insert(codes, int(rng.integers(codes.size + 1)), bad)
+        ends = np.unique(wrong)
+        named = ends[0] if ends[0] < 0 else ends[-1]
+        message = f"point code {named} out of range [0, {spec.num_sites})"
+        for kernel in seed_kernels(spec):
+            with pytest.raises(InputError) as refused:
+                kernel(spec, wrong)
+            assert str(refused.value) == message
+            state = kernel(spec, ())
+            with pytest.raises(InputError) as refused:
+                state.grow(wrong)
+            assert str(refused.value) == message
+            assert state.seeds.size == 0 and state.infected_total == 0
+
+
+def grow_by_np_unique(state, codes):
+    """``grow`` as it was written with ``np.unique(..., return_index=True)``:
+    the reference for its skip-repeats contract."""
+    t = state._t
+    codes = np.asarray(codes, dtype=np.int64)
+    s = state.seeds.size
+    new, at = np.unique(np.concatenate([state.seeds, codes]), return_index=True)
+    if new.size and (new[0] < 0 or new[-1] >= t.N):
+        bad = new[0] if new[0] < 0 else new[-1]
+        raise InputError(f"point code {bad} out of range [0, {t.N})")
+    if new.size < s + codes.size:  # a code repeats, or was grown before
+        at = np.sort(at[at >= s]) - s
+        codes = codes[at]
+    else:
+        at = None
+    i = 0
+    while i < codes.size:
+        state._ran = "grow"
+        taken, ready = state._add_seeds(codes[i:])
+        i += taken
+        if state.infected_total == t.N or (ready and state._drain(deque(ready))):
+            state.seeds = np.sort(np.concatenate([state.seeds, codes[:i]]))
+            state.percolated = True
+            return i if at is None else int(at[i - 1]) + 1
+    state.seeds = new
+    state.percolated = False
+    return 0
+
+
+@st.composite
+def grow_calls(draw):
+    """A spec of d = 1..3 with mixed thresholds and grow calls on a small
+    code range, so that codes repeat inside a call and across calls."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, {1: 12, 2: 6, 3: 3}[d]))
+    spec = GridSpec(n, d, tuple(draw(st.integers(1, n + 1)) for _ in range(d)))
+    code = st.integers(0, spec.num_sites - 1)
+    calls = draw(st.lists(st.lists(code, max_size=2 * n), min_size=1, max_size=8))
+    return spec, calls
+
+
+@settings(max_examples=200, deadline=None)
+@example((GridSpec(4, 2, (2, 3)), [[5, 5, 6, 5], [6, 7, 5, 1], [1, 2, 3, 0, 10, 14]]))
+@given(grow_calls())
+def test_grow_skips_repeats_as_np_unique_did(instance):
+    spec, calls = instance
+    for kernel in seed_kernels(spec):
+        state, ref = kernel(spec, ()), kernel(spec, ())
+        for codes in calls:
+            assert state.grow(codes) == grow_by_np_unique(ref, codes)
+            assert np.array_equal(state.seeds, ref.seeds)
+            assert state.trace == ref.trace
+            assert state.infected_total == ref.infected_total
+            assert state.percolated == ref.percolated
+            if state.percolated:
+                break

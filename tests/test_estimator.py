@@ -79,6 +79,33 @@ def test_estimate_pc_median_and_ci():
         estimate_pc(spec, 5, 7)
 
 
+def test_estimate_pc_median_is_np_median(monkeypatch):
+    # the median is read off the sorted samples by index; numpy, a test-only
+    # oracle here as scipy is, must agree to the last bit: odd and even
+    # counts, tied middle samples, and middle pairs whose mean rounds
+    spec = GridSpec.uniform(16, 2, 2)
+    for trials, seed in ((10, 3), (11, 3), (24, 8), (25, 8)):
+        est = estimate_pc(spec, trials, seed)
+        assert est.median.hex() == float(np.median(est.samples)).hex()
+    tiny = 5e-324
+    crafted = [
+        [0.1, 0.2] * 6,
+        [0.3] * 5 + [0.1, 0.7] * 3,
+        [0.25, 0.5, 0.5, 0.5, 0.75] * 2,
+        [1.0, np.nextafter(1.0, 0.0)] * 5,
+        [tiny] * 10,  # subnormal: halving each middle sample would round
+        [3 * tiny] * 12,
+        [1 / 3, 2 / 3, 0.1, 0.7, 0.9, 1e-9, 0.3, 1e-300, 0.6, 0.4, 0.2],
+    ]
+    rng = np.random.default_rng(5)
+    crafted += [rng.random(int(m)).tolist() for m in rng.integers(10, 40, size=20)]
+    for values in crafted:
+        rows = [(float(v), False) for v in values]
+        monkeypatch.setattr(estimator, "run_trials", lambda *a, **k: rows)
+        est = estimate_pc(spec, len(values), 1)
+        assert est.median.hex() == float(np.median(values)).hex(), values
+
+
 def test_estimate_pc_determinism_across_workers():
     spec = GridSpec.uniform(24, 2, 2)
     a = estimate_pc(spec, 60, 123)
