@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import _closed, percolates, percolation_run
+from .engine import _closed, closure, percolates, percolation_run
 from .estimator import (
     MAX_TRIALS,
     estimate_pc,
@@ -43,7 +43,6 @@ from .grid import (
     GridSpec,
     InputError,
     decode_point,
-    encode_points,
     format_line,
     format_point,
     parse_point,
@@ -59,7 +58,6 @@ from .processes import (
     preface_of,
     preface_text,
     run_alternating_2d,
-    run_synchronous,
 )
 from .sampling import TrialSeed, sample_codes
 from .theory import gamma_of_r, pc2_exponent, pc3_exponent, s_of_r, theory_report
@@ -125,13 +123,18 @@ def _seed(seed: int) -> int:
     return seed
 
 
+def _thresholds(d: int, r: int | None, thresholds: str | None) -> tuple[int, ...]:
+    """The per-axis thresholds: ``--thresholds`` when given, an empty value
+    refused, else ``--r`` on each of the d axes."""
+    if thresholds is not None:
+        return tuple(_int_list(thresholds, "--thresholds"))
+    if r is None:
+        raise InputError("supply --r or --thresholds")
+    return (r,) * require_dimension(d)
+
+
 def _spec_from_args(args) -> GridSpec:
-    if getattr(args, "thresholds", None):
-        thr = tuple(_int_list(args.thresholds, "--thresholds"))
-        return GridSpec(args.n, args.d, thr)
-    if getattr(args, "r", None) is not None:
-        return GridSpec.uniform(args.n, args.d, args.r)
-    raise InputError("supply --r or --thresholds")
+    return GridSpec(args.n, args.d, _thresholds(args.d, args.r, args.thresholds))
 
 
 def _resolve_threads(args) -> int:
@@ -193,15 +196,14 @@ def cmd_closure(args) -> int:
         lines = sys.stdin.read().splitlines()
     else:
         lines = Path(args.points).read_text().splitlines()
-    pts = [parse_point(spec, ln) for ln in lines if ln.strip()]
-    state, trace = run_synchronous(spec, encode_points(spec, pts))
+    state = closure(spec, [parse_point(spec, ln) for ln in lines if ln.strip()])
     rec = _base_record(spec, "closure")
     rec.update(
         {
             "percolates": bool(state.percolated),
             "infected_count": int(state.infected_total),
             "saturated_lines": [format_line(l) for l in state.saturated_lines()],
-            "rounds": trace.num_rounds,
+            "rounds": state.trace.num_rounds,
         }
     )
     _emit_json(rec, args.out)
@@ -327,16 +329,9 @@ def _sweep_config(args) -> SweepConfig:
     fit = cfg.get("fit", "0")
     if fit not in FIT_ON + FIT_OFF:
         raise InputError(f"config fit must be one of {FIT_ON + FIT_OFF}: {fit!r}")
-    if thresholds is not None:
-        thr = tuple(_int_list(thresholds, "thresholds"))
-    elif r is not None:
-        require_dimension(d)
-        thr = (r,) * d
-    else:
-        raise InputError("sweep needs --r or --thresholds")
     return SweepConfig(
         d=d,
-        thresholds=thr,
+        thresholds=_thresholds(d, r, thresholds),
         n_list=_int_list(n_list, "n list"),
         trials=trials,
         master_seed=_seed(seed),

@@ -144,7 +144,7 @@ class _Cascade:
     (``saturated_lines``, ``is_infected``, ``infected_codes`` and
     ``infected_points``) and the schedules, ``grow`` among them.  A kernel
     supplies the counts: ``saturated`` and ``line_count`` (arrays over line
-    ids), ``infected_total`` and ``_sat_per_axis``; and the operations
+    ids) and ``infected_total``; and the operations
     ``_ready_lines(axis=None)``, the ascending ids of the unsaturated lines
     at or above threshold (of every axis, or of ``axis`` alone),
     ``_is_ready``, ``_add_seeds(codes)``, on an array of new seed codes,
@@ -380,7 +380,8 @@ class _Cascade:
         at threshold as round g, which may be empty; the returned state's
         trace is the only record.  With ``stop_rule`` the run halts as soon
         as one axis holds enough parallel saturated lines to force full
-        percolation.  A vertical start is the run on the transposed seeds.
+        percolation, by its own tally of the lines its half-steps saturate.
+        A vertical start is the run on the transposed seeds.
         """
         assert not self._ran
         t = self._t
@@ -388,10 +389,12 @@ class _Cascade:
             raise InputError("alternating process requires d = 2")
         self._ran = True
         axis, idle = 0, 0
+        held = [0, 0]  # saturated lines per axis
         while idle < 2:
             ready = self._ready_lines(axis)
             self._generation(ready)
-            if stop_rule and self._sat_per_axis[axis] >= self.spec.thresholds[1 - axis]:
+            held[axis] += ready.size
+            if stop_rule and held[axis] >= self.spec.thresholds[1 - axis]:
                 self.percolated = True
                 return self
             idle = idle + 1 if ready.size == 0 else 0
@@ -417,7 +420,6 @@ class InfectionState(_Cascade):
         self.line_count = np.zeros(t.L, dtype=np.int64)
         self.saturated = np.zeros(t.L, dtype=bool)
         self.infected_total = 0
-        self._sat_per_axis = [0] * spec.d
         digits = t.digits_of(self.seeds)
         self._count_seeds(digits, digits @ t.W.T + t.off)
         # ``_flat`` by free-axes mask, for two or more free axes and built on
@@ -474,7 +476,6 @@ class InfectionState(_Cascade):
         lc = self.line_count
         lc[lid] = n
         self.infected_total += n - int(np.count_nonzero(mask))
-        self._sat_per_axis[axis] += 1
         thr = self.spec.thresholds
         for b, base, s in cross:
             view = lc[base : base + s * n : s]
@@ -582,7 +583,6 @@ class InfectionState(_Cascade):
         self.saturated[lids] = True
         self.line_count[lids] = n
         self.infected_total += gained
-        self._sat_per_axis[axis] += k
         return k, proved
 
     def _bump(
@@ -734,8 +734,9 @@ class Cascade2D(_Cascade):
     """The count kernel for d = 2: line counts alone, no per-point or
     per-line array.
 
-    An axis-a line holds C[1-a] + s infected points.  The state is C (as
-    ``_sat_per_axis``), s for each unsaturated line that has seeds, the
+    An axis-a line holds C[1-a] + s infected points, where C[a] counts the
+    saturated axis-a lines.  The state is C (``_sat_per_axis``, which only
+    this kernel keeps), s for each unsaturated line that has seeds, the
     seeds of each line and the saturated ids per axis.  ``saturated``,
     ``line_count`` and ``infected_total`` are derived when read.
 

@@ -34,17 +34,6 @@ from .grid import GridSpec, InputError, as_int
 from .processes import LineCountClass, classify_line_count, run_alternating_2d
 from .sampling import TrialSeed, critical_p_of_sample, sample_codes
 
-__all__ = [
-    "ThetaEstimate",
-    "PcEstimate",
-    "SlopeFit",
-    "estimate_theta",
-    "estimate_pc",
-    "fit_exponent",
-    "wilson_interval",
-    "worker_pool",
-]
-
 _Z95 = 1.959963984540054
 
 # run_trials keeps one result per trial and builds every chunk payload up

@@ -267,15 +267,12 @@ def _distinct_codes(codes: np.ndarray) -> np.ndarray:
 
 
 def decode_line(spec: GridSpec, lid: int) -> LineId:
+    """The line of id ``lid``, validated, as ``_SpecTables.line_digits`` reads it."""
     lid = as_int(lid, "a line id")
     if lid < 0 or lid >= spec.num_lines:
         raise InputError(f"line id {lid} out of range [0, {spec.num_lines})")
-    axis, rem = divmod(lid, spec.lines_per_axis)
-    fixed = []
-    for _ in range(spec.d - 1):
-        rem, dig = divmod(rem, spec.n)
-        fixed.append(dig + 1)
-    return LineId(axis, tuple(reversed(fixed)))
+    axis, g = _tables(spec).line_digits(lid)
+    return LineId(axis, tuple(c + 1 for i, c in enumerate(g) if i != axis))
 
 
 # ---------------------------------------------------------------------------

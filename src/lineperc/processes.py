@@ -195,7 +195,7 @@ def plane_statistics_recount(spec: GridSpec, state: InfectionState) -> PlaneStat
     """Brute-force recount of ``plane_statistics``, line by line: the oracle
     of its ``max_parallel``."""
     if spec.d != 3:
-        raise InputError("plane_statistics requires d = 3")
+        raise InputError("plane_statistics_recount requires d = 3")
     t = _tables(spec)
     paral = np.zeros((3, spec.n, 3), dtype=np.int64)
     for lid in np.flatnonzero(state.saturated):

@@ -25,10 +25,15 @@ from .grid import InputError
 SUPERCRITICAL = "supercritical"
 
 
-def lambda_r(r: int) -> float:
-    """Unique positive root of exp(-2 x^r / r!) = 1/2."""
+def _require_r(r: int) -> None:
+    """Refuse an infection parameter below 2."""
     if r < 2:
         raise InputError(f"infection parameter must be >= 2, got {r}")
+
+
+def lambda_r(r: int) -> float:
+    """Unique positive root of exp(-2 x^r / r!) = 1/2."""
+    _require_r(r)
     if r <= 170:
         return (math.factorial(r) * math.log(2.0) / 2.0) ** (1.0 / r)
     # r! is beyond a float: the same root from log r!
@@ -37,8 +42,7 @@ def lambda_r(r: int) -> float:
 
 def s_of_r(r: int) -> int:
     """Largest natural s with s(s+1) <= r, by direct enumeration."""
-    if r < 2:
-        raise InputError(f"infection parameter must be >= 2, got {r}")
+    _require_r(r)
     s = 0
     while (s + 1) * (s + 2) <= r:
         s += 1
@@ -53,8 +57,7 @@ def gamma_of_r(r: int) -> Fraction:
 
 def pc2_exponent(r: int) -> Fraction:
     """2D critical exponent: p_c scales as n^(-1 - 1/r)."""
-    if r < 2:
-        raise InputError(f"infection parameter must be >= 2, got {r}")
+    _require_r(r)
     return Fraction(-1, 1) - Fraction(1, r)
 
 
@@ -69,8 +72,7 @@ def theta2_regime_exponents(r: int) -> list[tuple[int, int]]:
 
     theta scales as n^(2s'+1) * (np)^(r(2s'+1) - s'(s'+1)) inside regime s'.
     """
-    if r < 2:
-        raise InputError(f"infection parameter must be >= 2, got {r}")
+    _require_r(r)
     return [(2 * s + 1, r * (2 * s + 1) - s * (s + 1)) for s in range(r)]
 
 
@@ -83,8 +85,7 @@ def regime_of(n: int, p: float, r: int):
     """
     if n < 2:
         raise InputError(f"need n >= 2, got {n}")
-    if r < 2:
-        raise InputError(f"infection parameter must be >= 2, got {r}")
+    _require_r(r)
     if not (0.0 < p < 1.0):
         raise InputError(f"need 0 < p < 1, got {p}")
     ln_n = math.log(n)

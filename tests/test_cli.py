@@ -581,6 +581,40 @@ def test_bad_list_values_exit_code(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
+def test_thresholds_or_r_is_decided_once(tmp_path, capsys):
+    # --thresholds wins whenever it is given, so an empty value is refused,
+    # also beside --r, with one message on every command and a sweep config
+    # line alike; giving neither is refused with one message too
+    pts = tmp_path / "pts.txt"
+    pts.write_text("1,1\n")
+    base = ["d = 2", "r = 2", "n_list = 8,12,16", "trials = 10", "seed = 1"]
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("\n".join(base + ["thresholds ="]) + "\n")
+    bare = tmp_path / "bare.cfg"
+    bare.write_text("\n".join(base[:1] + base[2:]) + "\n")
+    spec = ["--n", "8", "--d", "2"]
+    run = ["--trials", "10", "--seed", "1", "--threads", "1"]
+    sweep = ["sweep", "--d", "2", "--n-list", "8,12,16", *run]
+    commands = [
+        ["closure", *spec, "--points", str(pts)],
+        ["theta", *spec, "--p", "0.1", *run],
+        ["pc", *spec, *run],
+        ["minset", "search", *spec],
+        sweep,
+    ]
+    empty = "error: --thresholds must be comma-separated integers, got ''\n"
+    neither = "error: supply --r or --thresholds\n"
+    cases = [(argv + ["--thresholds", ""], empty) for argv in commands]
+    cases += [(argv + ["--r", "2", "--thresholds", ""], empty) for argv in commands]
+    cases += [(argv, neither) for argv in commands]
+    cases += [(["sweep", "--config", str(cfg), "--threads", "1"], empty),
+              (["sweep", "--config", str(bare), "--threads", "1"], neither)]
+    for argv, message in cases:
+        assert dispatch(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == message, (argv, err)
+
+
 def test_minset_verify_bounds_the_certificate_and_samples(capsys):
     # r^d above MAX_MONOMIALS and n below r are refused before any matrix is
     # built, even with no samples; --samples is capped like every trial count

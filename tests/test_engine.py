@@ -560,7 +560,6 @@ def _same_growth(state, ref):
     assert np.array_equal(state.line_count, ref.line_count)
     assert np.array_equal(state.saturated, ref.saturated)
     assert state.infected_total == ref.infected_total
-    assert list(state._sat_per_axis) == ref._sat_per_axis
     assert state.percolated == ref.percolated
     assert np.array_equal(state.seeds, ref.seeds)
     assert state._seeds_on == ref._seeds_on

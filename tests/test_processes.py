@@ -286,7 +286,6 @@ def _same_run(batched, reference):
     assert np.array_equal(batched.line_count, reference.line_count)
     assert np.array_equal(batched.saturated, reference.saturated)
     assert batched.infected_total == reference.infected_total
-    assert batched._sat_per_axis == reference._sat_per_axis
     assert batched.percolated == reference.percolated
     if isinstance(batched, InfectionState):
         assert flat_tallies(batched) == flat_tallies(reference)
@@ -555,9 +554,9 @@ def test_boosted_points_match_first_line_oracle():
 
 
 def test_plane_stats_requires_3d():
+    # each 3D-only function refuses a 2D state in its own name
     spec = GridSpec.uniform(4, 2, 2)
     state = closure(spec, [(1, 1)])
-    with pytest.raises(InputError):
-        plane_statistics(spec, state)
-    with pytest.raises(InputError):
-        boosted_points(spec, state)
+    for fn in (plane_statistics, plane_statistics_recount, boosted_points):
+        with pytest.raises(InputError, match=rf"^{fn.__name__} requires d = 3$"):
+            fn(spec, state)

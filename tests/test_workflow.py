@@ -112,6 +112,20 @@ def test_every_exported_name_has_a_reader():
     assert exported - read == PAPER_STATEMENTS
 
 
+def test_one_export_list():
+    # the package's public names are listed once, by the imports of
+    # __init__.py; a module's own __all__ would be a second list to keep
+    defined = []
+    for path in sorted((ROOT / "src/lineperc").glob("*.py")):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(
+                    node.ctx, ast.Store
+                ):
+                    defined.append(f"{path.name}:{node.lineno}")
+    assert not defined, defined
+
+
 def test_private_attributes_are_reached_only_through_self():
     # a kernel's underscore attributes are its internals: a module that reads
     # them on another object ties itself to one kernel's bookkeeping
