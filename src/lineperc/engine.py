@@ -19,7 +19,8 @@ once over the whole growth.  Every ``run_*`` returns the state, and
 only counts: it supplies its counts and ``_ready_lines(axis=None)`` (the
 unsaturated lines at threshold, of every axis or of one), ``_is_ready``,
 ``_saturate_run(axis, lids, sink)`` (a run of parallel lines, the one
-saturation call; only a queue run passes a sink, and only it stops) and
+saturation call; only a queue run passes a sink, and only it stops),
+``_count_queued(lids)`` (the flat count of lines entering the queue) and
 ``_add_seeds(codes)`` (the codes of grown seeds, taken up to the first that
 makes a line ready; each kernel splits them into digits its own way).
 ``seeds``, the sorted codes of every seed, given or grown, is the one seed
@@ -30,9 +31,12 @@ saturated lines in order and a per-axis tally per round, every schedule
 numbering its rounds from 1.
 
 The queue proves percolation by full flats in every d: a flat with free axes
-S is full when it is a saturated line, or when thr[e] of its slices x_e = z
-are full for some e in S, as each of its axis-e lines then saturates.  The
-grid percolates once it is full, or once its last point is infected.
+S is full when it is a saturated or queued line, or when thr[e] of its
+slices x_e = z are full for some e in S, as each of its axis-e lines then
+saturates.  A queued line is at its threshold, so it saturates in the
+closure.  The grid percolates once it is full, or once its last point is
+infected.  The queue counts a line in its flats as it enters, so it stops
+before the runs that would only saturate what its lines already prove.
 
 The FIFO queue is drained in runs: the longest head of the queue whose lines
 share an axis, ascend in id and belong to the current round.  Parallel lines
@@ -40,7 +44,8 @@ share no point, a run changes no ``saturated`` flag of a crossing line, and
 the lines it sinks go to the tail of the queue, so a run saturated at once
 sinks the same lines in the same order as its lines one by one, and the FIFO
 order is unchanged.  When a plane fills, one saturation sinks all its
-perpendicular lines, and the next run is that whole plane.
+perpendicular lines, and the next run is that whole plane, unless the lines
+queued by then prove the grid.
 
 ``InfectionState``, the dense kernel, serves every d.  It keeps a counter and
 a saturation flag per line, and the seeds of each line, indexed at
@@ -51,8 +56,8 @@ ready from the crossing counters: a counter rises by exactly one per newly
 infected point, so a line is ready at the moment its counter equals its
 threshold, and at no other time.  Its ``_saturate_run`` takes runs of
 ``RUN_MIN`` or more lines as batches of array operations, cut into slices of
-at most ``BATCH_ELEMS`` points to bound memory.  A batch cuts itself at the
-first line after which percolation is proved, and bumps the crossing counters
+at most ``BATCH_ELEMS`` points to bound memory.  A queue's batch cuts itself
+at the line that fills the grid with points, and bumps the crossing counters
 by column sums over each group of batch lines that share their crossing lines,
 whose ids it builds once per group (and which share a plane).  A run of a few
 lines costs less one line at a time, because a batch pays a fixed cost of a
@@ -148,13 +153,15 @@ class _Cascade:
     ``_ready_lines(axis=None)``, the ascending ids of the unsaturated lines
     at or above threshold (of every axis, or of ``axis`` alone),
     ``_is_ready``, ``_add_seeds(codes)``, on an array of new seed codes,
-    and ``_saturate_run(axis, lids, sink)``, the one saturation
+    ``_count_queued(lids)``, which counts lines entering the queue in their
+    flats and tells whether they fill the grid, and
+    ``_saturate_run(axis, lids, sink)``, the one saturation
     call: it saturates ``lids``, ascending axis-``axis`` lines, in id order.
     Given a ``sink``, as the queue's runs are, it appends to it every
-    crossing line that reaches its threshold and halts after the first line
-    once percolation is proved; without one (generations and the sequential
+    crossing line that reaches its threshold and halts after the line that
+    fills the grid with points; without one (generations and the sequential
     scan) it never stops.  It returns the number of lines saturated and
-    whether percolation was proved.  The schedules alone write the trace.
+    whether the grid filled.  The schedules alone write the trace.
 
     Construction seeds the state from ``codes``, an array of point codes;
     a ``run_*`` method then advances the cascade and returns the state.  Or
@@ -167,7 +174,7 @@ class _Cascade:
         self.spec = spec
         t = _tables(spec)
         self._t = t
-        self.seeds = _distinct_codes(_code_array(codes))
+        self.seeds = _distinct_codes(_code_array(codes, t.N))
         if self.seeds.size:
             _in_range(int(self.seeds[0]), int(self.seeds[-1]), t.N)
         self.trace = Trace()
@@ -206,6 +213,11 @@ class _Cascade:
         """Saturate queued lines until the queue is empty or percolation is
         proved (then True).
 
+        Every line is counted in its flats as it enters the queue: the lines
+        the queue starts with, and those each run sinks.  The drain asks for
+        the flat proof before every run, the first included; a run stops only
+        when the grid fills with points.
+
         The queue is taken in runs: the longest head of ascending lines of
         one axis that all belong to the current round.  Parallel lines share
         no point, and a run changes no ``saturated`` flag of a crossing line,
@@ -220,7 +232,8 @@ class _Cascade:
         per_axis = t.lines_per_axis
         in_round = len(queue)
         per_round = [0] * t.d
-        while queue:
+        proved = self._count_queued(queue)
+        while queue and not proved:
             last = queue.popleft()
             run = [last]
             axis = last // per_axis
@@ -228,27 +241,29 @@ class _Cascade:
             while len(run) < in_round and last < queue[0] < end:
                 last = queue.popleft()
                 run.append(last)
-            done, proved = self._saturate_run(axis, run, queue)
+            sunk: list[int] = []
+            done, proved = self._saturate_run(axis, run, sunk)
+            queue.extend(sunk)
             tr.line_ids.extend(run[:done])
             per_round[axis] += done
-            if proved:
-                tr.round_axis_counts.append(tuple(per_round))
-                return True
             in_round -= done
-            if in_round == 0:
+            proved = proved or self._count_queued(sunk)
+            if in_round == 0 or proved:
                 tr.round_axis_counts.append(tuple(per_round))
                 per_round = [0] * t.d
                 in_round = len(queue)
-        return False
+        return proved
 
     def run_fifo(self):
         """The percolation test: a queue-driven cascade that stops at the
-        first proof of percolation, else at the fixed point; ``percolated``
-        is exact either way.
+        first proof of percolation, by the lines saturated or queued, else at
+        the fixed point; ``percolated`` is exact either way.
 
         FIFO order makes each line's round index equal to its synchronous
         generation, so every round but the last stopped one holds the lines
-        of that ``run_rounds`` generation, and the last some of them.
+        of that ``run_rounds`` generation, and the last some of them.  A
+        stopped queue stops between runs, or at the line that fills the grid
+        with points.
         """
         assert not self._ran
         self._ran = True
@@ -329,18 +344,20 @@ class _Cascade:
 
         Only for a state built from no seeds and advanced by ``grow`` alone.
         Seeds already grown, here or earlier, are skipped.  After each seed
-        the state is at the fixed point of the seeds so far, so every line
-        saturates at most once over the whole growth and ``percolated`` is
-        exact after each call.  Returns the 1-based position in ``codes`` of
-        the seed that proved percolation, or 0 if none did; once one has, the
-        state takes no more seeds.  ``seeds`` takes the new seeds once, on
-        return: all of them, or those up to the proving one.  A code out of
-        range is refused before any seed is added.
+        that proves nothing the state is at the fixed point of the seeds so
+        far, so every line is queued and saturates at most once over the
+        whole growth, the flat counts carry over from one drain to the next,
+        and ``percolated`` is exact after each call.  Returns the 1-based
+        position in ``codes`` of the seed that proved percolation, or 0 if
+        none did; once one has, the state takes no more seeds.  ``seeds``
+        takes the new seeds once, on return: all of them, or those up to the
+        proving one.  A code out of range is refused before any seed is
+        added.
         """
         assert not self.percolated and self._ran in (False, "grow")
         assert self._ran or not self.seeds.size  # built with no seeds
         t = self._t
-        codes = _code_array(codes)
+        codes = _code_array(codes, t.N)
         values = codes.tolist()
         if values:
             _in_range(min(values), max(values), t.N)
@@ -408,8 +425,8 @@ class InfectionState(_Cascade):
 
     ``line_count[i]`` is the number of infected points on line i and
     ``saturated[i]`` whether line i is full; ``_seeds_on``, built at
-    construction, holds the seeds on each line.  Queue runs also count the
-    full flats.
+    construction, holds the seeds on each line.  It also counts the full
+    flats of the lines the queue takes.
     """
 
     def __init__(self, spec: GridSpec, codes):
@@ -422,9 +439,14 @@ class InfectionState(_Cascade):
         self.infected_total = 0
         digits = t.digits_of(self.seeds)
         self._count_seeds(digits, digits @ t.W.T + t.off)
-        # ``_flat`` by free-axes mask, for two or more free axes and built on
-        # first use; none are kept where they outnumber the lines
-        self._flats = {} if (t.n + 1) ** t.d <= t.N + 2 * t.L else None
+        # the flats: per plane and axis of its lines, the lines it still
+        # needs, keyed as the tables' ``plane_base`` says, and ``_flat`` by
+        # free-axes mask, for three or more free axes and built on first use;
+        # none are kept where they outnumber the lines
+        self._flats = None
+        if (t.n + 1) ** t.d <= t.N + 2 * t.L:
+            self._flats = {}
+            self._plane_need = t.plane_need.copy()
 
     # -- cascade core ---------------------------------------------------------
 
@@ -491,21 +513,18 @@ class InfectionState(_Cascade):
         ``BATCH_ELEMS`` points, in id order, each with one set of array
         operations.
 
-        A run with a sink stops at a proof.  One line at a time,
-        ``_fill_line`` tells the flat proof before the line saturates, which
-        then sinks nothing.  Parallel lines share no point, and a batch
-        changes no ``saturated`` flag of a crossing line, so a batch leaves
-        the state, the sink and the stop exactly as ``_saturate`` on each
-        line in id order would.  Slicing changes nothing but the size of the
+        A run with a sink stops after the line that fills the grid with
+        points.  Parallel lines share no point, and a batch changes no
+        ``saturated`` flag of a crossing line, so a batch leaves the state,
+        the sink and the stop exactly as ``_saturate`` on each line in id
+        order would.  Slicing changes nothing but the size of the
         temporaries (a few tens of bytes per point).
         """
         k = len(lids)
         if k < RUN_MIN:
-            stop = sink is not None
             for i, lid in enumerate(lids):
-                proves = stop and self._fill_line(lid)
-                self._saturate(lid, None if proves else sink)
-                if stop and (proves or self.infected_total == self._t.N):
+                self._saturate(lid, sink)
+                if sink is not None and self.infected_total == self._t.N:
                     return i + 1, True
             return k, False
         rows = max(1, BATCH_ELEMS // self._t.n)
@@ -521,31 +540,24 @@ class InfectionState(_Cascade):
     def _saturate_batch(self, axis: int, lids: np.ndarray, sink) -> tuple[int, bool]:
         """The body of ``_saturate_run`` for one batch ``lids`` (an array) of
         lines, shared by the queue's runs and the generations.  With a
-        ``sink`` it is cut at the proving line before its arrays are built."""
+        ``sink`` it is cut at the line that fills the grid before its arrays
+        are built."""
         t = self._t
         n, d = t.n, t.d
         thr = self.spec.thresholds
-        stop = sink is not None
         # parallel lines share no point: each gains its uninfected ones
         total = self.infected_total + np.cumsum(n - self.line_count[lids])
-        proved = stop and int(total[-1]) == t.N  # the grid fills after a line
+        proved = sink is not None and int(total[-1]) == t.N  # filled after a line
         k = int(np.searchsorted(total, t.N)) + 1 if proved else int(lids.size)
+        lids = lids[:k]
         g = np.zeros((k, d), dtype=np.int64)  # digit vectors, 0 at ``axis``
-        rem = lids[:k] - t.off_list[axis]
+        rem = lids - t.off_list[axis]
         for i in reversed(range(d)):
             if i != axis:
                 rem, g[:, i] = np.divmod(rem, n)
         # lines share their axis-b crossing lines iff they share a plane {axis, b}
         bases = {b: g @ t.W[b] + t.off_list[b] for b in range(d) if b != axis}
         groups = {b: _groups(base) for b, base in bases.items()}
-        first = k  # the line that fills the grid by the flat rule sinks nothing
-        if stop and self._flats is not None:
-            first = self._fill_lines(axis, g, groups)
-        if first < k:
-            k, proved = first + 1, True
-            bases = {b: base[:k] for b, base in bases.items()}
-            groups = {b: _groups(base) for b, base in bases.items()}
-        lids = lids[:k]
         mask = np.zeros((k, n), dtype=bool)
         for row, lid in enumerate(lids.tolist()):
             seeds = self._seeds_on.get(lid)
@@ -572,7 +584,7 @@ class InfectionState(_Cascade):
             for b, base, groups, lines in cross:
                 hit = self._bump(lines, groups, new, None if sink is None else thr[b])
                 if hit is not None:
-                    rows, cols = np.divmod(np.flatnonzero(hit[:first]), n)
+                    rows, cols = np.divmod(np.flatnonzero(hit), n)
                     if rows.size:
                         sunk.append((rows, base[rows] + t.W_list[b][axis] * cols))
             if sunk:
@@ -623,8 +635,9 @@ class InfectionState(_Cascade):
         return hit
 
     def _flat(self, free: int) -> tuple[list[int], np.ndarray, list]:
-        """The flats with free axes ``free``: strides that index them by fixed
-        digits, full flags, and per free axis e their full slices x_e = z."""
+        """The flats with free axes ``free``, three or more: strides that
+        index them by fixed digits, full flags, and per free axis e their
+        full slices x_e = z."""
         if free not in self._flats:
             d, m = self._t.d, 1
             strides = [0] * d
@@ -654,41 +667,32 @@ class InfectionState(_Cascade):
                     proved |= self._fill(free | 1 << e, digits)
         return proved
 
-    def _fill_line(self, lid: int) -> bool:
-        """Count the line ``lid``, about to saturate, in its flats; returns
-        whether it fills the grid."""
-        axis, g = self._t.line_digits(lid)
-        return self._flats is not None and self._fill(1 << axis, g)
+    def _count_queued(self, lids) -> bool:
+        """Count the lines ``lids``, just queued, in their flats; returns
+        whether they fill the grid.
 
-    def _fill_lines(self, axis: int, g: np.ndarray, groups: dict) -> int:
-        """``_fill_line`` for the axis-``axis`` lines of digits ``g``, grouped by
-        plane {axis, e} in ``groups[e]``, up to the first that fills the grid:
-        returns its row, or len(g).  Only filled planes go on to ``_fill``."""
-        k = g.shape[0]
-        thr = self.spec.thresholds
-        planes, fills = [], []
-        for e in range(self._t.d):
-            if e != axis:
-                strides, full, slices = self._flat(1 << axis | 1 << e)
-                z = g @ strides
-                # the plane's full slices after each line, earlier lines included
-                count, open_ = slices[e][z] + 1, ~full[z]
-                if groups[e] is not None and open_.any():
-                    order, starts, sizes = groups[e]
-                    count[order] += np.arange(k) - np.repeat(starts, sizes)
-                fills.append((count == thr[e]) & open_)
-                planes.append((1 << axis | 1 << e, z, full, slices[e]))
-        first = k
-        for row, j in zip(*np.nonzero(np.array(fills).T)):
-            if row > first:
-                break
-            free, z, full, _ = planes[j]
-            full[z[row]] = True
-            if self._fill(free, g[row].tolist()):
-                first = int(row)
-        for _, z, _, count in planes:
-            count += np.bincount(z[: first + 1], minlength=count.size)
-        return first
+        A line is a slice of each of its d - 1 planes.  Those counts are
+        taken for all the lines at once, and only a plane that fills goes on
+        to ``_fill``, whose flats are fewer.  A full plane's two needs are
+        raised past reach, to n + 1, since no plane holds more than n lines
+        of an axis, so that it fills once."""
+        if self._flats is None or not lids:
+            return False
+        t = self._t
+        lids = np.fromiter(lids, np.int64, len(lids))
+        axis, rest = np.divmod(lids, t.lines_per_axis)
+        keys = (t.plane_base[axis] + t.plane_index[rest]).ravel()
+        need = self._plane_need
+        np.subtract.at(need, keys, 1)
+        for at in np.flatnonzero(need[keys] <= 0).tolist():
+            key = keys.item(at)
+            if need[key] <= 0:  # else a line before filled the plane
+                need[key] = need[key ^ 1] = t.n + 1
+                row, j = divmod(at, t.d - 1)
+                a, g = t.line_digits(lids[row])
+                if self._fill(1 << a | 1 << j + (j >= a), g):
+                    return True
+        return False
 
     def _add_seeds(self, codes: np.ndarray) -> tuple[int, list[int]]:
         """Count the new seeds of codes ``codes``, in order, on their d
@@ -737,19 +741,22 @@ class Cascade2D(_Cascade):
     An axis-a line holds C[1-a] + s infected points, where C[a] counts the
     saturated axis-a lines.  The state is C (``_sat_per_axis``, which only
     this kernel keeps), s for each unsaturated line that has seeds, the
-    seeds of each line and the saturated ids per axis.  ``saturated``,
-    ``line_count`` and ``infected_total`` are derived when read.
+    seeds of each line, the saturated ids per axis and Q, the number of
+    lines of each axis ever queued.  ``saturated``, ``line_count`` and
+    ``infected_total`` are derived when read.
 
-    An unsaturated axis-a line is ready iff s >= thr[a] - C[1-a].  Once
-    C[1-a] >= thr[a], the grid is full by the flat rule: every unsaturated
-    axis-a line is ready.  A queue run stops at that proof, so only
+    An unsaturated axis-a line is ready iff s >= thr[a] - C[1-a].  The grid
+    is the only flat above a line, so by the flat rule it is full once
+    Q[1-a] >= thr[a]: every axis-a line then holds thr[a] points of queued
+    lines.  The queue stops at that proof before a run, and a queue run
+    saturates only queued lines, so C <= Q < thr there, and only
     ``_ready_lines``, for the generations and half-steps, lists the lines
     with s = 0.
 
     Ready lines are found by scanning s.  Saturating an axis-a line in a
     queue run looks up the axis-b lines with s = thr[b] - C[a], which is > 0
-    until the proof; C only grows, ``grow`` included, so a state makes at
-    most thr[b] - 1 such scans per axis.  ``_ready_lines`` runs once per
+    there; C only grows, ``grow`` included, so a state makes at most
+    thr[b] - 1 such scans per axis.  ``_ready_lines`` runs once per
     FIFO run, generation or half-step, about thr[0] + thr[1] + 2 times, as
     an axis gains ready lines only after the other's C rises:
     O((thr[0] + thr[1]) S) in all, for S lines holding seeds.
@@ -761,6 +768,7 @@ class Cascade2D(_Cascade):
         super().__init__(spec, codes)
         n = spec.n
         self._sat_per_axis = [0, 0]
+        self._queued = [0, 0]
         self._sat: tuple[set[int], set[int]] = (set(), set())
         self._s: tuple[dict[int, int], dict[int, int]] = ({}, {})
         # seeds on no saturated line
@@ -826,9 +834,8 @@ class Cascade2D(_Cascade):
         the dense kernel does: each adds one to its C and covers its seeds.
         Given a ``sink``, each appends to it every perpendicular line that
         reaches its threshold, in ascending id as the dense kernel's crossing
-        scan finds them, and the run stops at a proof.  The grid is the only
-        flat above a line, and C counts its slices, so the flat proof is
-        C[a] >= thr[b] once the line is counted."""
+        scan finds them, and the run stops after the line that fills the grid
+        with points."""
         n = self._t.n
         a, b = axis, 1 - axis
         thr_b = self.spec.thresholds[b]
@@ -851,11 +858,9 @@ class Cascade2D(_Cascade):
                     s_b[m] -= 1
                     crossed.append(m)
             if sink is not None:
-                if C[a] >= thr_b:
-                    return i + 1, True
                 # every other unsaturated axis-b line gained one point: those
                 # now at C[a] + s = thr[b] have just reached their threshold,
-                # and C[a] < thr[b] makes s > 0
+                # and C[a] <= Q[a] < thr[b] makes s > 0
                 k = thr_b - C[a]
                 sink.extend(sorted(
                     q for q, v in s_b.items() if v == k and q not in crossed
@@ -863,6 +868,16 @@ class Cascade2D(_Cascade):
                 if self.infected_total == self._t.N:
                     return i + 1, True
         return len(lids), False
+
+    def _count_queued(self, lids) -> bool:
+        """Count the lines ``lids``, just queued, in Q; returns whether they
+        fill the grid."""
+        n = self._t.n
+        Q = self._queued
+        for lid in lids:
+            Q[lid // n] += 1
+        thr = self.spec.thresholds
+        return Q[0] >= thr[1] or Q[1] >= thr[0]
 
     def _add_seeds(self, codes: np.ndarray) -> tuple[int, list[int]]:
         """Count the new seeds of codes ``codes``, in order, in s of their
@@ -899,9 +914,11 @@ class Cascade2D(_Cascade):
 # ---------------------------------------------------------------------------
 
 
-def _code_array(codes) -> np.ndarray:
+def _code_array(codes, N: int) -> np.ndarray:
     """``codes`` as int64 point codes, in order; anything but a 1-D integer
-    array, such as point tuples, is refused.  The caller checks the range."""
+    array, such as point tuples, is refused.  The caller checks the range,
+    but an unsigned code of N or more is refused here, as given, since the
+    cast could wrap it negative."""
     try:
         arr = np.asarray(codes)
     except ValueError:  # ragged nesting, such as points of mixed length
@@ -909,6 +926,8 @@ def _code_array(codes) -> np.ndarray:
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
         raise InputError("seeds must be a 1-D integer array of point codes; "
                          "encode points with encode_points(spec, points)")
+    if arr.dtype.kind == "u" and arr.size:
+        _in_range(0, int(arr.max()), N)
     return arr.astype(np.int64, copy=False)
 
 

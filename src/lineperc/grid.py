@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -191,6 +191,34 @@ class _SpecTables:
         self.off_list = self.off.tolist()
         self.W_list = W.tolist()
         self._rev_others = [[i for i in reversed(range(d)) if i != b] for b in range(d)]
+        # the planes of the engine's flat rule.  An axis-b line lies in the
+        # plane {b, e} of each other axis e, the j-th of which is j + (j >= b),
+        # and ``plane_index`` places that plane among its m = n^(d-2)
+        # parallels, as i.  Plane {x, y}, x < y, is p = (y (y - 1) / 2 + x) m
+        # + i and counts its axis-x and axis-y lines at keys 2p and 2p + 1:
+        # the line's key is plane_base[b, j] + 2i, and plane_need per key is
+        # the thr[e] that fills the plane
+        b = np.arange(d)[:, None]
+        j = np.arange(d - 1)
+        e = j + (j >= b)
+        x, y = np.minimum(b, e), np.maximum(b, e)
+        m = n ** max(d - 2, 0)
+        self.plane_base = 2 * m * (y * (y - 1) // 2 + x) + (b > e)
+        thr = spec.thresholds
+        need = [(thr[y], thr[x]) for y in range(d) for x in range(y)]
+        need = np.array(need, dtype=np.int64).reshape(-1, 1, 2)
+        self.plane_need = np.repeat(need, m, axis=1).ravel()
+
+    @cached_property
+    def plane_index(self) -> np.ndarray:
+        """2i by line id less its axis offset (rows) and by j (columns),
+        where i indexes the line's plane through its j-th other axis among
+        the parallel planes: it is that id with the axis's digit, of weight
+        n^(d-2-j), dropped.  Built on first use, in int32, it is less than
+        half the size of ``thr_line``."""
+        w = (self.n ** np.arange(self.d - 2, -1, -1)).astype(np.int32)
+        rest = np.arange(self.lines_per_axis, dtype=np.int32)[:, None]
+        return 2 * (rest // (w * self.n) * w + rest % w)
 
     def digits_of(self, codes: np.ndarray) -> np.ndarray:
         """0-based digit matrix, shape (len(codes), d)."""

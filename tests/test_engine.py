@@ -30,7 +30,7 @@ from lineperc.grid import (
 )
 from lineperc.processes import run_alternating_2d, run_sequential, run_synchronous
 from test_grid import points_on
-from test_processes import transposed
+from test_processes import flat_tallies, transposed
 
 
 def block(r, d):
@@ -567,17 +567,6 @@ def _same_growth(state, ref):
         assert flat_tallies(state) == flat_tallies(ref)
 
 
-def flat_tallies(state):
-    """Per free-axes mask, the full flags and full-slice counts of the
-    flats; a mask whose flats are all empty reads as absent."""
-    tallies = {}
-    for free, (_, full, slices) in (state._flats or {}).items():
-        counts = [c.tolist() for c in slices if c is not None]
-        if full.any() or any(map(any, counts)):
-            tallies[free] = (full.tolist(), counts)
-    return tallies
-
-
 def test_array_ingest_matches_one_seed_at_a_time():
     # random code sequences, cut into random chunks, grow the same states on
     # both ingests: d = 1..4, uniform and mixed thresholds (some above n, so
@@ -648,6 +637,143 @@ def test_flat_proof_stops_early(d):
         grown = InfectionState(spec, ())
         assert grown.grow(order) == hi and grown.percolated
     assert early > 10 and mixed_above > 10
+
+
+def flats_prove(spec, lines):
+    """A test-local flat rule: whether ``lines`` make the grid a full flat.
+
+    A flat is a d-tuple of 0-based digits with None at each free axis, so a
+    line has one None.  A flat is full when it is one of ``lines``, or when
+    thr[e] of its slices across some free axis e are full.  A slice has one
+    free axis fewer, so one pass in order of the free axes' count decides
+    every flat."""
+    n, d, thr = spec.n, spec.d, spec.thresholds
+    full = set(lines)
+    for k in range(2, d + 1):
+        for free in itertools.combinations(range(d), k):
+            fixed = [a for a in range(d) if a not in free]
+            for digits in itertools.product(range(n), repeat=d - k):
+                flat = [None] * d
+                for a, z in zip(fixed, digits):
+                    flat[a] = z
+                for e in free:
+                    held = sum(
+                        tuple(flat[:e] + [z] + flat[e + 1:]) in full for z in range(n)
+                    )
+                    if held >= thr[e]:
+                        full.add(tuple(flat))
+                        break
+    return (None,) * d in full
+
+
+def first_proving_round(spec, codes):
+    """The first round boundary g >= 0 of the synchronous generations,
+    recomputed here from the points, at which the lines saturated in rounds
+    1..g and the lines then ready prove the grid by ``flats_prove``; None if
+    no boundary does."""
+    n, d, thr = spec.n, spec.d, spec.thresholds
+
+    def points(line):
+        a = line.index(None)
+        return [line[:a] + (z,) + line[a + 1:] for z in range(n)]
+
+    lines = [
+        rest[:a] + (None,) + rest[a:]
+        for a in range(d)
+        for rest in itertools.product(range(n), repeat=d - 1)
+    ]
+    infected = {tuple(c - 1 for c in decode_point(spec, code)) for code in codes.tolist()}
+    saturated = set()
+    for g in itertools.count():
+        ready = {
+            line for line in lines
+            if line not in saturated
+            and sum(p in infected for p in points(line)) >= thr[line.index(None)]
+        }
+        if flats_prove(spec, saturated | ready):
+            return g
+        if not ready:
+            return None
+        saturated |= ready
+        infected.update(p for line in ready for p in points(line))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_queue_stops_once_queued_lines_prove_the_grid(d):
+    # every line is counted in its flats as it enters the queue, and the
+    # queue stops before the next run once the lines saturated or queued
+    # prove the grid: a queue round ends where a generation does, and then
+    # holds the next generation, so no stopped queue passes the first round
+    # boundary at which the test-local flat rule, over the lines saturated or
+    # ready there, proves the grid.  Random sets and the shortest
+    # percolating prefix of a random order, whose proofs come later;
+    # uniform and mixed thresholds, some above n
+    rng = np.random.default_rng(131 + d)
+    proved = later = mixed_above = 0
+    for it in range(60):
+        n = int(rng.integers(2, {2: 12, 3: 7, 4: 5}[d]))
+        thresholds = tuple(int(x) for x in rng.integers(1, n + 3, size=d))
+        if it % 3 == 0:
+            thresholds = (int(rng.integers(1, n + 1)),) * d
+        spec = GridSpec(n, d, thresholds)
+        mixed_above += max(thresholds) > n >= min(thresholds)
+        k = int(rng.binomial(spec.num_sites, rng.uniform(0.02, 0.6)))
+        codes = rng.choice(spec.num_sites, size=k, replace=False).astype(np.int64)
+
+        def percolating(prefix):
+            pts = {decode_point(spec, int(c)) for c in prefix}
+            return len(naive_closure(spec, pts)) == spec.num_sites
+
+        # grow stops at the first seed whose prefix percolates
+        order = rng.permutation(spec.num_sites)
+        lo, hi = 0, spec.num_sites  # percolating(order[:hi]) and not order[:lo]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if percolating(order[:mid]) else (mid, hi)
+        for kernel in (new_state, InfectionState):
+            grown = kernel(spec, ())
+            assert grown.grow(order) == hi and grown.percolated
+
+        for seeds in (codes, order[:hi]):
+            g = first_proving_round(spec, seeds)
+            # a grid with more flats than lines keeps none (d = 4, n = 2),
+            # and its queue proves by points alone
+            if (n + 1) ** d > spec.num_sites + 2 * spec.num_lines:
+                g = None
+            proved += g is not None
+            later += bool(g)
+            rounds = new_state(spec, seeds).run_rounds()
+            for kernel in (new_state, InfectionState):
+                stopped = kernel(spec, seeds).run_fifo()
+                assert stopped.percolated == percolating(seeds)
+                assert_queue_rounds_are_generations(stopped, rounds)
+                if g is not None:
+                    assert stopped.percolated and stopped.trace.num_rounds <= g
+    assert proved > 20 and later > 5 and mixed_above > 10, (proved, later, mixed_above)
+
+
+def test_unsigned_codes_are_refused_as_given():
+    # a uint64 code of 2^63 or more wrapped negative in the cast to int64,
+    # and was refused as a code the caller never passed
+    spec = GridSpec.uniform(4, 2, 2)
+    kernels = (new_state, InfectionState, Cascade2D)
+    for bad in (2**64 - 1, 2**63 + 5, 16):
+        codes = np.array([3, bad, 5], dtype=np.uint64)
+        message = f"point code {bad} out of range [0, 16)"
+        for kernel in kernels:
+            with pytest.raises(InputError) as refused:
+                kernel(spec, codes)
+            assert str(refused.value) == message
+            state = kernel(spec, ())
+            with pytest.raises(InputError) as refused:
+                state.grow(codes)
+            assert str(refused.value) == message
+            assert state.seeds.size == 0 and state.infected_total == 0
+    codes = np.array([5, 3, 5], dtype=np.uint64)
+    for kernel in kernels:
+        assert kernel(spec, codes).seeds.tolist() == [3, 5]
+        state = kernel(spec, ())
+        assert state.grow(codes) == 0 and state.seeds.tolist() == [3, 5]
 
 
 def test_initial_out_of_range():

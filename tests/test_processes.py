@@ -241,11 +241,10 @@ class _OneLineAtATime(InfectionState):
         done, proved, stop = len(lids), False, sink is not None
         for i, lid in enumerate(lids):
             assert lid // self.spec.lines_per_axis == axis
-            # the flat rule is asked before the line saturates, which then
-            # sinks nothing; a full grid proves after it
-            proves = stop and self._fill_line(lid)
-            self._saturate(lid, None if proves else got)
-            if stop and (proves or self.infected_total == self.spec.num_sites):
+            # a queue run stops only when the grid fills with points; the
+            # flat rule is the drain's, on the lines as they are queued
+            self._saturate(lid, got)
+            if stop and self.infected_total == self.spec.num_sites:
                 done, proved = i + 1, True
                 break
         if sink is not None:
@@ -272,8 +271,11 @@ class _Recorded(InfectionState):
 
 def flat_tallies(state):
     """Per free-axes mask, the full flags and full-slice counts of the
-    flats; a mask whose flats are all empty reads as absent."""
+    flats; a mask whose flats are all empty reads as absent.  The planes'
+    needs read as mask 0."""
     tallies = {}
+    if state._flats is not None:
+        tallies[0] = state._plane_need.tolist()
     for free, (_, full, slices) in (state._flats or {}).items():
         counts = [c.tolist() for c in slices if c is not None]
         if full.any() or any(map(any, counts)):
@@ -375,9 +377,10 @@ def test_sliced_batches_match_whole_batches(monkeypatch):
 
 
 def test_drain_runs_match_one_line_at_a_time(monkeypatch):
-    # the FIFO queue hands the kernel runs of parallel lines; batched, cut at
-    # a proof and sliced down to one or two lines, they must leave the
-    # state, the trace, the sinks and the stop as one line at a time does
+    # the FIFO queue hands the kernel runs of parallel lines; batched, cut
+    # where the grid fills and sliced down to one or two lines, they must
+    # leave the state, the trace, the sinks, the flats and the stop as one
+    # line at a time does
     calls = _count_batches(monkeypatch)
     rng = np.random.default_rng(61)
     for it in range(480):
@@ -386,9 +389,14 @@ def test_drain_runs_match_one_line_at_a_time(monkeypatch):
         thresholds = tuple(int(x) for x in rng.integers(1, 5, size=d))
         if it % 3 == 0:
             thresholds = (thresholds[0],) * d
+        # a dense set can fill the grid with points in the middle of a run;
+        # a last threshold above n keeps the flat rule, which the queue asks
+        # before each run, from proving it first
+        dense = it % 4 == 3
+        if dense:
+            thresholds = thresholds[:-1] + (n + 1,)
         spec = GridSpec(n, d, thresholds)
-        # a dense set can fill the grid in the middle of a run
-        density = rng.uniform(0.6, 1.0) if it % 4 == 3 else rng.uniform(0.02, 0.4)
+        density = rng.uniform(0.8, 1.0) if dense else rng.uniform(0.02, 0.4)
         k = int(rng.binomial(spec.num_sites, density))
         codes = rng.choice(spec.num_sites, size=k, replace=False).astype(np.int64)
         run_min = (1, 2, engine.RUN_MIN)[it % 3]
