@@ -34,9 +34,13 @@ The queue proves percolation by full flats in every d: a flat with free axes
 S is full when it is a saturated or queued line, or when thr[e] of its
 slices x_e = z are full for some e in S, as each of its axis-e lines then
 saturates.  A queued line is at its threshold, so it saturates in the
-closure.  The grid percolates once it is full, or once its last point is
-infected.  The queue counts a line in its flats as it enters, so it stops
-before the runs that would only saturate what its lines already prove.
+closure.  So does a line one point short of its threshold that crosses a full
+plane at a point not yet infected, since the plane is full in the closure;
+the dense kernel counts those lines in their flats, once each and without
+queueing them, when the plane fills.  The grid percolates once it is full,
+or once its last point is infected.  The queue counts a line in its flats as
+it enters, so it stops before the runs that would only saturate what its
+counted lines already prove.
 
 The FIFO queue is drained in runs: the longest head of the queue whose lines
 share an axis, ascend in id and belong to the current round.  Parallel lines
@@ -45,7 +49,8 @@ the lines it sinks go to the tail of the queue, so a run saturated at once
 sinks the same lines in the same order as its lines one by one, and the FIFO
 order is unchanged.  When a plane fills, one saturation sinks all its
 perpendicular lines, and the next run is that whole plane, unless the lines
-queued by then prove the grid.
+counted by then prove the grid; the lines crossing the plane that it will
+saturate are counted when it fills, so they need not wait for that run.
 
 ``InfectionState``, the dense kernel, serves every d.  It keeps a counter and
 a saturation flag per line, and the seeds of each line, indexed at
@@ -214,7 +219,8 @@ class _Cascade:
         proved (then True).
 
         Every line is counted in its flats as it enters the queue: the lines
-        the queue starts with, and those each run sinks.  The drain asks for
+        the queue starts with, and those each run sinks (the dense kernel
+        also counts the lines a full plane will saturate).  The drain asks for
         the flat proof before every run, the first included; a run stops only
         when the grid fills with points.
 
@@ -256,8 +262,9 @@ class _Cascade:
 
     def run_fifo(self):
         """The percolation test: a queue-driven cascade that stops at the
-        first proof of percolation, by the lines saturated or queued, else at
-        the fixed point; ``percolated`` is exact either way.
+        first proof of percolation, by the lines saturated, queued or counted
+        by a full plane, else at the fixed point; ``percolated`` is exact
+        either way.
 
         FIFO order makes each line's round index equal to its synchronous
         generation, so every round but the last stopped one holds the lines
@@ -426,7 +433,8 @@ class InfectionState(_Cascade):
     ``line_count[i]`` is the number of infected points on line i and
     ``saturated[i]`` whether line i is full; ``_seeds_on``, built at
     construction, holds the seeds on each line.  It also counts the full
-    flats of the lines the queue takes.
+    flats of the lines the queue takes, and of the lines crossing a full
+    plane that the plane will saturate.
     """
 
     def __init__(self, spec: GridSpec, codes):
@@ -447,6 +455,8 @@ class InfectionState(_Cascade):
         if (t.n + 1) ** t.d <= t.N + 2 * t.L:
             self._flats = {}
             self._plane_need = t.plane_need.copy()
+            # the lines counted by a full plane they cross (``_crossing``)
+            self._counted = np.zeros(t.L, dtype=bool)
 
     # -- cascade core ---------------------------------------------------------
 
@@ -675,24 +685,86 @@ class InfectionState(_Cascade):
         taken for all the lines at once, and only a plane that fills goes on
         to ``_fill``, whose flats are fewer.  A full plane's two needs are
         raised past reach, to n + 1, since no plane holds more than n lines
-        of an axis, so that it fills once."""
+        of an axis, so that it fills once.  Once every fill of the lines is
+        taken, the lines that the planes they filled will saturate
+        (``_crossing``) are counted in turn, without being queued, and so on
+        while planes fill.  A line is counted at most once: one so counted is
+        marked in ``_counted`` and skipped when its counter reaches its
+        threshold and it is queued, since counted twice it could fill a plane
+        that is not full."""
         if self._flats is None or not lids:
             return False
         t = self._t
         lids = np.fromiter(lids, np.int64, len(lids))
-        axis, rest = np.divmod(lids, t.lines_per_axis)
-        keys = (t.plane_base[axis] + t.plane_index[rest]).ravel()
+        lids = lids[~self._counted[lids]]
         need = self._plane_need
-        np.subtract.at(need, keys, 1)
-        for at in np.flatnonzero(need[keys] <= 0).tolist():
-            key = keys.item(at)
-            if need[key] <= 0:  # else a line before filled the plane
-                need[key] = need[key ^ 1] = t.n + 1
-                row, j = divmod(at, t.d - 1)
-                a, g = t.line_digits(lids[row])
-                if self._fill(1 << a | 1 << j + (j >= a), g):
-                    return True
+        while lids.size:
+            axis, rest = np.divmod(lids, t.lines_per_axis)
+            keys = (t.plane_base[axis] + t.plane_index[rest]).ravel()
+            np.subtract.at(need, keys, 1)
+            filled = []
+            for at in np.flatnonzero(need[keys] <= 0).tolist():
+                key = keys.item(at)
+                if need[key] <= 0:  # else a line before filled the plane
+                    need[key] = need[key ^ 1] = t.n + 1
+                    row, j = divmod(at, t.d - 1)
+                    a, g = t.line_digits(lids[row])
+                    e = j + (j >= a)
+                    if self._fill(1 << a | 1 << e, g):
+                        return True
+                    filled.append((a, e, g))
+            if not filled:
+                break
+            lids = np.concatenate([self._crossing(*plane) for plane in filled])
         return False
+
+    def _crossing(self, a: int, e: int, g: list[int]) -> np.ndarray:
+        """The lines not yet counted that the plane with free axes ``a`` and
+        ``e`` through digits ``g``, just full, will saturate, now marked as
+        counted.
+
+        They are the lines of each other axis c one point short of thr[c]
+        whose point in the plane is not infected: not a seed, and on no
+        saturated line.  The plane fills in the closure, so each gains that
+        point.  Axis c's lines through the plane are a view of its block of a
+        per-line array, (n, n) over the free axes in ascending order."""
+        t = self._t
+        n, d = t.n, t.d
+        lo, hi = min(a, e), max(a, e)
+        sat, counted = self.saturated, self._counted
+
+        def across(arr: np.ndarray, c: int) -> np.ndarray:
+            m = t.off_list[c]
+            block = arr[m : m + t.lines_per_axis].reshape((n,) * (d - 1))
+            return block[tuple(
+                slice(None) if i in (a, e) else g[i] for i in range(d) if i != c
+            )]
+
+        def origin(c: int) -> int:  # the axis-c line through (x_lo, x_hi) = 0
+            W = t.W_list[c]
+            return t.off_list[c] + sum(g[i] * W[i] for i in range(d) if i not in (a, e))
+
+        # the infected points [x_lo, x_hi]: the axis-lo line x_hi and the
+        # axis-hi line x_lo pass through point (x_lo, x_hi), and the seeds on
+        # an axis-lo line are its x_lo digits
+        infected = across(sat, lo)[None, :] | across(sat, hi)[:, None]
+        step = t.W_list[lo][hi]
+        on = map(self._seeds_on.get, range(origin(lo), origin(lo) + n * step, step))
+        np.put(infected, [s * n + x for x, ss in enumerate(on) if ss for s in ss], True)
+        others = [c for c in range(d) if c not in (a, e)]
+        for c in others:
+            infected |= across(sat, c)
+        clear = ~infected
+        fresh = []
+        for c in others:
+            short = across(self.line_count, c) == self.spec.thresholds[c] - 1
+            hit = np.flatnonzero(short & clear & ~across(counted, c))
+            x_lo, x_hi = np.divmod(hit, n)
+            W = t.W_list[c]
+            fresh.append(origin(c) + x_lo * W[lo] + x_hi * W[hi])
+        lids = np.concatenate(fresh)
+        counted[lids] = True
+        return lids
 
     def _add_seeds(self, codes: np.ndarray) -> tuple[int, list[int]]:
         """Count the new seeds of codes ``codes``, in order, on their d

@@ -205,11 +205,15 @@ def test_plane_stats_json_in_the_window():
          "--trials", "50", "--seed", "1"]
     )
     assert proc.returncode == 0
-    # pinned bytes of stdout, without the build line; the queue now stops
-    # before the runs its queued lines already prove, which took this from
-    # 1fe6f366... (mean N_1 17.62, N_2 3.48) to mean N_1 6.98, N_2 0.48
+    # pinned bytes of stdout, without the build line.  The queue stops
+    # before the runs its counted lines already prove: counting queued lines
+    # took this from 1fe6f366... (mean N_1 17.62, N_2 3.48) to 14b20e9a...
+    # (mean N_1 6.98, N_2 0.48); a full plane counting the lines it will
+    # saturate took it on to mean N_1 3.38 (max 20 -> 8, within 0.02 ->
+    # 0.16) and N_2 0.0 (max 2 -> 0, within 0.68 -> 1.0), with
+    # frac_all_k_within 0.02 -> 0.16
     assert stdout_digest(proc.stdout) == (
-        "14b20e9ac1075e3b45ce6db0867a978ad3db271329ab1f115327bc083eca7420"
+        "0fdee77d6f98284ab010a8aa8d857134d75f737ea833414a18eb5ea8068b40db"
     )
 
 

@@ -752,6 +752,103 @@ def test_queue_stops_once_queued_lines_prove_the_grid(d):
     assert proved > 20 and later > 5 and mixed_above > 10, (proved, later, mixed_above)
 
 
+def record_counts(monkeypatch):
+    """Log on each dense state, as ``counts``, the lines its flats count in
+    order: ("queued", lines) for each call of ``_count_queued``, and
+    ("plane", lines) for the lines each full plane adds through
+    ``_crossing``."""
+    count_queued, crossing = InfectionState._count_queued, InfectionState._crossing
+
+    def logged_count(self, lids):
+        self.__dict__.setdefault("counts", []).append(("queued", [int(q) for q in lids]))
+        return count_queued(self, lids)
+
+    def logged_crossing(self, a, e, g):
+        lids = crossing(self, a, e, g)
+        self.counts.append(("plane", lids.tolist()))
+        return lids
+
+    monkeypatch.setattr(InfectionState, "_count_queued", logged_count)
+    monkeypatch.setattr(InfectionState, "_crossing", logged_crossing)
+
+
+def check_counts(state, closed):
+    """A per-line oracle of the flat counts of ``state``: every line counted
+    saturates in ``closed``, the closure of the same seeds; a full plane
+    counts no line counted before it; and each plane the counted lines do
+    not fill needs its threshold less the lines counted in it, so the queue
+    counted none of them twice.  Returns the number of lines planes
+    counted."""
+    counted, by_planes = set(), 0
+    for kind, lines in getattr(state, "counts", ()):
+        if kind == "plane":
+            assert len(set(lines)) == len(lines) and counted.isdisjoint(lines)
+            by_planes += len(lines)
+        counted.update(lines)
+    assert all(closed.saturated[q] for q in counted)
+    if state._flats is not None:
+        t = _tables(state.spec)
+        held = np.zeros_like(t.plane_need)
+        for q in counted:
+            axis, rest = divmod(q, t.lines_per_axis)
+            held[t.plane_base[axis] + t.plane_index[rest]] += 1
+        full = (held >= t.plane_need).reshape(-1, 2).any(axis=1).repeat(2)
+        assert np.array_equal(state._plane_need[~full], (t.plane_need - held)[~full])
+    return by_planes
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_full_planes_count_only_lines_that_saturate(d, monkeypatch):
+    # a plane that fills counts, without queueing them, the crossing lines
+    # one point short whose point in it is not infected: against the
+    # per-line oracle, on the FIFO queue and on growth in a random order,
+    # with uniform and mixed thresholds, some above n
+    record_counts(monkeypatch)
+    rng = np.random.default_rng(211 + d)
+    by_planes = mixed_above = 0
+    for it in range(50):
+        n = int(rng.integers(2, {3: 8, 4: 5}[d]))
+        thresholds = tuple(int(x) for x in rng.integers(1, n + 3, size=d))
+        if it % 3 == 0:
+            thresholds = (int(rng.integers(1, n + 1)),) * d
+        spec = GridSpec(n, d, thresholds)
+        mixed_above += max(thresholds) > n >= min(thresholds)
+
+        def percolating(codes):
+            pts = {decode_point(spec, int(c)) for c in codes}
+            return len(naive_closure(spec, pts)) == spec.num_sites
+
+        k = int(rng.binomial(spec.num_sites, rng.uniform(0.02, 0.5)))
+        codes = rng.choice(spec.num_sites, size=k, replace=False).astype(np.int64)
+        stopped = InfectionState(spec, codes).run_fifo()
+        assert stopped.percolated == percolating(codes)
+        by_planes += check_counts(stopped, InfectionState(spec, codes).run_rounds())
+        order = rng.permutation(spec.num_sites)
+        grown = InfectionState(spec, ())
+        at = grown.grow(order)
+        assert at and grown.percolated
+        assert percolating(order[:at]) and not percolating(order[: at - 1])
+        by_planes += check_counts(grown, InfectionState(spec, grown.seeds).run_rounds())
+    assert by_planes > 150 and mixed_above > 10, (by_planes, mixed_above)
+
+
+def test_full_plane_proves_before_its_run(monkeypatch):
+    # a 2 x 2 block fills the plane x3 = 1, which four axis-3 lines holding
+    # one seed each cross at points not infected: the plane counts them, and
+    # they fill the planes x2 = 4 and x2 = 5, so the initial queue proves the
+    # grid before any line saturates, where counting only queued lines
+    # waited for the plane's run to sink them, 10 saturations in
+    record_counts(monkeypatch)
+    spec = GridSpec.uniform(8, 3, 2)
+    pts = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1),
+           (4, 4, 2), (5, 4, 3), (4, 5, 4), (5, 5, 5)]
+    codes = encode_points(spec, pts)
+    stopped = InfectionState(spec, codes).run_fifo()
+    assert stopped.percolated and stopped.trace.line_ids == []
+    assert len(naive_closure(spec, pts)) == spec.num_sites
+    assert check_counts(stopped, closure(spec, pts)) == 4
+
+
 def test_unsigned_codes_are_refused_as_given():
     # a uint64 code of 2^63 or more wrapped negative in the cast to int64,
     # and was refused as a code the caller never passed
