@@ -114,8 +114,10 @@ from .grid import (
 
 # points per batch of parallel lines, which bounds the (lines, n) temporaries
 BATCH_ELEMS = 1 << 20
-# runs of fewer parallel lines are cheaper one line at a time (measured on 3D
-# p* trials at n = 64..256, r = 2 and 3: 4, 8 and 16 were about equal)
+# runs of fewer parallel lines are cheaper one line at a time.  The queue
+# proves before long runs form, so a p* search seldom batches (per search:
+# none in 3D at r = 2, 0.37 at r = 3, n = 128, 0.07 in 4D at n = 32), but
+# closure by generations batches most lines, about 15x faster than one by one
 RUN_MIN = 8
 
 
@@ -472,12 +474,14 @@ class InfectionState(_Cascade):
     def _ready_lines(self, axis: int | None = None) -> np.ndarray:
         t = self._t
         m = t.lines_per_axis
-        lo, hi = (0, t.L) if axis is None else (axis * m, axis * m + m)
-        ready = (self.line_count[lo:hi] >= t.thr_line[lo:hi]) & ~self.saturated[lo:hi]
-        return lo + np.flatnonzero(ready)
+        lo, hi = (0, t.d) if axis is None else (axis, axis + 1)
+        count = self.line_count.reshape(t.d, m)[lo:hi]
+        ready = (count >= t.thr[lo:hi, None]) & ~self.saturated.reshape(t.d, m)[lo:hi]
+        return lo * m + np.flatnonzero(ready)
 
     def _is_ready(self, lid: int) -> bool:
-        return not self.saturated[lid] and self.line_count[lid] >= self._t.thr_line[lid]
+        axis = lid // self._t.lines_per_axis
+        return not self.saturated[lid] and self.line_count[lid] >= self._t.thr[axis]
 
     def _saturate(self, lid: int, sink) -> None:
         """Saturate one line: infect its new points, bump crossing counters,
@@ -796,7 +800,8 @@ class InfectionState(_Cascade):
         if groups is not None:
             order, starts, sizes = groups
             count[order] += np.arange(flat.size) - np.repeat(starts, sizes)
-        hit = (count == t.thr_line[flat]).reshape(lids.shape)
+        # column b of ``lids`` holds axis-b lines
+        hit = count.reshape(lids.shape) == t.thr
         stop = int(hit.any(axis=1).argmax()) if hit.any() else m
         taken, ready = k, []
         if stop < m:
@@ -811,11 +816,11 @@ class Cascade2D(_Cascade):
     per-line array.
 
     An axis-a line holds C[1-a] + s infected points, where C[a] counts the
-    saturated axis-a lines.  The state is C (``_sat_per_axis``, which only
-    this kernel keeps), s for each unsaturated line that has seeds, the
-    seeds of each line, the saturated ids per axis and Q, the number of
-    lines of each axis ever queued.  ``saturated``, ``line_count`` and
-    ``infected_total`` are derived when read.
+    saturated axis-a lines.  The state is the saturated ids per axis, whose
+    sizes are C, s for each unsaturated line that has seeds, the seeds of
+    each line and Q, the number of lines of each axis ever queued.
+    ``saturated``, ``line_count`` and ``infected_total`` are derived when
+    read.
 
     An unsaturated axis-a line is ready iff s >= thr[a] - C[1-a].  The grid
     is the only flat above a line, so by the flat rule it is full once
@@ -839,7 +844,6 @@ class Cascade2D(_Cascade):
             raise InputError(f"Cascade2D requires d = 2, got d = {spec.d}")
         super().__init__(spec, codes)
         n = spec.n
-        self._sat_per_axis = [0, 0]
         self._queued = [0, 0]
         self._sat: tuple[set[int], set[int]] = (set(), set())
         self._s: tuple[dict[int, int], dict[int, int]] = ({}, {})
@@ -859,7 +863,7 @@ class Cascade2D(_Cascade):
 
     @property
     def infected_total(self) -> int:
-        c0, c1 = self._sat_per_axis
+        c0, c1 = len(self._sat[0]), len(self._sat[1])
         return self._t.n * (c0 + c1) - c0 * c1 + self._uncovered
 
     @property
@@ -872,7 +876,7 @@ class Cascade2D(_Cascade):
     @property
     def line_count(self) -> np.ndarray:
         n = self._t.n
-        c0, c1 = self._sat_per_axis
+        c0, c1 = len(self._sat[0]), len(self._sat[1])
         count = np.repeat(np.array([c1, c0], dtype=np.int64), n)
         for s in self._s:
             if s:
@@ -886,7 +890,7 @@ class Cascade2D(_Cascade):
         n = self._t.n
         ready: list[int] = []
         for a in (0, 1) if axis is None else (axis,):
-            k = self.spec.thresholds[a] - self._sat_per_axis[1 - a]
+            k = self.spec.thresholds[a] - len(self._sat[1 - a])
             if k <= 0:
                 sat = self._sat[a]
                 ready.extend(q for q in range(a * n, a * n + n) if q not in sat)
@@ -897,7 +901,7 @@ class Cascade2D(_Cascade):
     def _is_ready(self, lid: int) -> bool:
         a = lid // self._t.n
         return lid not in self._sat[a] and (
-            self._sat_per_axis[1 - a] + self._s[a].get(lid, 0)
+            len(self._sat[1 - a]) + self._s[a].get(lid, 0)
             >= self.spec.thresholds[a]
         )
 
@@ -911,13 +915,11 @@ class Cascade2D(_Cascade):
         n = self._t.n
         a, b = axis, 1 - axis
         thr_b = self.spec.thresholds[b]
-        C = self._sat_per_axis
         sat_a, sat_b = self._sat[a], self._sat[b]
         s_a, s_b = self._s[a], self._s[b]
         seeds_on = self._seeds_on
         off = b * n
         for i, lid in enumerate(lids):
-            C[a] += 1
             sat_a.add(lid)
             self._uncovered -= s_a.pop(lid, 0)
             # the line's seeds on unsaturated perpendicular lines were
@@ -933,7 +935,7 @@ class Cascade2D(_Cascade):
                 # every other unsaturated axis-b line gained one point: those
                 # now at C[a] + s = thr[b] have just reached their threshold,
                 # and C[a] <= Q[a] < thr[b] makes s > 0
-                k = thr_b - C[a]
+                k = thr_b - len(sat_a)
                 sink.extend(sorted(
                     q for q, v in s_b.items() if v == k and q not in crossed
                 ))
@@ -960,10 +962,9 @@ class Cascade2D(_Cascade):
         fills the grid and makes no line ready is last; no line saturates
         here, so the s that makes a line ready is fixed."""
         n = self._t.n
-        C = self._sat_per_axis
         thr = self.spec.thresholds
-        k0, k1 = thr[0] - C[1], thr[1] - C[0]
         sat0, sat1 = self._sat
+        k0, k1 = thr[0] - len(sat1), thr[1] - len(sat0)
         s0, s1 = self._s
         seeds_on = self._seeds_on
         for i, code in enumerate(codes.tolist()):
@@ -1083,7 +1084,7 @@ def naive_closure(spec: GridSpec, initial: Iterable[Sequence[int]]) -> set[Point
     while True:
         inf_codes = np.flatnonzero(infected)
         counts = np.bincount(lut[inf_codes].ravel(), minlength=t.L)
-        sat = counts >= t.thr_line
+        sat = (counts.reshape(t.d, -1) >= t.thr[:, None]).ravel()
         member = sat[lut].any(axis=1)
         new = infected | member
         if np.array_equal(new, infected):

@@ -3,9 +3,9 @@
 Every estimate is one ``run_trials`` call: trial i is a pure function of
 (master_seed, i), and aggregation is positional, so results are
 bit-identical for every worker count.  Inside a ``with worker_pool(workers):``
-block every estimate runs on one pool, forked at the first estimate that fans
-out and joined when the block ends; the CLI runs each command in one such
-block.  Outside a block, estimates run serially in this process.
+block every estimate runs on one pool of min(workers, cores) processes,
+joined when the block ends; the CLI runs each command in one such block.
+Outside a block, and for an estimate of one chunk, trials run serially here.
 
 p_c is estimated as the median of the coupled per-sample p* values: under the
 coupling P(p* <= p) equals theta_p exactly, so one cascade pipeline per trial
@@ -24,7 +24,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,27 +150,6 @@ def _chunk(args) -> list:
     return [fn(spec, TrialSeed(master_seed, i), *extra) for i in range(lo, hi)]
 
 
-class _WorkerPool:
-    """The process pool of one ``worker_pool`` block, built when first needed."""
-
-    def __init__(self, workers: int, stack: ExitStack):
-        self._workers = workers
-        self._stack = stack
-        self._executor = None
-
-    def map(self, fn, payloads) -> list:
-        if self._executor is None:
-            # a pool forks all its workers at the first submit, so never ask
-            # for more than there are cores or chunks to run
-            size = min(self._workers, os.cpu_count() or 1, len(payloads))
-            if size <= 1:
-                return [fn(p) for p in payloads]
-            self._executor = self._stack.enter_context(
-                ProcessPoolExecutor(max_workers=size)
-            )
-        return list(self._executor.map(fn, payloads))
-
-
 # each thread's innermost worker_pool; not a ContextVar, since any value set
 # in the context makes numpy's per-call lookup of its error state slower
 _active = threading.local()
@@ -180,14 +159,15 @@ _active = threading.local()
 def worker_pool(workers: int):
     """Run every estimate inside the block on one pool of worker processes.
 
-    The pool has min(``workers``, cores, chunks) workers, the chunks being
-    those of the first estimate that fans out, which forks them; until then,
-    and for good if ``workers`` <= 1, estimates run serially in this process.
-    On exit the pool shuts down and its workers are joined.
+    The pool has min(``workers``, cores) workers, forked at the first estimate
+    with more than one chunk; an estimate of one chunk, and every estimate if
+    that size is 1, runs serially in this process.  On exit the pool shuts
+    down and its workers are joined.
     """
-    with ExitStack() as stack:
+    size = min(workers, os.cpu_count() or 1)
+    with ProcessPoolExecutor(size) if size > 1 else nullcontext() as pool:
         outer = getattr(_active, "pool", None)
-        _active.pool = _WorkerPool(workers, stack)
+        _active.pool = pool
         try:
             yield
         finally:
@@ -219,7 +199,8 @@ def run_trials(
         (fn, spec, master_seed, lo, hi, extra) for lo, hi in _chunk_ranges(trials)
     ]
     pool = getattr(_active, "pool", None)
-    chunks = map(_chunk, payloads) if pool is None else pool.map(_chunk, payloads)
+    serial = pool is None or len(payloads) == 1
+    chunks = map(_chunk, payloads) if serial else pool.map(_chunk, payloads)
     return [x for chunk in chunks for x in chunk]
 
 

@@ -183,9 +183,7 @@ class _SpecTables:
                 W[b, i] = n ** (d - 2 - j)
                 j += 1
         self.W = W
-        self.thr_line = np.repeat(
-            np.array(spec.thresholds, dtype=np.int64), self.lines_per_axis
-        )
+        self.thr = np.array(spec.thresholds, dtype=np.int64)
         # plain-int copies for per-point scalar arithmetic, where numpy's
         # per-call overhead would dominate
         self.off_list = self.off.tolist()
@@ -215,7 +213,7 @@ class _SpecTables:
         where i indexes the line's plane through its j-th other axis among
         the parallel planes: it is that id with the axis's digit, of weight
         n^(d-2-j), dropped.  Built on first use, in int32, it is less than
-        half the size of ``thr_line``."""
+        half the size of a kernel's int64 ``line_count``."""
         w = (self.n ** np.arange(self.d - 2, -1, -1)).astype(np.int32)
         rest = np.arange(self.lines_per_axis, dtype=np.int32)[:, None]
         return 2 * (rest // (w * self.n) * w + rest % w)

@@ -372,7 +372,7 @@ def test_ready_lines_of_one_axis_are_its_slice_of_all(monkeypatch):
             # the count kernel's other branch: an axis all of whose
             # unsaturated lines are ready, by the count of the others
             seen["full"] += isinstance(self, Cascade2D) and any(
-                self._sat_per_axis[1 - a] >= self.spec.thresholds[a] for a in (0, 1)
+                len(self._sat[1 - a]) >= self.spec.thresholds[a] for a in (0, 1)
             )
             return saturate_run(self, axis, lids, sink)
         return run
@@ -424,7 +424,8 @@ def test_line_count_invariants():
             # fixed point: no unsaturated line at or above threshold, unless
             # the queue stopped at a proof
             if state is not queue or not queue.percolated:
-                assert not np.any((counts >= t.thr_line) & ~state.saturated)
+                ready = counts.reshape(spec.d, -1) >= t.thr[:, None]
+                assert not np.any(ready.ravel() & ~state.saturated)
             assert state.infected_total == infected.size
 
 

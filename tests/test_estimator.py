@@ -119,11 +119,36 @@ def test_estimate_pc_determinism_across_workers():
     assert ta.successes == tb.successes
 
 
-def test_seeds_outside_64_bits_refused_before_any_trial(monkeypatch):
-    def no_trial(*args, **kwargs):
-        raise AssertionError("a trial or a pool started")
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stands a pool that starts nothing in for ProcessPoolExecutor; returns
+    the log of its life."""
+    events = []
 
-    monkeypatch.setattr(estimator, "ProcessPoolExecutor", no_trial)
+    class SerialPool:
+        def __init__(self, max_workers):
+            events.append(("start", max_workers))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            events.append("shutdown")
+            return False
+
+        def map(self, fn, payloads):
+            events.append("map")
+            return map(fn, payloads)
+
+    monkeypatch.setattr(estimator, "ProcessPoolExecutor", SerialPool)
+    return events
+
+
+def test_seeds_outside_64_bits_refused_before_any_trial(monkeypatch, serial_pool):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(estimator, "critical_p_of_sample", no_trial)
     monkeypatch.setattr(estimator, "sample_codes", no_trial)
     spec = GridSpec.uniform(64, 2, 2)
@@ -133,6 +158,8 @@ def test_seeds_outside_64_bits_refused_before_any_trial(monkeypatch):
                 estimate_pc(spec, 10, seed)
             with pytest.raises(InputError, match="master_seed"):
                 estimate_theta(spec, 0.01, 10, seed)
+    # the pool was built, which forks nothing, and given no task
+    assert serial_pool == [("start", 2), "shutdown"]
 
 
 def test_checked_pc_trial_opens_its_stream_once(monkeypatch):
@@ -211,65 +238,36 @@ def test_theta_outcomes_match_per_trial_oracle(spec, p, trials):
 
 @pytest.mark.parametrize(
     "requested, cores, pool_size",
-    [(1000, 3, 3), (1000, 64, 8), (2, 64, 2), (4, 1, None), (1, 8, None)],
+    [(1000, 3, 3), (1000, 64, 64), (2, 64, 2), (4, 1, None), (1, 8, None)],
 )
-def test_workers_clamped_to_cores_and_chunks(monkeypatch, requested, cores, pool_size):
-    # 8 trials make 8 chunks; a clamp to 1 worker runs serially, with no pool
-    sizes = []
-
-    class SerialPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, payloads):
-            return map(fn, payloads)
-
-    monkeypatch.setattr(estimator, "ProcessPoolExecutor", SerialPool)
+def test_workers_clamped_to_cores_and_chunks(
+    monkeypatch, serial_pool, requested, cores, pool_size
+):
+    # the pool has min(requested, cores) workers, none if that is 1; an
+    # estimate of one chunk (one trial) maps no task to it
     monkeypatch.setattr(estimator.os, "cpu_count", lambda: cores)
     spec = GridSpec.uniform(10, 2, 2)
     with estimator.worker_pool(requested):
+        one = estimate_theta(spec, 0.1, 1, 3)
+        assert "map" not in serial_pool
         est = estimate_theta(spec, 0.1, 8, 3)
-    assert sizes == ([] if pool_size is None else [pool_size])
+    assert serial_pool == (
+        [] if pool_size is None else [("start", pool_size), "map", "shutdown"]
+    )
     assert est.outcomes == estimate_theta(spec, 0.1, 8, 3).outcomes
+    assert one.outcomes == est.outcomes[:1]
 
 
-def test_worker_pool_serves_every_estimate_once_built(monkeypatch):
-    events = []
-
-    class SerialPool:
-        """Stands in for ProcessPoolExecutor: logs its life, starts nothing."""
-
-        def __init__(self, max_workers):
-            events.append(("start", max_workers))
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            events.append("shutdown")
-            return False
-
-        def map(self, fn, payloads):
-            events.append("map")
-            return map(fn, payloads)
-
-    monkeypatch.setattr(estimator, "ProcessPoolExecutor", SerialPool)
+def test_worker_pool_serves_every_estimate_once_built(monkeypatch, serial_pool):
+    events = serial_pool
     monkeypatch.setattr(estimator.os, "cpu_count", lambda: 8)
     spec = GridSpec.uniform(10, 2, 2)
     serial = estimate_theta(spec, 0.1, 40, 3).outcomes
     with estimator.worker_pool(4):
-        # one chunk runs here and builds nothing; the pool's size decides the
-        # rest
+        # the pool is built on entry; one chunk runs here and maps nothing
+        assert events == [("start", 4)]
         assert estimate_theta(spec, 0.1, 1, 3).outcomes == serial[:1]
-        assert events == []
+        assert events == [("start", 4)]
         assert estimate_theta(spec, 0.1, 40, 3).outcomes == serial
         assert estimate_pc(spec, 40, 3).samples.size == 40
         assert events == [("start", 4), "map", "map"]
@@ -277,6 +275,27 @@ def test_worker_pool_serves_every_estimate_once_built(monkeypatch):
     with estimator.worker_pool(1):
         assert estimate_theta(spec, 0.1, 40, 3).outcomes == serial
     assert events == [("start", 4), "map", "map", "shutdown"]
+
+
+def test_nested_worker_pools_restore_the_outer_pool(monkeypatch, serial_pool):
+    events = serial_pool
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: 8)
+    spec = GridSpec.uniform(10, 2, 2)
+    serial = estimate_theta(spec, 0.1, 40, 3).outcomes
+    with estimator.worker_pool(4):
+        outer = estimator._active.pool
+        with estimator.worker_pool(1):
+            assert estimator._active.pool is None
+            assert estimate_theta(spec, 0.1, 40, 3).outcomes == serial
+        assert estimator._active.pool is outer
+        with estimator.worker_pool(2):
+            assert estimate_theta(spec, 0.1, 40, 3).outcomes == serial
+        assert estimator._active.pool is outer
+        assert events == [("start", 4), ("start", 2), "map", "shutdown"]
+        assert estimate_theta(spec, 0.1, 40, 3).outcomes == serial
+    assert estimator._active.pool is None
+    assert events == [("start", 4), ("start", 2), "map", "shutdown", "map",
+                      "shutdown"]
 
 
 def test_ecdf_matches_independent_theta():
